@@ -769,7 +769,7 @@ def bench_features(scale: float, repeat: int) -> dict:
         max_diff = 0.0
         n_ops = n_nodes = n_edges = 0
         for _ in range(repeat):
-            graph = build_dependency_graph(design.module, hls.bindings)
+            graph = build_dependency_graph(hls.module, hls.bindings)
             n_nodes, n_edges = graph.n_nodes(), graph.n_edges()
 
             start = time.perf_counter()
@@ -779,7 +779,7 @@ def bench_features(scale: float, repeat: int) -> dict:
             t_ref = min(t_ref, time.perf_counter() - start)
 
             # fresh graph: cold = snapshot compile + whole-graph extract
-            graph = build_dependency_graph(design.module, hls.bindings)
+            graph = build_dependency_graph(hls.module, hls.bindings)
             start = time.perf_counter()
             extractor = FeatureExtractor(hls, graph, device)
             vec_nodes, vec_X = extractor.extract_all()

@@ -11,7 +11,7 @@ from repro.util.tabulate import format_table, write_csv
 
 
 def test_fig4(benchmark, facedet_baseline):
-    module = facedet_baseline.design.module
+    module = facedet_baseline.hls.module
     bindings = facedet_baseline.hls.bindings
 
     def build_both():

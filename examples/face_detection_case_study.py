@@ -30,7 +30,7 @@ def main() -> None:
         print(f"  {region.source_file}:{region.source_line:<4d} "
               f"predicted {region.average:6.1f}% ({region.n_ops} ops)")
     print("  advisor suggestions:")
-    for action in suggest_resolutions(design, prediction):
+    for action in suggest_resolutions(prediction):
         print(f"    - {action.describe()}")
 
     print("\nVerifying the resolution steps with the real flow...")

@@ -174,7 +174,7 @@ def cmd_predict(args) -> int:
     ]
     print(format_table(["region", "V(%)", "H(%)", "#ops"], rows,
                        title="predicted congestion hotspots"))
-    for action in suggest_resolutions(design, prediction):
+    for action in suggest_resolutions(prediction):
         print(f"  -> {action.describe()}")
     return 0
 

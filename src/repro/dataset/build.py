@@ -164,7 +164,7 @@ def dataset_from_flow(result: FlowResult) -> CongestionDataset:
     y_v: list[float] = []
     y_h: list[float] = []
     meta: list[SampleMeta] = []
-    module = result.design.module
+    module = result.hls.module
 
     for row, node_id in zip(matrix, nodes):
         info = graph.info(node_id)

@@ -157,11 +157,7 @@ class SweepResult:
 
 def build_design_for(name: str, variant: str, scale: float,
                      directives_key: tuple | None = None):
-    """Fresh by-name design build, optionally with overridden directives.
-
-    Always a *new* instance: HLS mutates modules in place, so a design
-    that already went through synthesis must never be implemented again.
-    """
+    """By-name design build, optionally with overridden directives."""
     if name in KERNEL_BUILDERS:
         design = build_kernel(name, scale=scale, variant=variant)
     elif name in PAPER_COMBINATIONS:
@@ -210,8 +206,7 @@ class ExplorationSession:
         self.server = server
         self.options = self.service.options
         self.device = self.service.device
-        #: a pristine build: source of the base directive set the space
-        #: perturbs (never synthesized, so its module stays unmutated)
+        #: source of the base directive set the space perturbs
         self._base_design = build_design_for(
             design, variant, self.options.scale
         )

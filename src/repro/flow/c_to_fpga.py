@@ -50,7 +50,11 @@ __all__ = [
 
 @dataclass
 class FlowResult:
-    """Everything one flow run produces."""
+    """Everything one flow run produces.
+
+    ``design.module`` is the pre-HLS source; the synthesized IR that
+    labels, graph and netlist refer to is ``hls.module``.
+    """
 
     design: KernelDesign
     device: Device
@@ -67,7 +71,7 @@ class FlowResult:
     @property
     def backtracer(self) -> Backtracer:
         return Backtracer(
-            self.design.module, self.netlist, self.packing,
+            self.hls.module, self.netlist, self.packing,
             self.placement, self.congestion,
         )
 
@@ -103,7 +107,7 @@ class FlowResult:
         return {
             "name": self.design.name,
             "variant": self.design.variant,
-            "ops": self.design.module.n_ops(),
+            "ops": self.hls.module.n_ops(),
             "latency_cycles": self.hls.latency_cycles,
             "lut": self.hls.top_report.hierarchical_resources["LUT"],
             "wns_ns": self.timing.wns_ns,

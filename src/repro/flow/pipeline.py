@@ -161,9 +161,6 @@ class Stage:
     name: str = ""
     requires: tuple[str, ...] = ()
     provides: str = ""
-    #: True when run() mutates ctx.design (its artifact is only valid
-    #: against that mutated instance, so caches must carry the design)
-    mutates_design: bool = False
 
     def options_key(self, options: FlowOptions) -> tuple:
         return ()
@@ -182,8 +179,6 @@ class Stage:
 class HLSStage(Stage):
     name = "hls"
     provides = "hls"
-    #: directive transforms (unroll/inline) add replica ops to the module
-    mutates_design = True
 
     def options_key(self, options: FlowOptions) -> tuple:
         return (options.clock_period_ns, options.clock_uncertainty_ns,
@@ -284,7 +279,7 @@ class GraphStage(Stage):
     def run(self, ctx: FlowContext) -> DependencyGraph:
         hls = ctx.require("hls")
         graph = build_dependency_graph(
-            ctx.design.module,
+            hls.module,
             hls.bindings if ctx.options.merge_shared else None,
             merge_shared=ctx.options.merge_shared,
         )
@@ -298,12 +293,12 @@ class GraphStage(Stage):
 
 class BacktraceStage(Stage):
     name = "backtrace"
-    requires = ("rtl", "pack", "place", "route")
+    requires = ("hls", "rtl", "pack", "place", "route")
     provides = "labels"
 
     def run(self, ctx: FlowContext) -> BacktraceResult:
         return Backtracer(
-            ctx.design.module, ctx.require("netlist"),
+            ctx.require("hls").module, ctx.require("netlist"),
             ctx.require("packing"), ctx.require("placement"),
             ctx.require("congestion"),
         ).label_operations()
@@ -438,6 +433,10 @@ class FlowPipeline:
     ) -> FlowContext:
         """Thread a fresh :class:`FlowContext` through the stages.
 
+        ``design`` is never modified: the HLS stage synthesizes a copy of
+        its module, so ``ctx.design.module`` stays the pre-HLS source and
+        ``ctx.hls.module`` is the synthesized IR every later stage reads.
+
         ``deadline`` (a ``time.monotonic()`` timestamp, as produced by
         :class:`repro.serve.resilience.Deadline`) is checked before each
         stage: an expired deadline raises
@@ -450,8 +449,9 @@ class FlowPipeline:
         name, variant, scale)``), each stage artifact is memoized in the
         process-wide ``flow_stages`` store under (token, device
         fingerprint, stage signature) — cache hits record ~0 seconds and
-        ``cached=True``.  Ad-hoc designs should pass ``None`` (no safe
-        identity to key on).  ``persist=True`` additionally writes
+        ``cached=True``, and return the artifact an earlier run on an
+        identical build produced.  Ad-hoc designs should pass ``None``
+        (no safe identity to key on).  ``persist=True`` additionally writes
         per-stage artifacts to the ``REPRO_CACHE_DIR`` disk cache (if
         enabled) so partial runs and serving prefixes survive process
         restarts; full ``run_flow`` runs keep their own whole-result
@@ -492,35 +492,19 @@ class FlowPipeline:
                 local_ctx = ctx
                 from_disk = []
 
-                # A design-mutating stage caches the design alongside
-                # its artifact: the artifact is only valid against a
-                # module carrying the uids the mutation added, so hits
-                # adopt the stored instance.  Downstream stages store
-                # no design copy — every stage transitively requires
-                # the mutating stage, whose entry already adopted the
-                # right instance earlier in this run (and all
-                # artifact cross-links are by uid/id, not identity).
                 def build_entry():
                     if disk is not None:
                         hit = disk.get(key)
                         if hit is not None:
                             from_disk.append(True)
                             return hit
-                    design_copy = (
-                        local_ctx.design if stage.mutates_design else None
-                    )
-                    entry = (stage.run(local_ctx), design_copy)
+                    value = stage.run(local_ctx)
                     if disk is not None:
-                        disk.put(key, entry)
-                    return entry
+                        disk.put(key, value)
+                    return value
 
-                value, cached_design = store.get_or_build(key, build_entry)
+                value = store.get_or_build(key, build_entry)
                 cached = cached or bool(from_disk)
-                # unconditional (not gated on `cached`): a concurrent
-                # run may have populated the entry between the
-                # `in store` check and get_or_build
-                if cached_design is not None and cached_design is not ctx.design:
-                    ctx = replace(ctx, design=cached_design)
             else:
                 value = stage.run(ctx)
             record = StageRecord(stage.name, time.perf_counter() - start,

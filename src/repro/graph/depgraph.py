@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from repro.errors import FeatureError
+from repro.errors import FeatureError, IRError
 from repro.graph.snapshot import GraphStructure, structure_from_graph
 from repro.hls.binding import FunctionBinding
 from repro.ir.module import Module
@@ -284,7 +284,10 @@ def build_dependency_graph(
 
     ``bindings`` enables Fig.-4 merging of operations that share an RTL
     module; pass ``None`` (or ``merge_shared=False``) for the unmerged
-    graph used by the sharing ablation.
+    graph used by the sharing ablation.  Bindings must bind exactly the
+    operations of ``module``, which holds for ``hls.module`` with
+    ``hls.bindings``; anything else (typically the pre-HLS
+    ``design.module``) raises :class:`~repro.errors.IRError`.
     """
     graph = DependencyGraph()
 
@@ -292,6 +295,17 @@ def build_dependency_graph(
     for func in module.functions.values():
         for op in func.operations:
             graph.add_op_node(op)
+
+    if bindings is not None:
+        bound = {uid for b in bindings.values() for uid in b.fu_of_op}
+        held = graph.node_of_op.keys()
+        if bound != held:
+            raise IRError(
+                f"bindings do not match module {module.name!r}: "
+                f"{len(bound - held)} bound uids are not in it and "
+                f"{len(held - bound)} of its operations are unbound; "
+                "pass the synthesized module (hls.module) with its bindings"
+            )
 
     # Def-use edges with wire-count weights.
     for func in module.functions.values():

@@ -68,6 +68,18 @@ class ArrayPartitionDirective:
             )
 
 
+def _name(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a name, got {value!r}")
+    return value
+
+
+def _number(value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 @dataclass
 class DirectiveSet:
     """A named bundle of directives, the unit the flow consumes."""
@@ -147,7 +159,9 @@ class DirectiveSet:
         """Rebuild a :class:`DirectiveSet` from :meth:`to_key` output.
 
         Raises :class:`~repro.errors.DirectiveError` on malformed keys
-        (a foreign tuple must fail loudly, never half-parse).
+        (a foreign tuple must fail loudly, never half-parse).  Names must
+        be strings and factors integers, so ``from_key(k).to_key()`` is
+        hashable even when ``k`` arrived as nested JSON lists.
         """
         try:
             tag, inlines, unrolls, pipelines, partitions = key
@@ -155,12 +169,15 @@ class DirectiveSet:
                 raise ValueError(f"bad tag {tag!r}")
             return cls(
                 name=name,
-                inlines=[InlineDirective(f) for (f,) in inlines],
-                unrolls=[UnrollDirective(f, loop, factor)
+                inlines=[InlineDirective(_name(f)) for (f,) in inlines],
+                unrolls=[UnrollDirective(_name(f), _name(loop),
+                                         _number(factor))
                          for f, loop, factor in unrolls],
-                pipelines=[PipelineDirective(f, loop, ii)
+                pipelines=[PipelineDirective(_name(f), _name(loop),
+                                             _number(ii))
                            for f, loop, ii in pipelines],
-                partitions=[ArrayPartitionDirective(f, array, factor)
+                partitions=[ArrayPartitionDirective(_name(f), _name(array),
+                                                    _number(factor))
                             for f, array, factor in partitions],
             )
         except DirectiveError:

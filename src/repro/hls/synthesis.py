@@ -6,8 +6,11 @@ pipeline, schedules, binds, maps memories, generates FSMs and assembles
 per-function reports.  The result object is what RTL generation, feature
 extraction and the C-to-FPGA flow all consume.
 
-The input module is transformed *in place* (kernels regenerate fresh IR per
-flow run, mirroring how each HLS run re-parses the source).
+Synthesis is copy-on-write: it transforms a structural copy of the input
+module (:meth:`repro.ir.module.Module.copy`) and leaves the input as it
+was, so one design can be synthesized under many directive sets.
+``HLSResult.module`` is the synthesized IR; every reader of post-HLS
+structure (graph, features, back-tracing, source regions) must use it.
 """
 
 from __future__ import annotations
@@ -75,7 +78,11 @@ def synthesize(
     run_frontend_passes: bool = True,
     dsp_limit: int | None = 220,
 ) -> HLSResult:
-    """Run the complete HLS flow on ``module`` (mutates it).
+    """Run the complete HLS flow on a copy of ``module``.
+
+    ``module`` is left untouched; the copy carries its operation uids,
+    and operations the directives add get uids above the largest of
+    them.
 
     Parameters
     ----------
@@ -88,6 +95,7 @@ def synthesize(
         sharing-merge ablation).
     """
     clock = clock or ClockConstraint()
+    module = module.copy()
 
     transform_summary: dict = {}
     if directives is not None and not directives.is_empty():

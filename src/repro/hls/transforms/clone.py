@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.ir.operation import Operation
+from repro.ir.types import VOID
 from repro.ir.value import Value
 
 
@@ -12,10 +13,11 @@ def clone_operation(
     op: Operation,
     value_map: dict[int, Value],
     *,
+    uid: int,
     name_suffix: str = "",
     extra_attrs: dict | None = None,
 ) -> Operation:
-    """Clone ``op``, remapping operands through ``value_map``.
+    """Clone ``op`` under ``uid``, remapping operands through ``value_map``.
 
     ``value_map`` maps ``id(original value) -> replacement value``; any
     operand not in the map (constants, arguments, values defined outside
@@ -29,34 +31,35 @@ def clone_operation(
     clone = Operation(
         op.opcode,
         operands,
-        op.result.type if op.result is not None else _void(),
+        op.result.type if op.result is not None else VOID,
         name=op.name + name_suffix,
         loc=op.loc,
         attrs=attrs,
+        uid=uid,
     )
     if op.result is not None and clone.result is not None:
         value_map[id(op.result)] = clone.result
     return clone
 
 
-def _void():
-    from repro.ir.types import VOID
-
-    return VOID
-
-
 def clone_region(
     ops: list[Operation],
     value_map: dict[int, Value],
     *,
+    uids: Iterator[int],
     name_suffix: str = "",
     attr_fn: Callable[[Operation], dict] | None = None,
 ) -> list[Operation]:
-    """Clone an ordered op region, threading ``value_map`` through it."""
+    """Clone an ordered op region, threading ``value_map`` through it.
+
+    Clones take their uids from ``uids`` in region order (see
+    :meth:`repro.ir.module.Module.fresh_uids`).
+    """
     clones = []
     for op in ops:
         extra = attr_fn(op) if attr_fn else None
         clones.append(
-            clone_operation(op, value_map, name_suffix=name_suffix, extra_attrs=extra)
+            clone_operation(op, value_map, uid=next(uids),
+                            name_suffix=name_suffix, extra_attrs=extra)
         )
     return clones

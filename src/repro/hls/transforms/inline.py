@@ -14,6 +14,8 @@ back to the right source lines, plus provenance attributes.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.errors import HLSError
 from repro.hls.transforms.clone import clone_region
 from repro.ir.function import ArrayDecl, Function, Loop
@@ -50,7 +52,7 @@ def _call_order(module: Module, targets: set[str]) -> list[str]:
 
 
 def _inline_one_call(caller: Function, call: Operation, callee: Function,
-                     site_index: int) -> int:
+                     site_index: int, uids: Iterator[int]) -> int:
     """Inline ``callee`` at ``call`` inside ``caller``; return ops added."""
     if len(call.operands) != len(callee.arguments):
         raise HLSError(
@@ -85,8 +87,8 @@ def _inline_one_call(caller: Function, call: Operation, callee: Function,
         return extra
 
     body = list(callee.operations)
-    clones = clone_region(body, value_map, name_suffix=f"@{site_index}",
-                          attr_fn=attr_fn)
+    clones = clone_region(body, value_map, uids=uids,
+                          name_suffix=f"@{site_index}", attr_fn=attr_fn)
     uid_map = {orig.uid: clone.uid for orig, clone in zip(body, clones)}
 
     # Copy loop metadata under prefixed names, remapping membership and
@@ -139,12 +141,14 @@ def _inline_one_call(caller: Function, call: Operation, callee: Function,
     return len(spliced)
 
 
-def inline_functions(module: Module, targets: set[str] | None = None) -> int:
+def inline_functions(module: Module, targets: set[str] | None = None, *,
+                     uids: Iterator[int] | None = None) -> int:
     """Inline every function in ``targets`` (default: all marked inline).
 
     Returns the total number of operations added to callers.  Functions
     left without callers (and not top) are removed from the module, like
-    Vivado HLS dissolving fully-inlined functions.
+    Vivado HLS dissolving fully-inlined functions.  Clones take their
+    uids from ``uids`` (default: :meth:`Module.fresh_uids`).
     """
     if targets is None:
         targets = {
@@ -158,6 +162,8 @@ def inline_functions(module: Module, targets: set[str] | None = None) -> int:
         if module.functions[name].is_top:
             raise HLSError("cannot inline the top function")
 
+    if uids is None:
+        uids = module.fresh_uids()
     added = 0
     for name in _call_order(module, set(targets)):
         callee = module.functions[name]
@@ -170,7 +176,8 @@ def inline_functions(module: Module, targets: set[str] | None = None) -> int:
                 if op.attrs.get("callee") == name
             ]
             for call in calls:
-                added += _inline_one_call(caller, call, callee, site_index)
+                added += _inline_one_call(caller, call, callee, site_index,
+                                          uids)
                 site_index += 1
             if calls:
                 caller.callees = [c for c in caller.callees if c != name]

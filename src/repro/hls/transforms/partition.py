@@ -35,9 +35,11 @@ def apply_partitions(module: Module, directives: DirectiveSet) -> int:
 
 
 def apply_directives(module: Module, directives: DirectiveSet) -> dict:
-    """Apply a full directive set to ``module`` (in place).
+    """Apply a full directive set to ``module``, transforming it.
 
-    Order matters and mirrors HLS semantics:
+    :func:`repro.hls.synthesis.synthesize` calls this on its private
+    copy of the design module, never on the caller's.  Order matters and
+    mirrors HLS semantics:
 
     1. validate against the pre-transform module;
     2. mark loops (unroll factor, pipeline/II) and arrays (partition) and
@@ -45,7 +47,8 @@ def apply_directives(module: Module, directives: DirectiveSet) -> dict:
     3. inline (clones carry loop/array marks into callers);
     4. unroll every marked loop, innermost first.
 
-    Returns a summary dict for flow reports.
+    Operations added by steps 3 and 4 take uids counting up from the
+    module's largest uid.  Returns a summary dict for flow reports.
     """
     directives.validate(module)
 
@@ -63,8 +66,9 @@ def apply_directives(module: Module, directives: DirectiveSet) -> dict:
     for d in directives.inlines:
         module.functions[d.function].inline = True
 
-    inlined_ops = inline_functions(module)
-    unrolled_ops = apply_unrolls(module)
+    uids = module.fresh_uids()
+    inlined_ops = inline_functions(module, uids=uids)
+    unrolled_ops = apply_unrolls(module, uids=uids)
 
     return {
         "directives": directives.n_directives(),

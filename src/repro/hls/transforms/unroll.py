@@ -18,6 +18,7 @@ congested.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 from repro.errors import HLSError
 from repro.hls.transforms.clone import clone_region
@@ -54,12 +55,15 @@ def _find_accumulator_index(op: Operation, body_uids: set[int]) -> int:
     )
 
 
-def unroll_loop(func: Function, loop_name: str, factor: int = 0) -> int:
+def unroll_loop(func: Function, loop_name: str, factor: int = 0, *,
+                uids: Iterator[int]) -> int:
     """Unroll ``loop_name`` in ``func`` by ``factor`` (0 = complete).
 
     Returns the number of replica operations added.  The loop's trip count
     is divided by the factor; replica groups are recorded on each member's
-    attributes.
+    attributes.  Replicas take their uids from ``uids``, which must not
+    collide with any uid of the module ``func`` belongs to (pass that
+    module's :meth:`~repro.ir.module.Module.fresh_uids`).
     """
     if loop_name not in func.loops:
         raise HLSError(f"no loop {loop_name!r} in function {func.name}")
@@ -108,8 +112,8 @@ def unroll_loop(func: Function, loop_name: str, factor: int = 0) -> int:
                 "unroll_of": op.uid,
             }
 
-        clones = clone_region(body, value_map, name_suffix=f"#u{r}",
-                              attr_fn=attr_fn)
+        clones = clone_region(body, value_map, uids=uids,
+                              name_suffix=f"#u{r}", attr_fn=attr_fn)
 
         # Induction-variable substitution: replica r of a memory access
         # with a compile-time index addresses element (index + r), like
@@ -178,12 +182,17 @@ def unroll_loop(func: Function, loop_name: str, factor: int = 0) -> int:
     return added
 
 
-def apply_unrolls(module: Module) -> int:
+def apply_unrolls(module: Module, *,
+                  uids: Iterator[int] | None = None) -> int:
     """Perform every pending unroll recorded on loop metadata.
 
     Loops are processed innermost-first so that unrolling an outer loop
     replicates already-unrolled inner bodies, matching HLS semantics.
+    Replicas take their uids from ``uids`` (default:
+    :meth:`Module.fresh_uids`).
     """
+    if uids is None:
+        uids = module.fresh_uids()
     added = 0
     for func in list(module.functions.values()):
         pending = [lp for lp in func.loops.values() if lp.unroll_factor != 1]
@@ -191,5 +200,5 @@ def apply_unrolls(module: Module) -> int:
         for loop in pending:
             factor = loop.unroll_factor
             loop.unroll_factor = 1
-            added += unroll_loop(func, loop.name, 0 if factor == 0 else factor)
+            added += unroll_loop(func, loop.name, factor, uids=uids)
     return added

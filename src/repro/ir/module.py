@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Iterable
+import itertools
+from dataclasses import replace
+from typing import Iterable, Iterator
 
 from repro.errors import IRError
 from repro.ir.function import Function
 from repro.ir.operation import Operation
+from repro.ir.value import Value
 
 
 class Module:
@@ -69,6 +72,78 @@ class Module:
 
     def n_ops(self) -> int:
         return sum(f.n_ops() for f in self.functions.values())
+
+    def fresh_uids(self) -> Iterator[int]:
+        """Uids for operations a transform adds to this module.
+
+        Counts up from the largest uid in the module, so added
+        operations never collide with existing ones, whatever the
+        global build counter did since this module was built.
+        """
+        top = max((op.uid for op in self.iter_all_ops()), default=-1)
+        return itertools.count(top + 1)
+
+    def copy(self) -> "Module":
+        """Structural copy that shares no mutable IR object with this one.
+
+        Functions, loops, array declarations, operations and values
+        (arguments and constants included) are all new objects, so
+        transforming the copy leaves this module untouched.  Operation
+        uids, names and attributes, operand order and the order of every
+        value's ``users`` are kept.  Users outside the module, such as the
+        operations of a function an earlier inlining dissolved, are
+        dropped.
+        """
+        values: dict[int, Value] = {}  # id(original) -> copy
+        copied: dict[int, Operation] = {}  # id(original) -> copy
+        originals: list[Value] = []
+
+        def value(v: Value) -> Value:
+            new = values.get(id(v))
+            if new is None:
+                new = object.__new__(type(v))
+                new.type = v.type
+                new.name = v.name
+                new.producer = None
+                new.constant = v.constant
+                values[id(v)] = new
+                originals.append(v)
+            return new
+
+        clone = Module(self.name)
+        clone._top = self._top
+        for name, func in self.functions.items():
+            fn = Function(func.name, is_top=func.is_top)
+            fn.arguments = [value(a) for a in func.arguments]
+            fn.arrays = {k: replace(d) for k, d in func.arrays.items()}
+            fn.loops = {
+                k: replace(lp, op_uids=set(lp.op_uids))
+                for k, lp in func.loops.items()
+            }
+            fn.callees = list(func.callees)
+            fn.inline = func.inline
+            for op in func.operations:
+                new = object.__new__(Operation)
+                new.uid = op.uid
+                new.opcode = op.opcode
+                new.name = op.name
+                new.loc = op.loc
+                new.attrs = dict(op.attrs)
+                new.operands = [value(v) for v in op.operands]
+                new.parent = fn
+                new.result = None
+                if op.result is not None:
+                    new.result = value(op.result)
+                    new.result.producer = new
+                copied[id(op)] = new
+                fn.operations.append(new)
+                fn._ops_by_uid[new.uid] = new
+            clone.functions[name] = fn
+        for v in originals:
+            values[id(v)].users = [
+                copied[id(u)] for u in v.users if id(u) in copied
+            ]
+        return clone
 
     def op_by_uid(self, uid: int) -> Operation:
         """O(1) lookup of an operation by uid, module-wide.

@@ -86,6 +86,7 @@ class Operation:
         name: str = "",
         loc: SourceLocation = UNKNOWN_LOCATION,
         attrs: Optional[dict] = None,
+        uid: Optional[int] = None,
     ) -> None:
         if not is_opcode(opcode):
             raise IRError(f"unknown opcode {opcode!r}")
@@ -99,7 +100,9 @@ class Operation:
         if not info.has_result and not result_type.is_void:
             raise IRError(f"{opcode} does not produce a result")
 
-        self.uid: int = next(_op_counter)
+        # builders draw from the global counter; transforms pass the
+        # next free uid of the module they extend
+        self.uid: int = next(_op_counter) if uid is None else uid
         self.opcode = opcode
         self.operands: list[Value] = list(operands)
         self.loc = loc

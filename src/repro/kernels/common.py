@@ -41,11 +41,6 @@ class KernelDesign:
     source_file: str = ""
     notes: dict = field(default_factory=dict)
 
-    def op_by_uid(self, uid: int):
-        """O(1) operation lookup through the module's cached uid map
-        (the per-prediction hot path of source-region aggregation)."""
-        return self.module.op_by_uid(uid)
-
 
 def check_variant(variant: str, allowed: tuple[str, ...]) -> str:
     if variant not in allowed:

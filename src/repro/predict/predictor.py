@@ -23,6 +23,7 @@ from repro.features.extract import FeatureExtractor
 from repro.fpga.device import Device, xc7z020
 from repro.graph.depgraph import build_dependency_graph
 from repro.hls.synthesis import HLSResult, synthesize
+from repro.ir.module import Module
 from repro.kernels.common import KernelDesign
 from repro.ml.gbrt import GradientBoostingRegressor
 from repro.ml.metrics import mean_absolute_error
@@ -51,6 +52,8 @@ class DesignPrediction:
     node_ids: list[int]
     vertical: np.ndarray
     horizontal: np.ndarray
+    #: the synthesized IR the predictions are for (``HLSResult.module``)
+    module: Module
     regions: list[SourceRegionPrediction] = field(default_factory=list)
     inference_seconds: float = 0.0
 
@@ -61,9 +64,9 @@ class DesignPrediction:
 class RegionIndex:
     """Model-independent node -> source-region grouping.
 
-    Building the grouping walks the dependency graph and the module's
-    uid->op map once per (design, graph, nodes) — a Python loop over
-    every predicted operation — while evaluating it against fresh
+    Building the grouping walks the dependency graph and the synthesized
+    module's uid->op map once per (module, graph, nodes) — a Python loop
+    over every predicted operation — while evaluating it against fresh
     predictions is a handful of vectorized maxima.  The serving tier
     memoizes instances per design group so repeated requests pay only
     the cheap half.
@@ -77,14 +80,17 @@ class RegionIndex:
         self._indices = indices
 
     @classmethod
-    def build(cls, design: KernelDesign, graph,
+    def build(cls, module: Module, graph,
               nodes: list[int]) -> "RegionIndex":
+        """Group ``nodes`` of ``graph`` by the source line of their
+        operation in ``module``, the synthesized IR the graph was built
+        from."""
         by_region: dict[tuple[str, int], list[int]] = {}
         for i, node_id in enumerate(nodes):
             info = graph.info(node_id)
             # cached uid->op map: one dict hit per node instead of a
             # scan over the module's functions per predicted operation
-            op = design.op_by_uid(info.op_uids[0])
+            op = module.op_by_uid(info.op_uids[0])
             by_region.setdefault((op.loc.file, op.loc.line), []).append(i)
         return cls(
             list(by_region),
@@ -106,7 +112,7 @@ class RegionIndex:
 
 
 def regions_from_predictions(
-    design: KernelDesign,
+    module: Module,
     graph,
     nodes: list[int],
     v: np.ndarray,
@@ -118,7 +124,7 @@ def regions_from_predictions(
     path of :class:`repro.serve.CongestionService` so both report
     identical regions for identical per-node predictions.
     """
-    return RegionIndex.build(design, graph, nodes).regions(v, h)
+    return RegionIndex.build(module, graph, nodes).regions(v, h)
 
 
 class CongestionPredictor:
@@ -220,20 +226,25 @@ class CongestionPredictor:
         *,
         hls: HLSResult | None = None,
     ) -> DesignPrediction:
-        """Predict per-operation congestion from HLS artifacts only."""
+        """Predict per-operation congestion from HLS artifacts only.
+
+        ``hls`` is the design's synthesis result, computed here when not
+        given; every structural read goes to its module.
+        """
         self._check_fitted()
         start = time.perf_counter()
         if hls is None:
             hls = synthesize(design.module, design.directives)
-        graph = build_dependency_graph(design.module, hls.bindings)
+        graph = build_dependency_graph(hls.module, hls.bindings)
         extractor = FeatureExtractor(hls, graph, self.device)
         nodes, X = extractor.extract_all()
         v, h = self.predict_matrix(X)
-        regions = regions_from_predictions(design, graph, nodes, v, h)
+        regions = regions_from_predictions(hls.module, graph, nodes, v, h)
         return DesignPrediction(
             node_ids=nodes,
             vertical=v,
             horizontal=h,
+            module=hls.module,
             regions=regions,
             inference_seconds=time.perf_counter() - start,
         )

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.kernels.common import KernelDesign
 from repro.predict.predictor import DesignPrediction
 
 #: predicted utilization above which a region is worth acting on
@@ -36,15 +35,18 @@ class Resolution:
 
 
 def suggest_resolutions(
-    design: KernelDesign,
     prediction: DesignPrediction,
     *,
     threshold: float = HOT_THRESHOLD,
     max_suggestions: int = 5,
 ) -> list[Resolution]:
-    """Rank resolution actions for the predicted hot regions."""
+    """Rank resolution actions for the predicted hot regions.
+
+    Reads the synthesized module the prediction carries: inlining
+    provenance and replicated readers exist only after HLS.
+    """
     suggestions: list[Resolution] = []
-    module = design.module
+    module = prediction.module
     hot_regions = [
         r for r in prediction.regions if r.average >= threshold
     ] or prediction.hottest_regions(5)

@@ -42,12 +42,14 @@ from dataclasses import dataclass
 
 from repro.errors import (
     DeadlineExceededError,
+    DirectiveError,
     OverloadedError,
     ProtocolError,
     ReproError,
     ServeError,
     ServerClosedError,
 )
+from repro.hls.directives import DirectiveSet
 from repro.serve.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     error_message,
@@ -96,12 +98,14 @@ def request_from_wire(message: dict) -> tuple[PredictRequest, float | None]:
         raise ServeError(f"'top' must be a positive integer, got {top!r}")
     directives = message.get("directives")
     if directives is not None:
-        if not isinstance(directives, list):
-            raise ServeError("'directives' must be a list of entries")
-        directives = tuple(
-            tuple(entry) if isinstance(entry, list) else entry
-            for entry in directives
-        )
+        # JSON turns the key's nested tuples into lists: rebuild the
+        # canonical (hashable) key, which also rejects malformed ones
+        try:
+            directives = DirectiveSet.from_key(directives).to_key()
+        except DirectiveError as exc:
+            raise ServeError(
+                f"'directives' is not a directive key: {exc}"
+            ) from exc
     timeout_ms = message.get("timeout_ms")
     timeout_s: float | None = None
     if timeout_ms is not None:

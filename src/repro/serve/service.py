@@ -26,7 +26,6 @@
 
 from __future__ import annotations
 
-import pickle
 import time
 from dataclasses import dataclass, field
 
@@ -162,13 +161,6 @@ class CongestionService:
             self.registry = registry
         #: the HLS prefix — hls + dependency graph, nothing physical
         self.pipeline = FlowPipeline.default().subset(["graph"])
-        #: *pristine* built designs per token, stored as pickled bytes.
-        #: The pipeline's HLS stage mutates the design module in place,
-        #: so memoizing the object itself would hand later callers a
-        #: half-transformed module (directive transforms double-applied
-        #: on re-synthesis); every use deserializes a fresh copy and
-        #: the memo only saves the deterministic-but-slow IR rebuild.
-        self._designs: dict[tuple, bytes] = {}
         self._predictor: CongestionPredictor | None = None
         self._model_source = ""
         self._model_generation = 0
@@ -180,16 +172,17 @@ class CongestionService:
         #: the predictor instance: a retrain/reload invalidates it.
         self._prediction_cache: dict[tuple, tuple] = {}
         self._prediction_cache_for: object | None = None
-        #: model-independent extraction artifacts per group — (design,
-        #: hls, graph, nodes, X, region index).  Unlike the prediction
-        #: cache this survives hot-swaps and retrains (features don't
-        #: depend on the model), so after a swap only the model
-        #: invocation reruns.  FIFO-bounded so an unbounded what-if
-        #: sweep can't pin every design module it ever touched.
+        #: model-independent extraction results per group — (X, region
+        #: index, latency cycles, resources), all an answer reads.
+        #: Unlike the prediction cache this survives hot-swaps and
+        #: retrains (features don't depend on the model), so after a
+        #: swap only the model invocation reruns.  FIFO-bounded so an
+        #: unbounded what-if sweep can't grow it without limit.
         self._feature_cache: dict[tuple, tuple] = {}
         self._feature_cache_max = 128
-        #: concurrent workers may warm/build through one service; these
-        #: keep "train exactly once" and the design memo race-free
+        #: concurrent workers may warm/build through one service: one
+        #: lock keeps "train exactly once", the other serializes design
+        #: builds, which reset the process-global op-uid counter
         self._warm_lock = threading.Lock()
         self._design_lock = threading.Lock()
         self._counters = {
@@ -348,37 +341,31 @@ class CongestionService:
             request.directives,
         )
         with self._design_lock:
-            if token not in self._designs:
-                design = build(
-                    request.design, scale=self.options.scale,
-                    variant=request.variant,
-                )
-                if request.directives is not None:
-                    directives = DirectiveSet.from_key(
-                        request.directives,
-                        name=f"{request.design}:{request.variant}:whatif",
-                    )
-                    directives.validate(design.module)
-                    design.directives = directives
-                self._designs[token] = pickle.dumps(
-                    design, protocol=pickle.HIGHEST_PROTOCOL
-                )
-            # fresh copy per use: the caller's pipeline run will mutate
-            # it, and the memoized pristine bytes must stay pristine
-            return pickle.loads(self._designs[token]), token
+            design = build(
+                request.design, scale=self.options.scale,
+                variant=request.variant,
+            )
+        if request.directives is not None:
+            directives = DirectiveSet.from_key(
+                request.directives,
+                name=f"{request.design}:{request.variant}:whatif",
+            )
+            directives.validate(design.module)
+            design.directives = directives
+        return design, token
 
     def _extract_features(self, request: PredictRequest,
                           deadline: float | None = None):
-        """(design, hls, graph, nodes, X, region index) for one unique
+        """(X, region index, latency cycles, resources) for one unique
         group (design, variant, directives override).
 
         Runs only the HLS-prefix pipeline; stage artifacts are memoized
         under the design token so repeated requests skip synthesis.
-        Everything here is model-independent, so the whole tuple is
-        additionally memoized per group: a warm group skips design
-        deserialization, the pipeline walk and feature extraction
-        entirely, leaving just the model invocation and per-region
-        maxima on the hot path.
+        Everything here is model-independent, so the result is
+        additionally memoized per group: a warm group skips the design
+        build, the pipeline walk and feature extraction entirely,
+        leaving just the model invocation and per-region maxima on the
+        hot path.
         """
         key = request.group_key
         hit = self._feature_cache.get(key)
@@ -389,12 +376,12 @@ class CongestionService:
             design, self.device, self.options, cache_token=token,
             persist=True, deadline=deadline,
         )
-        extractor = FeatureExtractor(ctx.hls, ctx.graph, self.device)
+        hls = ctx.hls
+        extractor = FeatureExtractor(hls, ctx.graph, self.device)
         nodes, X = extractor.extract_all()
-        # ctx.design, not the local build: on stage-cache hits the
-        # pipeline adopts the design the cached artifacts belong to.
-        index = RegionIndex.build(ctx.design, ctx.graph, nodes)
-        entry = (ctx.design, ctx.hls, ctx.graph, nodes, X, index)
+        index = RegionIndex.build(hls.module, ctx.graph, nodes)
+        entry = (X, index, hls.latency_cycles,
+                 dict(hls.top_report.hierarchical_resources))
         if len(self._feature_cache) >= self._feature_cache_max:
             self._feature_cache.pop(next(iter(self._feature_cache)))
         self._feature_cache[key] = entry
@@ -461,20 +448,19 @@ class CongestionService:
                     "the model invocation"
                 )
             order = list(extracted)
-            X_all = np.vstack([extracted[key][4] for key in order])
+            X_all = np.vstack([extracted[key][0] for key in order])
             v_all, h_all = predictor.predict_matrix(X_all)
 
             offset = 0
             for key in order:
-                design, hls, graph, nodes, X, index = extracted[key]
-                v = v_all[offset:offset + len(nodes)]
-                h = h_all[offset:offset + len(nodes)]
-                offset += len(nodes)
+                X, index, latency, resources = extracted[key]
+                v = v_all[offset:offset + len(X)]
+                h = h_all[offset:offset + len(X)]
+                offset += len(X)
                 regions = index.regions(v, h)
                 regions.sort(key=lambda r: -r.average)
-                per_group[key] = (regions, len(nodes), float(v.max()),
-                                  float(h.max()), hls.latency_cycles,
-                                  dict(hls.top_report.hierarchical_resources))
+                per_group[key] = (regions, len(X), float(v.max()),
+                                  float(h.max()), latency, resources)
                 if self.prediction_cache:
                     self._prediction_cache[key] = per_group[key]
 

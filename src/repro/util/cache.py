@@ -45,8 +45,9 @@ from repro.util.faults import fault_point, fault_transform
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: bump to invalidate every on-disk entry when artifact layouts change
-#: (v2: checksummed artifact container)
-_DISK_FORMAT_VERSION = 2
+#: (v2: checksummed artifact container; v3: stage entries hold only the
+#: artifact, and a flow result's design keeps its pre-HLS module)
+_DISK_FORMAT_VERSION = 3
 
 
 class KeyedCache:

@@ -11,8 +11,8 @@ from tests.conftest import build_tiny_module
 
 @pytest.fixture
 def traced():
-    module = build_tiny_module()
-    hls = synthesize(module)
+    hls = synthesize(build_tiny_module())
+    module = hls.module
     nl = generate_netlist(hls)
     dev = small_test_device()
     pk = pack_netlist(nl, dev)
@@ -51,10 +51,11 @@ def test_callee_ops_have_one_label_per_instance(traced):
 
 
 def test_label_of_rejects_multi_instance():
-    module = build_tiny_module()
     from repro.hls import DirectiveSet
 
-    hls = synthesize(module, DirectiveSet("u").unroll("top", "L", 3))
+    hls = synthesize(build_tiny_module(),
+                     DirectiveSet("u").unroll("top", "L", 3))
+    module = hls.module
     nl = generate_netlist(hls)
     dev = small_test_device()
     pk = pack_netlist(nl, dev)

@@ -27,7 +27,7 @@ def test_dataset_meta_provenance(facedet_flow):
     for meta in ds.meta[:50]:
         assert meta.design == "face_detection"
         assert meta.source_line > 0
-        op = facedet_flow.design.module.find_op(meta.op_uid)
+        op = facedet_flow.hls.module.find_op(meta.op_uid)
         assert op.opcode == meta.opcode
 
 

@@ -12,8 +12,8 @@ from tests.conftest import build_tiny_module
 
 @pytest.fixture
 def extracted():
-    module = build_tiny_module()
-    hls = synthesize(module)
+    hls = synthesize(build_tiny_module())
+    module = hls.module
     graph = build_dependency_graph(module, hls.bindings)
     device = small_test_device()
     extractor = FeatureExtractor(hls, graph, device)
@@ -125,7 +125,7 @@ def test_merged_node_counts_shared_unit_once():
         v = b.mul(v, x, width=16)
     b.write_port(x, v)
     hls = synthesize(m)
-    graph = build_dependency_graph(m, hls.bindings)
+    graph = build_dependency_graph(hls.module, hls.bindings)
     extractor = FeatureExtractor(hls, graph, small_test_device())
     nodes, X = extractor.extract_all()
     mul_nodes = [n for n in nodes if graph.info(n).opcode == "mul"]

@@ -46,7 +46,7 @@ def _assert_equivalent(hls, graph, device):
 def test_combo_equivalence(name, variant):
     design = build_combined(name, scale=0.3, variant=variant)
     hls = synthesize(design.module, design.directives)
-    graph = build_dependency_graph(design.module, hls.bindings)
+    graph = build_dependency_graph(hls.module, hls.bindings)
     _assert_equivalent(hls, graph, xc7z020())
 
 
@@ -54,7 +54,7 @@ def test_tiny_module_equivalence():
     """Loop + memory + call + reduction, on the small test device."""
     module = build_tiny_module()
     hls = synthesize(module)
-    graph = build_dependency_graph(module, hls.bindings)
+    graph = build_dependency_graph(hls.module, hls.bindings)
     _assert_equivalent(hls, graph, small_test_device())
 
 
@@ -79,7 +79,7 @@ def _shared_unit_module() -> Module:
 def test_merged_nodes_and_ports_equivalence():
     module = _shared_unit_module()
     hls = synthesize(module)
-    graph = build_dependency_graph(module, hls.bindings)
+    graph = build_dependency_graph(hls.module, hls.bindings)
     infos = [graph.info(n) for n in graph.op_nodes()]
     assert any(len(i.op_uids) > 1 for i in infos), "expected a merged node"
     assert graph.port_nodes(), "expected port nodes"
@@ -90,14 +90,14 @@ def test_unmerged_ablation_equivalence():
     """The sharing-ablation graph (merge_shared=False) must agree too."""
     module = _shared_unit_module()
     hls = synthesize(module)
-    graph = build_dependency_graph(module, None, merge_shared=False)
+    graph = build_dependency_graph(hls.module, None, merge_shared=False)
     _assert_equivalent(hls, graph, small_test_device())
 
 
 def test_single_node_extract_matches_reference():
     module = build_tiny_module()
     hls = synthesize(module)
-    graph = build_dependency_graph(module, hls.bindings)
+    graph = build_dependency_graph(hls.module, hls.bindings)
     device = small_test_device()
     reference = ReferenceFeatureExtractor(hls, graph, device)
     vectorized = FeatureExtractor(hls, graph, device)
@@ -113,7 +113,7 @@ def test_matrix_is_memoized_per_device():
     matrix object — the serving steady state costs one dict hit."""
     module = build_tiny_module()
     hls = synthesize(module)
-    graph = build_dependency_graph(module, hls.bindings)
+    graph = build_dependency_graph(hls.module, hls.bindings)
     device = small_test_device()
     first = FeatureExtractor(hls, graph, device)
     second = FeatureExtractor(hls, graph, device)
@@ -133,7 +133,7 @@ def test_extractor_tracks_post_construction_mutation():
     the version-checked memo."""
     module = build_tiny_module()
     hls = synthesize(module)
-    graph = build_dependency_graph(module, hls.bindings)
+    graph = build_dependency_graph(hls.module, hls.bindings)
     device = small_test_device()
     extractor = FeatureExtractor(hls, graph, device)
     nodes_before, X_before = extractor.extract_all()

@@ -163,8 +163,8 @@ def test_stage_cache_shares_hls_across_option_tails():
     cached = {r.stage: r.cached for r in second.records}
     assert cached == {"hls": True, "rtl": True, "pack": True,
                       "place": True, "route": False}
-    # cache hits adopt the design instance the artifacts belong to
-    assert second.design is first.design
+    # each run keeps its own design; cache hits share the artifacts
+    assert second.design is not first.design
     assert second.hls is first.hls
 
 

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import FeatureError
+from repro.errors import FeatureError, IRError
 from repro.graph import DependencyGraph, build_dependency_graph
-from repro.hls import synthesize
+from repro.hls import DirectiveSet, synthesize
 from repro.ir import Function, I16, IRBuilder, Module
 
 
@@ -91,8 +91,8 @@ def test_shared_binding_merges_in_build():
         muls.append(v.producer)
     b.write_port(x, v)
     hls = synthesize(m)
-    g_merged = build_dependency_graph(m, hls.bindings)
-    g_plain = build_dependency_graph(m, None)
+    g_merged = build_dependency_graph(hls.module, hls.bindings)
+    g_plain = build_dependency_graph(hls.module, None)
     assert g_merged.n_nodes() < g_plain.n_nodes()
     nodes = {g_merged.node_for(op.uid) for op in muls}
     assert len(nodes) == 1  # all four muls merged (Fig. 4)
@@ -166,7 +166,7 @@ def test_build_dependency_graph_returns_frozen_graph(tiny_module):
     from repro.hls import synthesize
 
     hls = synthesize(tiny_module)
-    graph = build_dependency_graph(tiny_module, hls.bindings)
+    graph = build_dependency_graph(hls.module, hls.bindings)
     # freeze() ran: the CSR structure exists at the current version
     # (the undirected networkx copy stays lazy — reference path only)
     assert graph._structure is not None
@@ -182,7 +182,7 @@ def test_structure_matches_graph_queries(tiny_module):
     from repro.hls import synthesize
 
     hls = synthesize(tiny_module)
-    graph = build_dependency_graph(tiny_module, hls.bindings)
+    graph = build_dependency_graph(hls.module, hls.bindings)
     s = graph.structure()
     for row, node_id in enumerate(s.node_ids):
         node_id = int(node_id)
@@ -191,3 +191,12 @@ def test_structure_matches_graph_queries(tiny_module):
         assert s.out_counts()[row] == len(graph.successors(node_id))
         assert s.und_counts()[row] == len(graph.neighbors(node_id))
         assert s.is_port[row] == graph.info(node_id).is_port
+
+
+def test_pre_hls_module_with_hls_bindings_is_rejected(tiny_module):
+    """Bindings name the synthesized module's uids; pairing them with
+    the pre-HLS source must fail instead of building another graph."""
+    hls = synthesize(tiny_module, DirectiveSet("u").unroll("top", "L", 3))
+    with pytest.raises(IRError, match="bindings do not match"):
+        build_dependency_graph(tiny_module, hls.bindings)
+    assert build_dependency_graph(hls.module, hls.bindings).n_nodes() > 0

@@ -135,7 +135,7 @@ def test_unroll_replicates_and_groups():
     m, f, g = module_with_callee()
     inline_functions(m, {"leaf"})
     body_size = len(f.loops["L"].op_uids)
-    added = unroll_loop(f, "L", 4)
+    added = unroll_loop(f, "L", 4, uids=m.fresh_uids())
     verify_module(m)
     assert added == body_size * 3
     groups = {}
@@ -154,7 +154,7 @@ def test_unroll_chains_reductions_and_redirects_consumer():
     inline_functions(m, {"leaf"})
     acc_ops = [op for op in f.operations if op.attrs.get("reduce")]
     assert len(acc_ops) == 1
-    unroll_loop(f, "L", 0)  # complete
+    unroll_loop(f, "L", 0, uids=m.fresh_uids())  # complete
     verify_module(m)
     chain = [op for op in f.operations if op.attrs.get("reduce")]
     assert len(chain) == 8
@@ -166,7 +166,7 @@ def test_unroll_chains_reductions_and_redirects_consumer():
 
 def test_unroll_shifts_constant_memory_indices():
     m, f, g = module_with_callee()
-    unroll_loop(f, "L", 2)
+    unroll_loop(f, "L", 2, uids=m.fresh_uids())
     loads = f.ops_of("load")
     indices = sorted(op.operands[0].constant for op in loads)
     assert indices == [2, 3]

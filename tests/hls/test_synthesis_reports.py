@@ -30,10 +30,9 @@ def design():
 
 
 def test_synthesize_produces_consistent_result():
-    m = design()
-    hls = synthesize(m)
-    verify_module(m)
-    assert set(hls.reports) == set(m.functions)
+    hls = synthesize(design())
+    verify_module(hls.module)
+    assert set(hls.reports) == set(hls.module.functions)
     assert hls.latency_cycles >= 16
     top = hls.top_report
     assert top.n_states >= 1
@@ -62,7 +61,7 @@ def test_synthesize_with_directives_changes_design():
     d.partition("top", "mem", 4)
     opt = synthesize(m2, d)
     assert opt.latency_cycles < plain.latency_cycles
-    assert m2.n_ops() > m1.n_ops()
+    assert opt.module.n_ops() > plain.module.n_ops()
     assert opt.transform_summary["unrolled_ops"] > 0
 
 

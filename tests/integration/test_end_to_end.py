@@ -74,11 +74,11 @@ def test_advisor_full_loop(small_dataset):
     predictor = CongestionPredictor("linear").fit(small_dataset)
     design = build_face_detection(scale=0.18, variant="baseline")
     prediction = predictor.predict_design(design)
-    actions = suggest_resolutions(design, prediction)
+    actions = suggest_resolutions(prediction)
     assert actions
-    # at realistic scales the canonical fix (remove_inline /
-    # replicate_inputs) surfaces; at this tiny scale any actionable
-    # suggestion suffices
+    # the paper's first resolution step: un-inline the classifiers
+    assert [a.kind for a in actions] == ["remove_inline"] * 3
+    assert all(a.target.startswith("classifier_") for a in actions)
     assert all(a.predicted_congestion >= 0 for a in actions)
 
 

@@ -32,9 +32,7 @@ def test_kernel_synthesizes_both_variants(name):
     hls_plain = synthesize(plain.module, plain.directives)
     # directives must cut latency and grow the design (the Table I shape)
     assert hls_base.latency_cycles < hls_plain.latency_cycles
-    assert (
-        base.module.n_ops() >= plain.module.n_ops()
-    )
+    assert hls_base.module.n_ops() >= hls_plain.module.n_ops()
 
 
 @pytest.mark.parametrize("name", ALL_KERNELS)
@@ -69,8 +67,8 @@ def test_face_detection_variants():
 
 def test_face_detection_unrolled_scan_creates_replica_groups():
     design = build_face_detection(scale=SCALE, variant="baseline")
-    synthesize(design.module, design.directives)
-    top = design.module.functions["face_detect_top"]
+    hls = synthesize(design.module, design.directives)
+    top = hls.module.functions["face_detect_top"]
     groups = {}
     for op in top.operations:
         grp = op.attrs.get("unroll_group")

@@ -88,9 +88,12 @@ def test_resolution_advisor_suggests_actions(small_dataset):
     predictor = CongestionPredictor("linear").fit(small_dataset)
     design = build_face_detection(scale=0.18, variant="baseline")
     prediction = predictor.predict_design(design)
-    actions = suggest_resolutions(design, prediction)
+    actions = suggest_resolutions(prediction)
     assert actions
     kinds = {a.kind for a in actions}
     assert kinds <= {"remove_inline", "replicate_inputs", "partition", "restructure"}
+    # inlining provenance exists only in the synthesized module, so this
+    # fails if the advisor reads the pre-HLS source
+    assert "remove_inline" in kinds
     for action in actions:
         assert action.describe()

@@ -130,12 +130,18 @@ def served(service=None, config=None, net_config=None):
 # wire mapping
 # ----------------------------------------------------------------------
 def test_request_from_wire_validation():
+    key = ("directives", (("f",),), (("e", "l2", 2), ("f", "loop", 4)),
+           (), ())
+    # JSON carries the key as nested lists, here out of canonical order
+    wire_key = ["directives", [["f"]], [["f", "loop", 4], ["e", "l2", 2]],
+                [], []]
     request, timeout_s = request_from_wire(
         {"design": "fd", "variant": "v2", "top": 3, "timeout_ms": 1500,
-         "directives": [["loop", 1, 4], "x"]}
+         "directives": wire_key}
     )
     assert request == PredictRequest("fd", variant="v2", top=3,
-                                     directives=(("loop", 1, 4), "x"))
+                                     directives=key)
+    assert hash(request.group_key) == hash(("fd", "v2", key))
     assert timeout_s == 1.5
     for bad in ({}, {"design": ""}, {"design": 7},
                 {"design": "fd", "top": 0},
@@ -143,6 +149,9 @@ def test_request_from_wire_validation():
                 {"design": "fd", "timeout_ms": 0},
                 {"design": "fd", "timeout_ms": "soon"},
                 {"design": "fd", "directives": "inline"},
+                {"design": "fd", "directives": [["loop", 1, 4], "x"]},
+                {"design": "fd", "directives": ["directives", [[["f"]]],
+                                                [], [], []]},
                 {"design": "fd", "variant": ""}):
         with pytest.raises(ServeError):
             request_from_wire(bad)

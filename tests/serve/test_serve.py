@@ -18,13 +18,19 @@ from repro.errors import (
 from repro.flow import FlowOptions
 from repro.fpga.device import small_test_device
 from repro.impl.routing import RoutingOptions
+from repro.kernels.combos import build_kernel
 from repro.predict import CongestionPredictor
 from repro.serve import (
     CongestionService,
     ModelRegistry,
+    NetClient,
+    NetServerConfig,
     PredictRequest,
     ResiliencePolicy,
+    ResilientCongestionServer,
+    ServerConfig,
     dataset_spec_fingerprint,
+    start_net_server,
 )
 
 SCALE = 0.18
@@ -338,45 +344,57 @@ def test_service_empty_batch():
     assert service.predict_batch([]) == []
 
 
-def test_design_memo_stays_pristine():
-    """The design memo hands out fresh, never-synthesized copies.
-
-    The pipeline's HLS stage mutates the design module in place.
-    Memoizing the design *object* meant a second, stage-cache-cold use
-    re-synthesized an already-transformed module — double-applying the
-    directive transforms — which is why fresh-store tests used to clear
-    ``service._designs`` by hand.
-    """
-    import repro.util.cache as cache_mod
-    from repro.util.cache import KeyedCache
-
+def _service_serving(predictor) -> CongestionService:
     service = CongestionService(
         "linear", options=_options(), combos=COMBOS, registry=None
     )
-    request = PredictRequest("face_detection")
-    d1, token1 = service._build_design(request)
-    d2, token2 = service._build_design(request)
-    assert token1 == token2
-    assert d1 is not d2  # a fresh copy per use, never a shared instance
-    assert d1.module is not d2.module
+    service.adopt_predictor(predictor, source="memory")
+    return service
 
-    # Two stage-cache-cold predicts: each must synthesize a *pristine*
-    # copy from the memo.  With the old object memo the first cold run
-    # mutated the memoized design in place (directive transforms are
-    # destructive), and the second raised DirectiveError re-inlining a
-    # consumed function — which is why fresh-store tests hand-cleared
-    # the memo.
-    service.warm()
-    old_store = cache_mod._GLOBAL_STORES["flow_stages"]
-    try:
-        results = []
-        for _ in range(2):
-            cache_mod._GLOBAL_STORES["flow_stages"] = KeyedCache()
-            service._prediction_cache.clear()
-            service._feature_cache.clear()
-            results.append(service.predict(request))
-    finally:
-        cache_mod._GLOBAL_STORES["flow_stages"] = old_store
-    first, second = results
-    assert second.n_operations == first.n_operations
-    assert second.predicted_max_vertical == first.predicted_max_vertical
+
+def test_wire_directive_override_matches_in_process(trained):
+    """A directive override crosses the wire as nested JSON lists; the
+    edge rebuilds the canonical key, so the answer equals the in-process
+    one and a repeat in process hits the same prediction-cache slot."""
+    predictor, _, _ = trained
+    key = build_kernel("face_detection", scale=SCALE).directives.to_key()
+    service = _service_serving(predictor)
+    server = ResilientCongestionServer(service, ServerConfig())
+    with start_net_server(server, NetServerConfig(watch_registry=False)) \
+            as handle, NetClient(handle.host, handle.port) as client:
+        remote = client.predict("face_detection", directives=key)
+        stats = client.stats()
+    assert stats["completed"] == 1 and stats["worker_restarts"] == 0
+    local = _service_serving(predictor).predict(
+        PredictRequest("face_detection", directives=key))
+    assert remote["n_operations"] == local.n_operations
+    assert remote["predicted_max_vertical"] == pytest.approx(
+        local.predicted_max_vertical, abs=1e-6)
+    assert remote["predicted_max_horizontal"] == pytest.approx(
+        local.predicted_max_horizontal, abs=1e-6)
+    assert len(remote["regions"]) == len(local.regions)
+    for got, want in zip(remote["regions"], local.regions):
+        assert got["source_line"] == want.source_line
+        assert got["vertical"] == pytest.approx(want.vertical, abs=1e-6)
+        assert got["horizontal"] == pytest.approx(want.horizontal, abs=1e-6)
+    hits = service.stats()["prediction_hits"]
+    service.predict(PredictRequest("face_detection", directives=key))
+    assert service.stats()["prediction_hits"] == hits + 1
+
+
+def test_wire_malformed_directive_key_is_bad_request(trained):
+    predictor, _, _ = trained
+    server = ResilientCongestionServer(_service_serving(predictor),
+                                       ServerConfig())
+    with start_net_server(server, NetServerConfig(watch_registry=False)) \
+            as handle, NetClient(handle.host, handle.port) as client:
+        for bad in ([["loop", 1, 4], "x"],
+                    ["directives", [[["nested"]]], [], [], []],
+                    ["directives", [], [["f", "loop", "four"]], [], []]):
+            with pytest.raises(ServeError, match="not a directive key"):
+                client.predict("face_detection", directives=bad)
+        # the server is still serving, and no worker ever crashed
+        assert client.predict("face_detection")["n_operations"] > 0
+        stats = client.stats()
+    assert stats["completed"] == 1 and stats["net"]["bad_requests"] == 3
+    assert stats["worker_crashes"] == 0 and stats["worker_restarts"] == 0
