@@ -44,8 +44,8 @@ def main() -> None:
           f"{len(result.evaluations)} configurations")
     telemetry = result.telemetry
     print(f"telemetry: {telemetry['predictions_issued']} predictions, "
-          f"stage cache +{telemetry['stage_cache_hits']} hit / "
-          f"+{telemetry['stage_cache_misses']} miss")
+          f"feature cache +{telemetry['feature_cache_hits']} hit / "
+          f"+{telemetry['feature_cache_misses']} miss")
 
     print("\nautotuning (budget 24, seed 0)...")
     tuned = autotune(session, budget=24, seed=0)

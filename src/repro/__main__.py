@@ -182,9 +182,9 @@ def cmd_predict(args) -> int:
 def _cache_report(service) -> str:
     """One-line cache telemetry: proves prediction reuse at a glance."""
     stats = service.stats()
-    stage = stats["stage_cache"]
     registry = stats.get("registry") or {}
-    return (f"caches: stage {stage['hits']} hit / {stage['misses']} miss"
+    return (f"caches: features {stats['feature_hits']} hit / "
+            f"{stats['feature_misses']} miss"
             f"  registry {registry.get('hits', 0)} hit / "
             f"{registry.get('misses', 0)} miss"
             f"  model from '{stats['model_source']}'")
@@ -266,9 +266,9 @@ def cmd_explore(args) -> int:
           f"{result.seconds:.2f}s; {len(result.pareto)} on the "
           f"pareto front")
     print(f"sweep telemetry: {telemetry['predictions_issued']} "
-          f"predictions, {telemetry['memo_hits']} memo hits, stage "
-          f"cache +{telemetry['stage_cache_hits']} hit / "
-          f"+{telemetry['stage_cache_misses']} miss, prediction "
+          f"predictions, {telemetry['memo_hits']} memo hits, feature "
+          f"cache +{telemetry['feature_cache_hits']} hit / "
+          f"+{telemetry['feature_cache_misses']} miss, prediction "
           f"cache +{telemetry['prediction_cache_hits']} hit / "
           f"+{telemetry['prediction_cache_misses']} miss")
     print(_cache_report(service))
@@ -308,7 +308,7 @@ def _cmd_serve_resilient(args, service) -> int:
             source = server.warm()
             print(f"model ready from '{source}' in "
                   f"{time.perf_counter() - start:.2f}s ({args.model})")
-            server.predict(requests[0])  # prime the stage cache
+            server.predict(requests[0])  # prime the feature cache
             report = run_open_loop(server, requests,
                                    rate_per_s=args.rate)
             summary = report.summary()

@@ -15,10 +15,10 @@ this pragma combination do?" many times cheaply:
   serving pipeline is ``FlowPipeline.default().subset(["graph"])``, so
   no packing/placement/routing stage can execute, which is the paper's
   entire value proposition;
-* evaluations are memoized by canonical directive key and stage
-  artifacts are memoized per configuration token, so each unique stage
-  signature is computed at most once per sweep no matter how often the
-  tuner revisits a configuration.
+* evaluations are memoized by canonical directive key, and the
+  service's feature cache holds each configuration's HLS-prefix result,
+  so each unique configuration is synthesized at most once per sweep no
+  matter how often the tuner revisits it.
 """
 
 from __future__ import annotations
@@ -342,11 +342,9 @@ class ExplorationSession:
         if configs is None:
             configs = self.space.sample(max_configs, seed)
         stats_before = self.service.stats()
-        stage_before = dict(stats_before["stage_cache"])
         baseline = self.baseline()
         evaluations = self.evaluate(configs)
         stats_after = self.service.stats()
-        stage_after = dict(stats_after["stage_cache"])
         # de-duplicate while preserving first-seen order for the report
         unique: dict[tuple, ConfigEvaluation] = {}
         for e in evaluations:
@@ -361,11 +359,12 @@ class ExplorationSession:
             "n_unique": len(unique),
             "predictions_issued": self.counters["predictions_issued"],
             "memo_hits": self.counters["memo_hits"],
-            "stage_cache_hits": (
-                stage_after["hits"] - stage_before["hits"]
+            "feature_cache_hits": (
+                stats_after["feature_hits"] - stats_before["feature_hits"]
             ),
-            "stage_cache_misses": (
-                stage_after["misses"] - stage_before["misses"]
+            "feature_cache_misses": (
+                stats_after["feature_misses"]
+                - stats_before["feature_misses"]
             ),
             "prediction_cache_hits": (
                 stats_after["prediction_hits"]

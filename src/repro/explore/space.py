@@ -7,8 +7,8 @@ on.  A concrete choice of one value per knob is a
 :class:`~repro.hls.directives.DirectiveSet` yields the directive set the
 HLS-prefix pipeline actually consumes, and the canonical
 ``DirectiveSet.to_key()`` of that applied set is the configuration's
-cache identity everywhere (explore memo, flow stage cache, serving
-requests).
+cache identity everywhere (explore memo, serving requests and the
+service's feature cache).
 """
 
 from __future__ import annotations

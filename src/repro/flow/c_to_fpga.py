@@ -121,35 +121,23 @@ class FlowResult:
 
 
 def design_cache_token(name: str, variant: str, scale: float,
-                       combined: bool,
-                       directives: tuple | None = None) -> tuple:
+                       combined: bool) -> tuple:
     """Stage-cache identity of a by-name design build.
 
     Builds are deterministic in (kind, name, variant, scale), so two
     pipeline runs with the same token operate on identical designs and
-    may share stage artifacts.  A single-member combination builds the
-    exact kernel design, so it canonicalizes to the kernel token —
-    a serving request for "face_detection" reuses the artifacts the
-    dataset build produced for the same-named combo.
-
-    ``directives`` is a canonical :meth:`DirectiveSet.to_key` tuple for
-    what-if exploration: a design whose directive set was *overridden*
-    after the build must never share stage artifacts with the variant's
-    stock directives (or with a different override).  ``None`` — the
-    stock directives implied by (name, variant) — keeps the historic
-    token shape, so existing on-disk caches stay valid.
+    may share stage artifacts — ``run_flow`` and ``repro flow --until``
+    key the ``flow_stages`` store with it.  A single-member combination
+    builds the exact kernel design, so it canonicalizes to the kernel
+    token.
     """
     from repro.kernels.combos import PAPER_COMBINATIONS
 
     if combined:
         members = PAPER_COMBINATIONS.get(name)
         if members is not None and len(members) == 1:
-            return design_cache_token(members[0], variant, scale, False,
-                                      directives)
-    base = ("combined" if combined else "kernel", name, variant, scale)
-    if directives is None:
-        return base
-    return (*base, directives)
+            return design_cache_token(members[0], variant, scale, False)
+    return ("combined" if combined else "kernel", name, variant, scale)
 
 
 def run_flow_on_design(

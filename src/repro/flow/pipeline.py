@@ -453,7 +453,7 @@ class FlowPipeline:
         identical build produced.  Ad-hoc designs should pass ``None``
         (no safe identity to key on).  ``persist=True`` additionally writes
         per-stage artifacts to the ``REPRO_CACHE_DIR`` disk cache (if
-        enabled) so partial runs and serving prefixes survive process
+        enabled) so partial runs (``repro flow --until``) survive process
         restarts; full ``run_flow`` runs keep their own whole-result
         persistence instead.  ``observer`` sees every
         :class:`StageRecord` as it is produced.

@@ -138,8 +138,8 @@ class DirectiveSet:
         meaning), and the set's display ``name`` is excluded — two sets
         describing the same configuration share one key no matter how
         they were assembled.  This single representation is what
-        explore configs, flow stage-cache tokens and serving requests
-        key on, so a what-if sweep can never alias two different
+        explore configs, serving requests and the service's feature
+        cache key on, so a what-if sweep can never alias two different
         configurations (or split one configuration into two cache
         slots).
         """

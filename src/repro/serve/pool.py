@@ -13,10 +13,10 @@ whose ``predict_batch`` fans micro-batches out across ``N`` worker
   exists (non-compilable model families);
 * requests are **sharded deterministically**: the request's feature
   group (design, variant, directives) plus the device fingerprint hash
-  to a fixed worker, so each worker's design/stage/feature caches hold
-  only its own shard — the pool partitions cache memory instead of
-  replicating it, and repeated requests for one design always hit the
-  worker that is already warm for it;
+  to a fixed worker, so each worker's feature cache holds only its own
+  shard — the pool partitions cache memory instead of replicating it,
+  and repeated requests for one design always hit the worker that is
+  already warm for it;
 * the parent is the **supervisor**: a crashed worker (e.g. an injected
   ``pool.worker:crash`` fault) is restarted under a restart budget and
   its shard re-dispatched once; a shard that still cannot be served by

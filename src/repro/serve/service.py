@@ -6,18 +6,22 @@
 * it lazily **loads-or-trains** its predictor — first from an in-memory
   slot, then from the :class:`~repro.serve.registry.ModelRegistry`
   (second processes never retrain), and only then by building the
-  training dataset and fitting from scratch (persisting the result);
+  training dataset and fitting from scratch (saving the result);
 * requests run only the **HLS prefix** of the flow pipeline
   (``FlowPipeline.default().subset(["graph"])`` — no packing, placement
-  or routing ever executes on the serving path), with stage artifacts
-  memoized per design so repeated requests are feature-extraction only;
-* feature extraction itself rides the **vectorized snapshot engine**:
-  the graph stage pre-compiles a frozen
-  :class:`~repro.graph.snapshot.GraphSnapshot` and
-  :class:`~repro.features.extract.FeatureExtractor` memoizes the
-  extracted ``[n, 302]`` matrix on it per device, so the steady state
-  of repeated requests against one design is a dictionary hit, not a
-  re-extraction;
+  or routing ever executes on the serving path); feature extraction
+  rides the vectorized snapshot engine over the frozen dependency graph;
+* the service keeps **one bounded cache**: a least-recently-used map of
+  at most :attr:`CongestionService.FEATURE_CACHE_SIZE` request groups
+  (design, variant, directives override).  An entry holds what an
+  answer reads — the feature matrix, the region index and the HLS
+  summary — plus the group's last answer and the model generation that
+  produced it.  A repeated group skips the design build, HLS and
+  extraction, and reuses its answer while that generation is current;
+  after a model swap only the model reruns.  Serving never touches the
+  process-wide ``flow_stages`` store or the ``REPRO_CACHE_DIR`` disk
+  cache, so its memory stays bounded however many distinct
+  configurations arrive;
 * :meth:`predict_batch` answers many :class:`PredictRequest` objects in
   one model invocation: features of all unique designs are stacked into
   a single matrix and the regressors run once, which is where the batch
@@ -26,12 +30,12 @@
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
-
-import threading
 
 from repro.dataset.build import build_paper_dataset
 from repro.errors import (
@@ -43,7 +47,6 @@ from repro.errors import (
     StaleModelError,
 )
 from repro.features.extract import FeatureExtractor
-from repro.flow.c_to_fpga import design_cache_token
 from repro.hls.directives import DirectiveSet
 from repro.flow.pipeline import FlowOptions, FlowPipeline
 from repro.fpga.device import Device, xc7z020
@@ -60,7 +63,6 @@ from repro.predict.predictor import (
 )
 from repro.serve.registry import ModelRegistry, dataset_spec_fingerprint
 from repro.serve.resilience import ResiliencePolicy, deadline_timestamp
-from repro.util.cache import cached_property_store
 
 
 @dataclass(frozen=True)
@@ -71,9 +73,9 @@ class PredictRequest:
     with a canonical :meth:`~repro.hls.directives.DirectiveSet.to_key`
     tuple — the what-if exploration workload: same source, different
     pragma configuration, answered without any place-and-route.  Each
-    distinct override gets its own stage-cache identity, so two
-    configurations never alias and a repeated configuration is a cache
-    hit.
+    distinct override is a group of its own in the service's feature
+    cache, so two configurations never alias and a repeated
+    configuration is a cache hit.
     """
 
     design: str
@@ -108,7 +110,7 @@ class PredictResponse:
     batch_size: int = 1
     #: True when the service fell back after a dependency failure (e.g.
     #: a quarantined registry artifact forced a retrain-in-place, or the
-    #: trained model could not be persisted); the prediction itself is
+    #: trained model could not be saved); the prediction itself is
     #: from a fully fitted model, but operators should know
     degraded: bool = False
     degraded_reason: str = ""
@@ -122,8 +124,27 @@ class PredictResponse:
     model_generation: int = 0
 
 
+@dataclass(eq=False)
+class _CachedGroup:
+    """One feature-cache entry: everything an answer reads about a
+    request group, plus the group's last answer and the model
+    generation that produced it."""
+
+    X: np.ndarray
+    index: RegionIndex
+    latency_cycles: int
+    resources: dict[str, int]
+    #: (regions sorted hottest first, max vertical, max horizontal)
+    answer: tuple | None = None
+    generation: int = 0
+
+
 class CongestionService:
     """Train-or-load once, then answer prediction requests cheaply."""
+
+    #: request groups the feature cache holds; past this the least
+    #: recently used group is evicted and recomputed in full if asked again
+    FEATURE_CACHE_SIZE = 128
 
     def __init__(
         self,
@@ -142,10 +163,10 @@ class CongestionService:
         self.device = device or xc7z020()
         self.combos = tuple(combos or PAPER_COMBINATIONS)
         self.n_jobs = n_jobs
-        #: memoize finished group results per (design, variant,
-        #: directives)?  Benchmarks that measure model-invocation cost
-        #: turn this off — otherwise every repeat request is a dict hit
-        #: and the numbers say nothing about inference.
+        #: reuse a cached group's answer while its model generation is
+        #: current?  Benchmarks that measure model-invocation cost turn
+        #: this off — otherwise every repeat request is a dict hit and
+        #: the numbers say nothing about inference.
         self.prediction_cache = prediction_cache
         #: optional retry/circuit-breaker wiring around the registry and
         #: dataset-build dependencies (the resilient server installs one)
@@ -165,21 +186,10 @@ class CongestionService:
         self._model_source = ""
         self._model_generation = 0
         self._degraded_reason = ""
-        #: finished group results (regions, peaks, HLS summary) per
-        #: (design, variant, directives) — predictions over a fixed
-        #: model are deterministic, so a repeated what-if configuration
-        #: skips extraction AND the model invocation entirely.  Keyed to
-        #: the predictor instance: a retrain/reload invalidates it.
-        self._prediction_cache: dict[tuple, tuple] = {}
-        self._prediction_cache_for: object | None = None
-        #: model-independent extraction results per group — (X, region
-        #: index, latency cycles, resources), all an answer reads.
-        #: Unlike the prediction cache this survives hot-swaps and
-        #: retrains (features don't depend on the model), so after a
-        #: swap only the model invocation reruns.  FIFO-bounded so an
-        #: unbounded what-if sweep can't grow it without limit.
-        self._feature_cache: dict[tuple, tuple] = {}
-        self._feature_cache_max = 128
+        #: the service's only cache: PredictRequest.group_key ->
+        #: _CachedGroup, least recently used first
+        self._feature_cache: OrderedDict[tuple, _CachedGroup] = \
+            OrderedDict()
         #: concurrent workers may warm/build through one service: one
         #: lock keeps "train exactly once", the other serializes design
         #: builds, which reset the process-global op-uid counter
@@ -190,6 +200,7 @@ class CongestionService:
             "registry_loads": 0, "stale_rejections": 0,
             "quarantined_loads": 0, "registry_unavailable": 0,
             "save_failures": 0,
+            "feature_hits": 0, "feature_misses": 0,
             "prediction_hits": 0, "prediction_misses": 0,
         }
 
@@ -254,7 +265,7 @@ class CongestionService:
                     f"({exc})"
                 )
             except ModelRegistryError:
-                pass  # nothing persisted yet — train below
+                pass  # nothing saved yet — train below
             except (OSError, CircuitOpenError) as exc:
                 self._counters["registry_unavailable"] += 1
                 self._degraded_reason = (
@@ -286,11 +297,11 @@ class CongestionService:
             except (OSError, ModelRegistryError) as exc:
                 if policy is None:
                     raise
-                # resilient mode: an unpersistable model still serves —
+                # resilient mode: an unsaved model still serves —
                 # flag it so operators see the registry is unhealthy
                 self._counters["save_failures"] += 1
                 self._degraded_reason = (
-                    f"trained model could not be persisted ({exc})"
+                    f"trained model could not be saved ({exc})"
                 )
         return self._model_source
 
@@ -309,9 +320,10 @@ class CongestionService:
                         source: str = "registry") -> int:
         """Atomically replace the serving predictor (model hot-swap).
 
-        Returns the new model generation.  The per-predictor prediction
-        cache self-invalidates (it is keyed to the predictor instance),
-        so no stale answer can outlive a swap.  Callers that serve
+        Returns the new model generation.  A cached answer is reused
+        only while the generation that produced it is current, so no
+        stale answer can outlive a swap; the cached features survive it,
+        and the new model reruns on them.  Callers that serve
         batches concurrently must serialize this against
         ``predict_batch`` — :meth:`ResilientCongestionServer.hot_swap`
         does exactly that, which is what makes in-flight micro-batches
@@ -328,18 +340,14 @@ class CongestionService:
     # ------------------------------------------------------------------
     def _build_design(self, request: PredictRequest):
         if request.design in KERNEL_BUILDERS:
-            build, combined = build_kernel, False
+            build = build_kernel
         elif request.design in PAPER_COMBINATIONS:
-            build, combined = build_combined, True
+            build = build_combined
         else:
             known = sorted({*KERNEL_BUILDERS, *PAPER_COMBINATIONS})
             raise ServeError(
                 f"unknown design {request.design!r}; known: {known}"
             )
-        token = design_cache_token(
-            request.design, request.variant, self.options.scale, combined,
-            request.directives,
-        )
         with self._design_lock:
             design = build(
                 request.design, scale=self.options.scale,
@@ -352,38 +360,36 @@ class CongestionService:
             )
             directives.validate(design.module)
             design.directives = directives
-        return design, token
+        return design
 
-    def _extract_features(self, request: PredictRequest,
-                          deadline: float | None = None):
-        """(X, region index, latency cycles, resources) for one unique
-        group (design, variant, directives override).
-
-        Runs only the HLS-prefix pipeline; stage artifacts are memoized
-        under the design token so repeated requests skip synthesis.
-        Everything here is model-independent, so the result is
-        additionally memoized per group: a warm group skips the design
-        build, the pipeline walk and feature extraction entirely,
-        leaving just the model invocation and per-region maxima on the
-        hot path.
+    def _cached_group(self, request: PredictRequest,
+                      deadline: float | None = None) -> _CachedGroup:
+        """The feature-cache entry of ``request``'s group, computed on a
+        miss: build the design, run the HLS-prefix pipeline and extract
+        features.  A hit becomes the most recently used entry; a miss
+        past :attr:`FEATURE_CACHE_SIZE` evicts the least recently used.
         """
         key = request.group_key
-        hit = self._feature_cache.get(key)
-        if hit is not None:
-            return hit
-        design, token = self._build_design(request)
-        ctx = self.pipeline.run(
-            design, self.device, self.options, cache_token=token,
-            persist=True, deadline=deadline,
-        )
+        entry = self._feature_cache.get(key)
+        if entry is not None:
+            self._feature_cache.move_to_end(key)
+            self._counters["feature_hits"] += 1
+            return entry
+        design = self._build_design(request)
+        ctx = self.pipeline.run(design, self.device, self.options,
+                                deadline=deadline)
         hls = ctx.hls
         extractor = FeatureExtractor(hls, ctx.graph, self.device)
         nodes, X = extractor.extract_all()
-        index = RegionIndex.build(hls.module, ctx.graph, nodes)
-        entry = (X, index, hls.latency_cycles,
-                 dict(hls.top_report.hierarchical_resources))
-        if len(self._feature_cache) >= self._feature_cache_max:
-            self._feature_cache.pop(next(iter(self._feature_cache)))
+        entry = _CachedGroup(
+            X=X,
+            index=RegionIndex.build(hls.module, ctx.graph, nodes),
+            latency_cycles=hls.latency_cycles,
+            resources=dict(hls.top_report.hierarchical_resources),
+        )
+        self._counters["feature_misses"] += 1
+        while len(self._feature_cache) >= self.FEATURE_CACHE_SIZE:
+            self._feature_cache.popitem(last=False)
         self._feature_cache[key] = entry
         return entry
 
@@ -412,69 +418,54 @@ class CongestionService:
         predictor = self.predictor
         source = self._model_source
         generation = self._model_generation
-        if self._prediction_cache_for is not predictor:
-            # model retrained/reloaded since the cache was filled
-            self._prediction_cache = {}
-            self._prediction_cache_for = predictor
 
-        # one feature extraction per unique (design, variant, directives)
-        # — and none at all for groups the prediction cache already holds
-        groups: dict[tuple, list[int]] = {}
-        for i, request in enumerate(requests):
-            groups.setdefault(request.group_key, []).append(i)
-        per_group: dict[tuple, tuple] = {}
-        to_compute: dict[tuple, int] = {}
-        for key, idx in groups.items():
-            cached = (
-                self._prediction_cache.get(key)
-                if self.prediction_cache else None
-            )
-            if cached is not None:
-                per_group[key] = cached
+        # one cache entry per unique (design, variant, directives); the
+        # model reruns for the groups without a current answer
+        entries: dict[tuple, _CachedGroup] = {}
+        for request in requests:
+            if request.group_key not in entries:
+                entries[request.group_key] = self._cached_group(
+                    request, deadline
+                )
+        stale = []
+        for entry in entries.values():
+            if (self.prediction_cache and entry.answer is not None
+                    and entry.generation == generation):
                 self._counters["prediction_hits"] += 1
             else:
-                to_compute[key] = idx[0]
+                stale.append(entry)
                 self._counters["prediction_misses"] += 1
-        extracted = {
-            key: self._extract_features(requests[i], deadline)
-            for key, i in to_compute.items()
-        }
 
-        if extracted:
+        if stale:
             # one model invocation over the stacked feature matrix
             if deadline is not None and time.monotonic() >= deadline:
                 raise DeadlineExceededError(
                     "deadline exceeded after feature extraction, before "
                     "the model invocation"
                 )
-            order = list(extracted)
-            X_all = np.vstack([extracted[key][0] for key in order])
-            v_all, h_all = predictor.predict_matrix(X_all)
-
+            v_all, h_all = predictor.predict_matrix(
+                np.vstack([entry.X for entry in stale])
+            )
             offset = 0
-            for key in order:
-                X, index, latency, resources = extracted[key]
-                v = v_all[offset:offset + len(X)]
-                h = h_all[offset:offset + len(X)]
-                offset += len(X)
-                regions = index.regions(v, h)
+            for entry in stale:
+                v = v_all[offset:offset + len(entry.X)]
+                h = h_all[offset:offset + len(entry.X)]
+                offset += len(entry.X)
+                regions = entry.index.regions(v, h)
                 regions.sort(key=lambda r: -r.average)
-                per_group[key] = (regions, len(X), float(v.max()),
-                                  float(h.max()), latency, resources)
-                if self.prediction_cache:
-                    self._prediction_cache[key] = per_group[key]
+                entry.answer = (regions, float(v.max()), float(h.max()))
+                entry.generation = generation
 
         elapsed = time.perf_counter() - start
         degraded_reason = self._degraded_reason
         responses = []
         for request in requests:
-            regions, n_ops, v_max, h_max, latency, resources = per_group[
-                request.group_key
-            ]
+            entry = entries[request.group_key]
+            regions, v_max, h_max = entry.answer
             responses.append(PredictResponse(
                 request=request,
                 regions=regions[:request.top],
-                n_operations=n_ops,
+                n_operations=len(entry.X),
                 predicted_max_vertical=v_max,
                 predicted_max_horizontal=h_max,
                 model_source=source,
@@ -482,8 +473,8 @@ class CongestionService:
                 batch_size=len(requests),
                 degraded=bool(degraded_reason),
                 degraded_reason=degraded_reason,
-                latency_cycles=latency,
-                resources=resources,
+                latency_cycles=entry.latency_cycles,
+                resources=entry.resources,
                 model_generation=generation,
             ))
         self._counters["predictions"] += len(requests)
@@ -499,7 +490,7 @@ class CongestionService:
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Service + registry + stage-cache hit statistics."""
+        """Service, feature-cache and registry hit statistics."""
         return {
             **self._counters,
             "model_source": self._model_source,
@@ -508,7 +499,6 @@ class CongestionService:
             "registry": (
                 self.registry.stats() if self.registry is not None else None
             ),
-            "stage_cache": cached_property_store("flow_stages").stats(),
             "resilience": (
                 self.resilience.stats() if self.resilience is not None
                 else None
@@ -523,8 +513,8 @@ def measure_serving(
 
     One measurement protocol shared by ``python -m repro serve-demo``
     and the perf harness (``run_bench.py --serve``) so the two can
-    never drift: prime the HLS-prefix stage cache first (both modes
-    measure prediction cost, not first-touch synthesis), then time a
+    never drift: prime the feature cache first (both modes measure
+    prediction cost, not first-touch synthesis), then time a
     per-request loop and one batched call.
     """
     service.predict_batch(requests)

@@ -6,20 +6,21 @@ exists for are pinned here:
 
 * predict mode never touches an implementation stage (booby-trapped
   rtl/pack/place/route functions);
-* each unique stage signature is computed exactly once per sweep
-  (stage-cache miss accounting on a fresh store).
+* each unique configuration runs the HLS prefix exactly once per sweep
+  (counted real ``HLSStage.run`` / ``GraphStage.run`` calls against an
+  empty feature cache).
 """
+
+from collections import OrderedDict
 
 import pytest
 
 import repro.flow.pipeline as pipeline_mod
-import repro.util.cache as cache_mod
 from repro.errors import ExploreError
 from repro.explore import ExplorationSession, autotune
 from repro.explore.session import build_design_for
 from repro.flow import FlowOptions
 from repro.serve import CongestionService
-from repro.util.cache import KeyedCache
 
 #: tiny designs so the one-off model train costs ~seconds
 OPTS = dict(scale=0.16, placement_effort="fast", seed=0)
@@ -41,6 +42,19 @@ def _session(service, **kwargs):
     return ExplorationSession("face_detection", service=service, **kwargs)
 
 
+def _count_prefix_runs(monkeypatch) -> dict:
+    """Count every real run of the two HLS-prefix stages from now on."""
+    runs = {"hls": 0, "graph": 0}
+    for name, stage in (("hls", pipeline_mod.HLSStage),
+                        ("graph", pipeline_mod.GraphStage)):
+        def counted(self, ctx, _name=name, _run=stage.run):
+            runs[_name] += 1
+            return _run(self, ctx)
+
+        monkeypatch.setattr(stage, "run", counted)
+    return runs
+
+
 def test_sweep_never_places_or_routes(service, monkeypatch):
     def boom(*args, **kwargs):  # pragma: no cover - only on regression
         raise AssertionError(
@@ -49,12 +63,8 @@ def test_sweep_never_places_or_routes(service, monkeypatch):
 
     for stage_fn in IMPLEMENTATION_STAGE_FNS:
         monkeypatch.setattr(pipeline_mod, stage_fn, boom)
-    # fresh-process simulation: empty stage store + cold predictions
-    monkeypatch.setitem(
-        cache_mod._GLOBAL_STORES, "flow_stages", KeyedCache()
-    )
-    monkeypatch.setattr(service, "_prediction_cache", {})
-    monkeypatch.setattr(service, "_feature_cache", {})
+    # fresh-process simulation: an empty feature cache
+    monkeypatch.setattr(service, "_feature_cache", OrderedDict())
     session = _session(service)
     result = session.sweep(max_configs=6, seed=1)
     assert len(result.evaluations) == 6
@@ -63,12 +73,9 @@ def test_sweep_never_places_or_routes(service, monkeypatch):
 
 
 def test_each_unique_signature_computed_exactly_once(service, monkeypatch):
-    monkeypatch.setitem(
-        cache_mod._GLOBAL_STORES, "flow_stages", KeyedCache()
-    )
-    # start prediction-cold too (earlier tests share the service)
-    monkeypatch.setattr(service, "_prediction_cache", {})
-    monkeypatch.setattr(service, "_feature_cache", {})
+    # start cold (earlier tests share the service)
+    monkeypatch.setattr(service, "_feature_cache", OrderedDict())
+    runs = _count_prefix_runs(monkeypatch)
     session = _session(service)
     configs = session.space.sample(8, seed=3)
     unique_keys = {
@@ -78,26 +85,28 @@ def test_each_unique_signature_computed_exactly_once(service, monkeypatch):
     result = session.sweep(configs=configs, seed=3)
     telemetry = result.telemetry
     # the HLS prefix is two stages (hls + graph); baseline + each unique
-    # configuration computes them once — and nothing twice
+    # configuration runs them once — and nothing twice
     expected_groups = len(unique_keys) + 1  # + the baseline request
-    assert telemetry["stage_cache_misses"] == 2 * expected_groups
+    assert runs == {"hls": expected_groups, "graph": expected_groups}
+    assert telemetry["feature_cache_misses"] == expected_groups
     assert telemetry["prediction_cache_misses"] == expected_groups
     assert telemetry["prediction_cache_hits"] == 0
     assert telemetry["n_unique"] == len(unique_keys)
 
     # sweeping the same configs again: session memo answers everything —
-    # no new predictions, no new stage activity
+    # no new predictions, no stage runs
     before = session.counters["predictions_issued"]
     again = session.sweep(configs=configs, seed=3)
     assert session.counters["predictions_issued"] == before
-    assert again.telemetry["stage_cache_misses"] == 0
+    assert runs == {"hls": expected_groups, "graph": expected_groups}
     assert again.telemetry["prediction_cache_misses"] == 0
 
-    # a fresh session over the same service: the prediction cache
-    # answers every configuration without touching the pipeline
+    # a fresh session over the same service: the cached answers serve
+    # every configuration without running a stage
     fresh = _session(service)
     warm = fresh.sweep(configs=configs, seed=3)
-    assert warm.telemetry["stage_cache_misses"] == 0
+    assert runs == {"hls": expected_groups, "graph": expected_groups}
+    assert warm.telemetry["feature_cache_misses"] == 0
     assert warm.telemetry["prediction_cache_hits"] == expected_groups
     assert [e.directives_key for e in warm.evaluations] == \
         [e.directives_key for e in result.evaluations]

@@ -278,26 +278,43 @@ def test_admission_overload_reaches_the_wire_typed():
     config = ServerConfig(max_queue=1, batch_max=1, batch_window_s=0.0,
                           workers=1)
     with served(service, config) as handle:
-        with NetClient(handle.host, handle.port) as holder:
-            held = threading.Thread(target=holder.predict, args=("a",),
-                                    daemon=True)
+        server = handle.net.server
+        admit = server.submit
+        queued = threading.Event()
+
+        def submit(request, **kwargs):
+            future = admit(request, **kwargs)
+            if request.design == "b":
+                queued.set()
+            return future
+
+        server.submit = submit
+        outcomes = {}
+
+        def call(client, design):
+            try:
+                outcomes[design] = client.predict(design)
+            except Exception as exc:  # noqa: BLE001 - recorded for assert
+                outcomes[design] = exc
+
+        with NetClient(handle.host, handle.port) as holder, \
+                NetClient(handle.host, handle.port) as filler, \
+                NetClient(handle.host, handle.port) as client:
+            held = threading.Thread(target=call, args=(holder, "a"))
             held.start()
             assert service.started.wait(timeout=5)
-            with NetClient(handle.host, handle.port) as filler:
-                queued = threading.Thread(target=filler.predict,
-                                          args=("b",), daemon=True)
-                queued.start()
-                deadline = time.monotonic() + 5
-                with NetClient(handle.host, handle.port) as client:
-                    while True:  # the queued submit races us in
-                        try:
-                            client.predict("c")
-                        except OverloadedError:
-                            break
-                        assert time.monotonic() < deadline
-                service.release.set()
-                held.join(timeout=10)
-                queued.join(timeout=10)
+            waiting = threading.Thread(target=call, args=(filler, "b"))
+            waiting.start()
+            assert queued.wait(timeout=5)
+            # the worker holds a and the one queue slot holds b
+            with pytest.raises(OverloadedError):
+                client.predict("c")
+            service.release.set()
+            held.join(timeout=10)
+            waiting.join(timeout=10)
+    assert not held.is_alive() and not waiting.is_alive()
+    assert outcomes["a"]["model_source"] == "stub"
+    assert outcomes["b"]["model_source"] == "stub"
 
 
 def test_graceful_drain_answers_every_admitted_request():

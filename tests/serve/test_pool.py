@@ -45,7 +45,7 @@ def pool_env(tmp_path_factory):
         "gbrt", options=_options(), combos=COMBOS,
     )
     service.warm()  # trains once, persists model + export
-    # prime the on-disk stage cache so workers skip synthesis
+    # the in-process answers every pool must reproduce
     baseline = service.predict_batch(
         [PredictRequest(d) for d in DESIGNS]
     )

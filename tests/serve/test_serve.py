@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import repro.flow.pipeline as pipeline_mod
 from repro.dataset import build_paper_dataset
 from repro.errors import (
     CorruptArtifactError,
@@ -15,6 +17,7 @@ from repro.errors import (
     ServeError,
     StaleModelError,
 )
+from repro.explore import DirectiveSpace
 from repro.flow import FlowOptions
 from repro.fpga.device import small_test_device
 from repro.impl.routing import RoutingOptions
@@ -32,6 +35,7 @@ from repro.serve import (
     dataset_spec_fingerprint,
     start_net_server,
 )
+from repro.util.cache import cached_property_store, disk_cache_from_env
 
 SCALE = 0.18
 COMBOS = ("face_detection",)
@@ -350,6 +354,80 @@ def _service_serving(predictor) -> CongestionService:
     )
     service.adopt_predictor(predictor, source="memory")
     return service
+
+
+class _ConstantModel:
+    """A stand-in model whose answer cannot come from any other."""
+
+    def predict_matrix(self, X):
+        return np.full(len(X), 7.0), np.full(len(X), 3.0)
+
+
+def test_service_cache_is_bounded_lru_and_off_the_stage_store(
+        tmp_path, monkeypatch, trained):
+    """Serving keeps one bounded LRU cache of request groups: it never
+    touches the process-wide stage store or the disk cache, keeps a hot
+    group through evictions, recomputes an evicted group identically,
+    and after a model swap reruns only the model on cached features."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    predictor, _, _ = trained
+    service = _service_serving(predictor)
+    service.FEATURE_CACHE_SIZE = 2
+    design = build_kernel("face_detection", scale=SCALE)
+    space = DirectiveSpace.around(design)
+    requests = [
+        PredictRequest("face_detection", directives=key)
+        for key in dict.fromkeys(
+            space.apply(c, design.directives).to_key()
+            for c in space.sample(12, seed=0)
+        )
+    ][:4]
+    assert len(requests) == 4
+    stages = cached_property_store("flow_stages")
+    disk = disk_cache_from_env()
+    stages_before, disk_before = len(stages), disk.stats()["size"]
+
+    def ask(request):
+        response = service.predict(request)
+        assert len(service._feature_cache) <= 2
+        return replace(response, latency_seconds=0.0)
+
+    hot, evicted = requests[:2]
+    hot_answer = ask(hot)
+    first = {}
+    for request in requests[1:]:
+        first[request] = ask(request)
+        assert ask(hot) == hot_answer  # a hit: never evicted
+    stats = service.stats()
+    assert (stats["feature_misses"], stats["feature_hits"]) == (4, 3)
+    assert list(service._feature_cache) == [requests[3].group_key,
+                                            hot.group_key]
+
+    assert ask(evicted) == first[evicted]  # recomputed exactly
+    assert service.stats()["feature_misses"] == 5
+    assert len(stages) == stages_before
+    assert disk.stats()["size"] == disk_before
+
+    hls_runs = []
+    run = pipeline_mod.HLSStage.run
+
+    def counted_run(self, ctx):
+        hls_runs.append(ctx.design.name)
+        return run(self, ctx)
+
+    monkeypatch.setattr(pipeline_mod.HLSStage, "run", counted_run)
+    misses = service.stats()["prediction_misses"]
+    generation = service.adopt_predictor(predictor, source="memory")
+    assert ask(evicted) == replace(first[evicted],
+                                   model_generation=generation)
+    assert service.stats()["prediction_misses"] == misses + 1
+
+    service.adopt_predictor(_ConstantModel())
+    swapped = ask(evicted)
+    assert (swapped.predicted_max_vertical,
+            swapped.predicted_max_horizontal) == (7.0, 3.0)
+    assert service.stats()["prediction_misses"] == misses + 2
+    assert not hls_runs
 
 
 def test_wire_directive_override_matches_in_process(trained):

@@ -65,7 +65,7 @@ def test_cli_explore_sweep(capsys):
     assert code == 0
     assert "what-if sweep — face_detection [baseline]" in out
     assert "sweep telemetry:" in out
-    assert "caches: stage" in out and "prediction cache" in out
+    assert "caches: features" in out and "prediction cache" in out
 
 
 def test_cli_explore_tune_json(capsys):
