@@ -40,7 +40,6 @@ from repro.flow import (
     STAGE_ORDER,
     FlowOptions,
     FlowPipeline,
-    design_cache_token,
     run_flow,
 )
 from repro.kernels import (
@@ -105,14 +104,10 @@ def cmd_flow(args) -> int:
                                   variant=args.variant)
         ctx = FlowPipeline.default().run(
             design, options=_options(args), until=args.until,
-            cache_token=design_cache_token(args.design, args.variant,
-                                           args.scale, combined),
-            persist=True,
         )
-        rows = [[r.stage, round(r.seconds, 4), "hit" if r.cached else "run"]
-                for r in ctx.records]
+        rows = [[r.stage, round(r.seconds, 4)] for r in ctx.records]
         print(format_table(
-            ["stage", "seconds", "cache"], rows,
+            ["stage", "seconds"], rows,
             title=f"{args.design} [{args.variant}] until={args.until}",
         ))
         skipped = [s for s in STAGE_ORDER if s not in ctx.completed_stages]

@@ -16,7 +16,6 @@ from repro.flow.pipeline import (
 )
 from repro.flow.c_to_fpga import (
     FlowResult,
-    design_cache_token,
     run_flow,
     run_flow_on_design,
 )
@@ -24,5 +23,5 @@ from repro.flow.c_to_fpga import (
 __all__ = [
     "STAGE_ORDER", "FlowContext", "FlowOptions", "FlowPipeline",
     "Stage", "StageRecord", "default_stages",
-    "FlowResult", "design_cache_token", "run_flow", "run_flow_on_design",
+    "FlowResult", "run_flow", "run_flow_on_design",
 ]

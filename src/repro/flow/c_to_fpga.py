@@ -6,18 +6,17 @@ synthesis, RTL elaboration, packing, placement, routing, timing and
 back-tracing, with per-stage wall-clock accounting (the paper contrasts
 the hours-long PAR against minutes of HLS and instant model inference).
 
-Since the stage-pipeline redesign the flow itself lives in
-:mod:`repro.flow.pipeline` as composable :class:`~repro.flow.pipeline.Stage`
-objects; ``run_flow`` / ``run_flow_on_design`` here are thin
-compatibility wrappers that run the default pipeline end to end and
+The flow itself lives in :mod:`repro.flow.pipeline` as composable
+:class:`~repro.flow.pipeline.Stage` objects; ``run_flow`` /
+``run_flow_on_design`` here run the default pipeline end to end and
 return the classic :class:`FlowResult`.
 
-Results are cached per (kernel, variant, scale, seed, effort, stage
-options) in a process-wide store because several tables reuse the same
-implementations.  When the ``REPRO_CACHE_DIR`` environment variable
-names a directory, results are additionally persisted there
-(content-addressed pickles) so a fresh process rebuilds nothing that an
-earlier one already ran.
+``run_flow`` is the flow's only cache.  Whole results are memoized per
+(kernel, variant, device, flow options) in a process-wide store because
+several tables reuse the same implementations.  When the
+``REPRO_CACHE_DIR`` environment variable names a directory, results are
+additionally persisted there (content-addressed pickles) so a fresh
+process rebuilds nothing that an earlier one already ran.
 """
 
 from __future__ import annotations
@@ -42,10 +41,7 @@ from repro.util.cache import cached_property_store, disk_cache_from_env
 # backward compatibility (and for old on-disk pickles).
 from repro.flow.pipeline import FlowContext, FlowOptions, FlowPipeline
 
-__all__ = [
-    "FlowOptions", "FlowResult", "run_flow", "run_flow_on_design",
-    "design_cache_token",
-]
+__all__ = ["FlowOptions", "FlowResult", "run_flow", "run_flow_on_design"]
 
 
 @dataclass
@@ -120,26 +116,6 @@ class FlowResult:
         }
 
 
-def design_cache_token(name: str, variant: str, scale: float,
-                       combined: bool) -> tuple:
-    """Stage-cache identity of a by-name design build.
-
-    Builds are deterministic in (kind, name, variant, scale), so two
-    pipeline runs with the same token operate on identical designs and
-    may share stage artifacts — ``run_flow`` and ``repro flow --until``
-    key the ``flow_stages`` store with it.  A single-member combination
-    builds the exact kernel design, so it canonicalizes to the kernel
-    token.
-    """
-    from repro.kernels.combos import PAPER_COMBINATIONS
-
-    if combined:
-        members = PAPER_COMBINATIONS.get(name)
-        if members is not None and len(members) == 1:
-            return design_cache_token(members[0], variant, scale, False)
-    return ("combined" if combined else "kernel", name, variant, scale)
-
-
 def run_flow_on_design(
     design: KernelDesign,
     device: Device | None = None,
@@ -147,8 +123,8 @@ def run_flow_on_design(
 ) -> FlowResult:
     """Run the complete implementation flow on an already-built design.
 
-    Compatibility wrapper over ``FlowPipeline.default().run(...)``; the
-    design is ad hoc (no by-name identity), so stage caching is off.
+    Wrapper over ``FlowPipeline.default().run(...)``; the design is ad
+    hoc (no by-name identity), so nothing is cached.
     """
     ctx = FlowPipeline.default().run(design, device, options)
     return FlowResult.from_context(ctx)
@@ -174,32 +150,29 @@ def run_flow(
     key = ("flow", combined, *device_fingerprint(dev),
            *options.cache_key(name, variant))
 
-    def build(cache_token: tuple | None = None) -> FlowResult:
+    def build() -> FlowResult:
         if combined:
             design = build_combined(name, scale=options.scale, variant=variant)
         else:
             design = build_kernel(name, scale=options.scale, variant=variant)
-        ctx = FlowPipeline.default().run(
-            design, device, options, cache_token=cache_token
-        )
+        ctx = FlowPipeline.default().run(design, device, options)
         return FlowResult.from_context(ctx)
 
     if not use_cache:
         return build()
 
-    token = design_cache_token(name, variant, options.scale, combined)
     disk = disk_cache_from_env()
 
     def build_and_run() -> FlowResult:
         if disk is None:
-            return build(token)
+            return build()
         # The fingerprint keys every device parameter the result
         # depends on — recalibrating e.g. h_tracks must miss, not
         # serve stale congestion from an earlier calibration.
         hit = disk.get(key)
         if hit is not None:
             return hit
-        result = build(token)
+        result = build()
         disk.put(key, result)
         return result
 

@@ -13,28 +13,24 @@ stages and supports:
 * **substitution / injection** — ``with_stage`` swaps a stage
   implementation, ``insert_after`` injects an extra one, both returning
   a new pipeline (experiments never mutate the default flow);
-* **per-stage cache keys** — a stage's signature hashes its own options
-  plus, recursively, the signatures of the stages it requires, so a
-  routing-knob change re-runs routing onward but reuses placement, and
-  an HLS-only request hits the same cached HLS artifact a full flow
-  produced;
-* **per-stage timing/telemetry** — every executed stage appends a
-  :class:`StageRecord` (name, seconds, cache hit) and an optional
-  observer callback sees each record as it happens.
+* **per-stage timing** — every executed stage appends a
+  :class:`StageRecord` (name, seconds) to the context.
 
-``run_flow`` / ``run_flow_on_design`` in :mod:`repro.flow.c_to_fpga`
-remain as thin compatibility wrappers over this module.
+The pipeline caches nothing: every run executes its stages.  Whole flow
+results are memoized (and persisted under ``REPRO_CACHE_DIR``) by
+``run_flow`` in :mod:`repro.flow.c_to_fpga`, which with
+``run_flow_on_design`` wraps this module.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.backtrace.trace import BacktraceResult, Backtracer
 from repro.errors import DeadlineExceededError, FlowError
-from repro.fpga.device import Device, device_fingerprint, xc7z020
+from repro.fpga.device import Device, xc7z020
 from repro.graph.depgraph import DependencyGraph, build_dependency_graph
 from repro.graph.snapshot import compile_snapshot
 from repro.hls.scheduling import ClockConstraint
@@ -46,7 +42,6 @@ from repro.impl.timing import TimingAnalyzer, TimingParams, TimingReport
 from repro.kernels.common import KernelDesign
 from repro.rtl.generate import generate_netlist
 from repro.rtl.netlist import Netlist
-from repro.util.cache import cached_property_store, disk_cache_from_env
 from repro.util.faults import fault_point
 
 #: canonical stage order of the complete flow
@@ -97,7 +92,6 @@ class StageRecord:
 
     stage: str
     seconds: float
-    cached: bool = False
 
 
 @dataclass(frozen=True)
@@ -153,36 +147,20 @@ class Stage:
     Subclasses set ``name`` (stage identity), ``requires`` (names of
     stages whose artifacts must already be in the context), ``provides``
     (the :class:`FlowContext` field written; empty for observer-only
-    stages) and implement :meth:`run`.  :meth:`options_key` returns the
-    subset of :class:`FlowOptions` the stage actually reads — it is the
-    stage's contribution to pipeline cache signatures, so keep it exact.
+    stages) and implement :meth:`run`.
     """
 
     name: str = ""
     requires: tuple[str, ...] = ()
     provides: str = ""
 
-    def options_key(self, options: FlowOptions) -> tuple:
-        return ()
-
     def run(self, ctx: FlowContext):
         raise NotImplementedError
-
-    def fingerprint(self) -> str:
-        """Implementation identity mixed into cache signatures (so a
-        substituted stage class never shares a cache slot with the
-        stock one)."""
-        cls = type(self)
-        return f"{cls.__module__}.{cls.__qualname__}"
 
 
 class HLSStage(Stage):
     name = "hls"
     provides = "hls"
-
-    def options_key(self, options: FlowOptions) -> tuple:
-        return (options.clock_period_ns, options.clock_uncertainty_ns,
-                options.allow_sharing)
 
     def run(self, ctx: FlowContext) -> HLSResult:
         clock = ClockConstraint(ctx.options.clock_period_ns,
@@ -216,12 +194,6 @@ class PlaceStage(Stage):
     requires = ("rtl", "pack")
     provides = "placement"
 
-    def options_key(self, options: FlowOptions) -> tuple:
-        key = (options.placement_effort, options.seed)
-        if options.placement_init != "center":
-            key += (options.placement_init,)
-        return key
-
     def run(self, ctx: FlowContext) -> Placement:
         return place_netlist(
             ctx.require("netlist"), ctx.require("packing"), ctx.device,
@@ -236,9 +208,6 @@ class RouteStage(Stage):
     requires = ("rtl", "pack", "place")
     provides = "congestion"
 
-    def options_key(self, options: FlowOptions) -> tuple:
-        return options.routing.cache_key()
-
     def run(self, ctx: FlowContext) -> CongestionMap:
         return route_design(
             ctx.require("netlist"), ctx.require("packing"),
@@ -250,9 +219,6 @@ class StaStage(Stage):
     name = "sta"
     requires = ("hls", "rtl", "pack", "place", "route")
     provides = "timing"
-
-    def options_key(self, options: FlowOptions) -> tuple:
-        return (options.clock_period_ns, options.clock_uncertainty_ns)
 
     def run(self, ctx: FlowContext) -> TimingReport:
         hls = ctx.require("hls")
@@ -272,9 +238,6 @@ class GraphStage(Stage):
     name = "graph"
     requires = ("hls",)
     provides = "graph"
-
-    def options_key(self, options: FlowOptions) -> tuple:
-        return (options.merge_shared,)
 
     def run(self, ctx: FlowContext) -> DependencyGraph:
         hls = ctx.require("hls")
@@ -399,24 +362,6 @@ class FlowPipeline:
         return FlowPipeline([*self.stages[:idx], stage, *self.stages[idx:]])
 
     # ------------------------------------------------------------------
-    # cache signatures
-    # ------------------------------------------------------------------
-    def signature(self, name: str, options: FlowOptions) -> tuple:
-        """Cache signature of stage ``name``: its implementation, its
-        options slice, and (recursively) its requirements' signatures.
-
-        Purely structural — two pipelines that reach a stage through the
-        same dependency closure share signatures even if one carries
-        extra unrelated stages, which is what lets an HLS-prefix run hit
-        the HLS artifact a full flow cached.
-        """
-        stage = self.stage(name)
-        return (
-            stage.name, stage.fingerprint(), stage.options_key(options),
-            tuple(self.signature(r, options) for r in stage.requires),
-        )
-
-    # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def run(
@@ -426,12 +371,12 @@ class FlowPipeline:
         options: FlowOptions | None = None,
         *,
         until: str | None = None,
-        cache_token: tuple | None = None,
-        persist: bool = False,
-        observer: Callable[[StageRecord], None] | None = None,
         deadline: float | None = None,
     ) -> FlowContext:
         """Thread a fresh :class:`FlowContext` through the stages.
+
+        Every stage runs: the pipeline keeps no cache of its own.
+        ``until`` truncates the run after the named stage.
 
         ``design`` is never modified: the HLS stage synthesizes a copy of
         its module, so ``ctx.design.module`` stays the pre-HLS source and
@@ -443,34 +388,10 @@ class FlowPipeline:
         :class:`~repro.errors.DeadlineExceededError` instead of starting
         more work, which is how the serving tier stops a slow request
         from occupying a worker past its budget.
-
-        ``until`` truncates the run after the named stage.  When
-        ``cache_token`` identifies the design build (e.g. ``("combined",
-        name, variant, scale)``), each stage artifact is memoized in the
-        process-wide ``flow_stages`` store under (token, device
-        fingerprint, stage signature) — cache hits record ~0 seconds and
-        ``cached=True``, and return the artifact an earlier run on an
-        identical build produced.  Ad-hoc designs should pass ``None``
-        (no safe identity to key on).  ``persist=True`` additionally writes
-        per-stage artifacts to the ``REPRO_CACHE_DIR`` disk cache (if
-        enabled) so partial runs (``repro flow --until``) survive process
-        restarts; full ``run_flow`` runs keep their own whole-result
-        persistence instead.  ``observer`` sees every
-        :class:`StageRecord` as it is produced.
         """
         options = options or FlowOptions()
         device = device or xc7z020()
         pipe = self.until(until) if until is not None else self
-        store = (
-            cached_property_store("flow_stages")
-            if cache_token is not None else None
-        )
-        disk = disk_cache_from_env() if (store is not None and persist) \
-            else None
-        base_key = (
-            ("stage", cache_token, device_fingerprint(device))
-            if store is not None else None
-        )
 
         ctx = FlowContext(design=design, device=device, options=options)
         for stage in pipe.stages:
@@ -485,32 +406,8 @@ class FlowPipeline:
             # chaos seam: slow-stage latency / stage failure injection
             fault_point(f"stage.{stage.name}")
             start = time.perf_counter()
-            cached = False
-            if store is not None and stage.provides:
-                key = (*base_key, pipe.signature(stage.name, options))
-                cached = key in store
-                local_ctx = ctx
-                from_disk = []
-
-                def build_entry():
-                    if disk is not None:
-                        hit = disk.get(key)
-                        if hit is not None:
-                            from_disk.append(True)
-                            return hit
-                    value = stage.run(local_ctx)
-                    if disk is not None:
-                        disk.put(key, value)
-                    return value
-
-                value = store.get_or_build(key, build_entry)
-                cached = cached or bool(from_disk)
-            else:
-                value = stage.run(ctx)
-            record = StageRecord(stage.name, time.perf_counter() - start,
-                                 cached)
-            if observer is not None:
-                observer(record)
+            value = stage.run(ctx)
+            record = StageRecord(stage.name, time.perf_counter() - start)
             artifacts = {stage.provides: value} if stage.provides else {}
             ctx = ctx.with_output(record, **artifacts)
         return ctx

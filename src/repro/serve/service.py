@@ -18,10 +18,10 @@
   summary — plus the group's last answer and the model generation that
   produced it.  A repeated group skips the design build, HLS and
   extraction, and reuses its answer while that generation is current;
-  after a model swap only the model reruns.  Serving never touches the
-  process-wide ``flow_stages`` store or the ``REPRO_CACHE_DIR`` disk
-  cache, so its memory stays bounded however many distinct
-  configurations arrive;
+  after a model swap only the model reruns.  Serving never touches
+  ``run_flow``'s result memo or the ``REPRO_CACHE_DIR`` disk cache, so
+  its memory stays bounded however many distinct configurations
+  arrive;
 * :meth:`predict_batch` answers many :class:`PredictRequest` objects in
   one model invocation: features of all unique designs are stacked into
   a single matrix and the regressors run once, which is where the batch

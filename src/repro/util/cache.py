@@ -73,10 +73,6 @@ class KeyedCache:
         with self._lock:
             return len(self._store)
 
-    def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._store
-
     def get_or_build(self, key: Hashable, builder: Callable[[], object]):
         """Return the cached value for ``key``, building it on first use."""
         with self._lock:

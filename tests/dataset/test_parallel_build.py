@@ -17,7 +17,7 @@ OPTS = dict(scale=0.16, placement_effort="fast", seed=0)
 @pytest.fixture
 def fresh_stores(monkeypatch):
     """Swap the process-wide memo stores for empty ones (restored after)."""
-    for name in ("flow_results", "flow_stages", "datasets"):
+    for name in ("flow_results", "datasets"):
         monkeypatch.setitem(cache_mod._GLOBAL_STORES, name, KeyedCache())
 
 

@@ -1,4 +1,4 @@
-"""The stage-pipeline API: partial runs, substitution, caching, keys."""
+"""The stage-pipeline API: partial runs, substitution, cache keys."""
 
 import dataclasses
 
@@ -144,67 +144,6 @@ def test_pipeline_validation():
         FlowPipeline([Orphan()])
     with pytest.raises(FlowError, match="unknown stage"):
         FlowPipeline.default().until("nonsense")
-
-
-def test_stage_cache_shares_hls_across_option_tails():
-    """A routing-knob change re-runs routing onward but reuses the
-    prefix — the per-stage cache-key design goal."""
-    token = ("test-pipeline-cache", "face_detection", "baseline", SCALE)
-    pipe = FlowPipeline.default()
-
-    first = pipe.run(build_kernel("face_detection", scale=SCALE),
-                     options=_options(), until="route", cache_token=token)
-    assert all(not r.cached for r in first.records)
-
-    options2 = _options()
-    options2.routing = RoutingOptions(smear=2)
-    second = pipe.run(build_kernel("face_detection", scale=SCALE),
-                      options=options2, until="route", cache_token=token)
-    cached = {r.stage: r.cached for r in second.records}
-    assert cached == {"hls": True, "rtl": True, "pack": True,
-                      "place": True, "route": False}
-    # each run keeps its own design; cache hits share the artifacts
-    assert second.design is not first.design
-    assert second.hls is first.hls
-
-
-def test_partial_run_persists_stages_across_processes(tmp_path, monkeypatch):
-    """persist=True writes stage artifacts to REPRO_CACHE_DIR so a
-    fresh process re-runs nothing of a partial run."""
-    import repro.util.cache as cache_mod
-    from repro.util.cache import CACHE_DIR_ENV, KeyedCache
-
-    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-    monkeypatch.setitem(cache_mod._GLOBAL_STORES, "flow_stages",
-                        KeyedCache())
-    monkeypatch.setitem(cache_mod._DISK_CACHES, str(tmp_path),
-                        cache_mod.DiskCache(str(tmp_path)))
-    token = ("test-persist", "face_detection", "baseline", SCALE)
-    pipe = FlowPipeline.default()
-
-    first = pipe.run(build_kernel("face_detection", scale=SCALE),
-                     options=_options(), until="pack", cache_token=token,
-                     persist=True)
-    assert all(not r.cached for r in first.records)
-
-    # "new process": empty in-memory stage store, same disk dir
-    monkeypatch.setitem(cache_mod._GLOBAL_STORES, "flow_stages",
-                        KeyedCache())
-    second = pipe.run(build_kernel("face_detection", scale=SCALE),
-                      options=_options(), until="pack", cache_token=token,
-                      persist=True)
-    assert all(r.cached for r in second.records)
-    assert second.packing is not None and second.placement is None
-
-
-def test_signature_stable_across_pipeline_shapes():
-    options = _options()
-    full = FlowPipeline.default()
-    prefix = full.subset(["graph"])
-    assert full.signature("graph", options) == prefix.signature(
-        "graph", options
-    )
-    assert full.signature("hls", options) == prefix.signature("hls", options)
 
 
 def test_routing_options_in_flow_cache_keys():

@@ -1,16 +1,13 @@
-"""Incremental-bbox placer + analytic init invariants.
+"""Annealer trajectory pins + analytic init invariants.
 
-Three property families pin the PR that introduced per-net bbox
-extremes and the analytic initial placement:
+Two property families:
 
-* **bit-identity** — ``delta_mode="incremental"`` and ``"full"`` are
-  the same annealer: identical deltas per proposal batch and identical
-  final placements under the same seed (the incremental path is pure
-  integer extreme arithmetic, so there is no float divergence to
-  tolerate);
-* **extremes consistency** — after any randomized swap sequence, the
-  incrementally refreshed extreme/occupancy arrays equal a from-scratch
-  rebuild bit-for-bit;
+* **trajectory pins** — the final placement of two kernels under both
+  initial placements is pinned to recorded constants (cost, move
+  counts and a digest of every position).  The paper tables are
+  calibrated on this exact annealing trajectory, so any change to move
+  evaluation, acceptance or bookkeeping that alters it must show up
+  here, not as drift in the congestion regimes;
 * **seed parity** — analytic init must land in the loop reference's
   quality band on pinned seeds and must NOT wash out the congestion
   hotspots the paper's tables are calibrated against (same hot-area
@@ -23,7 +20,8 @@ code makes (see BENCH_place.json) is about the paper combos at scale
 1.0, which ``test_analytic_beats_reference_on_paper_combo`` covers.
 """
 
-import numpy as np
+import hashlib
+
 import pytest
 
 from repro.errors import PlacementError
@@ -39,6 +37,26 @@ SCALE = 0.3
 #: seeds where the analytic schedule beats the loop reference at toy
 #: scale (the full-scale paper-combo claim is asserted separately)
 ANALYTIC_PARITY_SEEDS = {"spam_filter": (3,), "optical_flow": (1, 2, 3)}
+#: (cost, n_moves, n_accepted, SHA-256 of sorted positions) of the
+#: effort="fast", seed-0 placement at SCALE, per (kernel, init)
+TRAJECTORY_PINS = {
+    ("optical_flow", "analytic"): (
+        36566.0, 1993, 1122,
+        "48622062529f78fdebc6dd891fcbb83dd437169ad3c2d8eb72c8a5ccc5000310",
+    ),
+    ("optical_flow", "center"): (
+        32266.0, 6367, 4062,
+        "f21637f972f781bbb5b610e7d0e790e846f1c371f6f3f19add02ecfb120cdd19",
+    ),
+    ("spam_filter", "analytic"): (
+        11230.0, 985, 352,
+        "153aadd25327c60d7624c3b9a0802719d8b62d07ac0873bf46022af1eeda12ff",
+    ),
+    ("spam_filter", "center"): (
+        10824.0, 3179, 1286,
+        "318c353aead5671e988f5165ecc5bb788c09d886d20eba41026d9cdaff558c2c",
+    ),
+}
 
 
 def _implement(name, scale=SCALE):
@@ -59,87 +77,22 @@ def flow_impl():
     return _implement("optical_flow")
 
 
-def _forced(impl, mode, **options):
-    netlist, packing, device = impl
-    annealer = Annealer(netlist, packing, device,
-                        PlacementOptions(effort="fast", **options))
-    annealer.delta_mode = mode
-    return annealer
+# -- trajectory pins ---------------------------------------------------
 
-
-# -- bit-identity ------------------------------------------------------
-
-@pytest.mark.parametrize("seed", (0, 3))
-@pytest.mark.parametrize("init", ("center", "analytic"))
-def test_delta_modes_place_bit_identically(spam_impl, seed, init):
-    placements = {
-        mode: _forced(spam_impl, mode, seed=seed, init=init).place()
-        for mode in ("full", "incremental")
-    }
-    full, incremental = placements["full"], placements["incremental"]
-    assert incremental.positions == full.positions
-    assert incremental.cost == full.cost
-    assert incremental.n_moves == full.n_moves
-    assert incremental.n_accepted == full.n_accepted
-
-
-def test_batch_deltas_agree_between_modes(flow_impl):
-    annealer = _forced(flow_impl, "full", seed=0)
-    placement = annealer._initial_placement()
-    xs, ys = placement.coordinate_arrays()
-    net_cost = annealer._net_costs(xs, ys)
-    bb = annealer._net_extremes(xs, ys)
-
-    rng = np.random.default_rng(7)
-    movable = np.asarray(
-        sorted(set(range(annealer._n_clusters)) - annealer._fixed),
-        dtype=np.int64,
+@pytest.mark.parametrize("name,init", sorted(TRAJECTORY_PINS))
+def test_annealer_trajectory_is_pinned(name, init, spam_impl, flow_impl):
+    netlist, packing, device = (
+        spam_impl if name == "spam_filter" else flow_impl
     )
-    for _ in range(5):
-        a = movable[rng.integers(movable.size, size=64)]
-        b = movable[rng.integers(movable.size, size=64)]
-        keep = a != b
-        a, b = a[keep], b[keep]
-        d_full, _ = annealer._batch_swap_deltas(a, b, xs, ys, net_cost)
-        d_inc, _ = annealer._batch_swap_deltas(a, b, xs, ys, net_cost,
-                                               bb=bb)
-        assert np.array_equal(d_full, d_inc)
-
-
-def test_extremes_match_rebuild_after_random_swaps(flow_impl):
-    annealer = _forced(flow_impl, "incremental", seed=1)
-    placement = annealer._initial_placement()
-    xs, ys = placement.coordinate_arrays()
-    bb = annealer._net_extremes(xs, ys)
-
-    rng = np.random.default_rng(11)
-    movable = np.asarray(
-        sorted(set(range(annealer._n_clusters)) - annealer._fixed),
-        dtype=np.int64,
-    )
-    multi = annealer._net_len != 2
-    for _ in range(8):
-        a = movable[rng.integers(movable.size, size=32)]
-        b = movable[rng.integers(movable.size, size=32)]
-        keep = a != b
-        a, b = a[keep], b[keep]
-        xs[a], xs[b] = xs[b], xs[a].copy()
-        ys[a], ys[b] = ys[b], ys[a].copy()
-        # the same refresh the annealer issues after applying swaps:
-        # every multi-pin net incident to a moved cluster
-        touched = np.zeros(annealer._n_nets, dtype=bool)
-        for cid in np.concatenate([a, b]):
-            lo, hi = annealer._cl_ptr[cid], annealer._cl_ptr[cid + 1]
-            touched[annealer._cl_nets[lo:hi]] = True
-        annealer._refresh_extremes(
-            np.flatnonzero(touched & multi), xs, ys, bb
-        )
-        fresh = annealer._net_extremes(xs, ys)
-        for field in ("lo", "hi", "clo", "chi"):
-            assert np.array_equal(
-                getattr(bb, field)[:, multi],
-                getattr(fresh, field)[:, multi],
-            ), field
+    placement = Annealer(
+        netlist, packing, device,
+        PlacementOptions(effort="fast", seed=0, init=init),
+    ).place()
+    digest = hashlib.sha256(
+        repr(sorted(placement.positions.items())).encode()
+    ).hexdigest()
+    assert (placement.cost, placement.n_moves, placement.n_accepted,
+            digest) == TRAJECTORY_PINS[name, init]
 
 
 # -- analytic init: quality parity and legality ------------------------
@@ -242,12 +195,6 @@ def test_unknown_init_raises(spam_impl):
     with pytest.raises(PlacementError, match="initial placement"):
         Annealer(netlist, packing, device,
                  PlacementOptions(init="quadratic"))
-
-
-def test_unknown_delta_mode_raises(spam_impl):
-    annealer = _forced(spam_impl, "sideways")
-    with pytest.raises(PlacementError, match="delta_mode"):
-        annealer._use_extremes()
 
 
 def test_coordinate_arrays_sized_by_cluster_domain(spam_impl):

