@@ -166,9 +166,7 @@ def dataset_from_flow(result: FlowResult) -> CongestionDataset:
     meta: list[SampleMeta] = []
     module = result.hls.module
 
-    for row, node_id in zip(matrix, nodes):
-        info = graph.info(node_id)
-        rep_uid = info.op_uids[0]
+    for row, rep_uid in zip(matrix, graph.rep_uids(nodes)):
         labels = result.labels.by_op.get(rep_uid, [])
         if not labels:
             continue
@@ -182,8 +180,8 @@ def dataset_from_flow(result: FlowResult) -> CongestionDataset:
                     design=result.design.name,
                     op_uid=rep_uid,
                     instance=label.instance,
-                    function=info.function,
-                    opcode=info.opcode,
+                    function=op.parent.name,
+                    opcode=op.opcode,
                     source_file=op.loc.file,
                     source_line=op.loc.line,
                     unroll_group=op.attrs.get("unroll_group"),

@@ -4,11 +4,18 @@ This is the original one-node-at-a-time implementation of the paper's
 Section III-B feature extraction, preserved verbatim (mirroring
 :mod:`repro.impl._reference` for place-and-route).  The production
 extractor in :mod:`repro.features.extract` computes the same
-[n_nodes, 302] matrix as whole-graph batched NumPy over a frozen
+[n_nodes, 302] matrix as whole-graph batched NumPy over a
 :class:`~repro.graph.snapshot.GraphSnapshot`;
 ``tests/features/test_vectorized_equivalence.py`` pins the two against
 each other to <= 1e-9 on every paper combination, directive variants and
 hand-built graphs with merged shared-unit nodes and port nodes.
+
+The extractor reads :class:`ReferenceGraph`, a networkx view built from
+the frozen graph's arrays that answers the per-node queries (``info``,
+predecessors, successors, edge weights, two-hop neighbourhoods) the
+original code was written against.  This is the only module that uses
+networkx, and it imports it on first use, so the runtime needs only
+NumPy.
 
 Do not optimize this module — its value is being the slow, obviously
 faithful transcription of Table II that the fast path is measured
@@ -24,12 +31,95 @@ import numpy as np
 from repro.errors import FeatureError
 from repro.features.registry import N_FEATURES, feature_index
 from repro.fpga.device import Device
-from repro.graph.depgraph import DependencyGraph, NodeInfo
+from repro.graph.snapshot import GraphStructure
 from repro.hls.opchar import RESOURCE_KINDS
 from repro.hls.synthesis import HLSResult
 from repro.ir.opcodes import opcode_index, opcode_names
 
 _EPS = 1e-9
+
+
+@dataclass
+class NodeInfo:
+    """Payload of one dependency-graph node."""
+
+    node_id: int
+    kind: str                      # "op" or "port"
+    op_uids: tuple[int, ...] = ()  # members (several after merging)
+    opcode: str = ""
+    bitwidth: int = 0
+    function: str = ""
+
+    @property
+    def is_port(self) -> bool:
+        return self.kind == "port"
+
+
+class ReferenceGraph:
+    """networkx view of a frozen dependency graph with the per-node
+    queries of the reference extractor.  Edges keep the graph's
+    per-source order."""
+
+    def __init__(self, graph: GraphStructure) -> None:
+        import networkx as nx
+
+        members: dict[int, list[int]] = {}
+        for uid, node in graph.node_of_op.items():
+            members.setdefault(node, []).append(uid)
+        names = opcode_names()
+        ids = graph.node_ids.tolist()
+        self.g = nx.DiGraph()
+        for row, node_id in enumerate(ids):
+            function = graph.func_names[graph.func_id[row]]
+            if graph.is_port[row]:
+                info = NodeInfo(node_id, "port", function=function)
+            else:
+                rep = int(graph.rep_uid[row])
+                others = sorted(set(members[node_id]) - {rep})
+                info = NodeInfo(
+                    node_id, "op", op_uids=(rep, *others),
+                    opcode=names[graph.opcode_id[row]],
+                    bitwidth=int(graph.bitwidth[row]), function=function,
+                )
+            self.g.add_node(node_id, info=info)
+        for src, dst, wires in zip(graph.e_src.tolist(),
+                                   graph.e_dst.tolist(),
+                                   graph.e_w.tolist()):
+            self.g.add_edge(ids[src], ids[dst], weight=int(wires))
+        self.und = nx.Graph(self.g)
+
+    def info(self, node_id: int) -> NodeInfo:
+        return self.g.nodes[node_id]["info"]
+
+    def op_nodes(self) -> list[int]:
+        return [n for n in self.g.nodes if not self.info(n).is_port]
+
+    def predecessors(self, node_id: int) -> list[int]:
+        return list(self.g.predecessors(node_id))
+
+    def successors(self, node_id: int) -> list[int]:
+        return list(self.g.successors(node_id))
+
+    def neighbors(self, node_id: int) -> list[int]:
+        """One-hop neighbours (predecessors + successors, dedup)."""
+        seen = dict.fromkeys(self.g.predecessors(node_id))
+        seen.update(dict.fromkeys(self.g.successors(node_id)))
+        return list(seen)
+
+    def in_edge_weights(self, node_id: int) -> list[int]:
+        return [d["weight"] for _, _, d in self.g.in_edges(node_id, data=True)]
+
+    def out_edge_weights(self, node_id: int) -> list[int]:
+        return [d["weight"] for _, _, d in self.g.out_edges(node_id, data=True)]
+
+    def two_hop_neighborhood(self, node_id: int) -> set[int]:
+        """Nodes within two undirected hops (excluding the node itself)."""
+        result: set[int] = set()
+        for n1 in self.und.neighbors(node_id):
+            result.add(n1)
+            result.update(self.und.neighbors(n1))
+        result.discard(node_id)
+        return result
 
 
 @dataclass(frozen=True)
@@ -48,11 +138,11 @@ class ReferenceFeatureExtractor:
     def __init__(
         self,
         hls: HLSResult,
-        graph: DependencyGraph,
+        graph: GraphStructure,
         device: Device,
     ) -> None:
         self.hls = hls
-        self.graph = graph
+        self.graph = ReferenceGraph(graph)
         self.device = device
         self.device_totals = device.totals()
         self._device_vec = np.array(

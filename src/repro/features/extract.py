@@ -1,10 +1,10 @@
 """Whole-graph vectorized feature extraction (paper Section III-B).
 
 The per-node reference implementation (pinned in
-:mod:`repro.features._reference`) walks networkx adjacency dictionaries
-once per node — O(n · d²) Python in the prediction hot path.  This
-module computes the identical ``[n_nodes, 302]`` matrix in a single
-batched pass over a frozen :class:`~repro.graph.snapshot.GraphSnapshot`:
+:mod:`repro.features._reference`) walks a networkx view of the graph
+once per node — O(n · d²) Python.  This module computes the identical
+``[n_nodes, 302]`` matrix in a single batched pass over a
+:class:`~repro.graph.snapshot.GraphSnapshot`:
 
 * fan-in/out, degree and max-edge statistics via ``bincount`` /
   ``maximum.at`` over the CSR edge arrays;
@@ -33,9 +33,9 @@ import numpy as np
 from repro.errors import FeatureError
 from repro.features.registry import INDEX_TABLES, N_FEATURES
 from repro.fpga.device import Device, device_fingerprint
-from repro.graph.depgraph import DependencyGraph
 from repro.graph.snapshot import (
     GraphSnapshot,
+    GraphStructure,
     compile_snapshot,
     dedup_sorted_keys,
 )
@@ -325,7 +325,7 @@ class FeatureExtractor:
     def __init__(
         self,
         hls: HLSResult,
-        graph: DependencyGraph,
+        graph: GraphStructure,
         device: Device,
     ) -> None:
         self.hls = hls
@@ -338,19 +338,8 @@ class FeatureExtractor:
         )
         self.snapshot = compile_snapshot(graph, hls)
         self._device_key = device_fingerprint(device)
-        self._row_of_node: dict[int, int] | None = None
 
     # ------------------------------------------------------------------
-    def _current_snapshot(self) -> GraphSnapshot:
-        """Re-resolve through the version-checked memo so a graph
-        mutated after construction never yields stale features (the
-        unchanged-graph path costs one version compare)."""
-        snapshot = compile_snapshot(self.graph, self.hls)
-        if snapshot is not self.snapshot:
-            self.snapshot = snapshot
-            self._row_of_node = None
-        return snapshot
-
     def extract_all(self) -> tuple[list[int], np.ndarray]:
         """Feature matrix for every op node: (node ids, [n, 302]).
 
@@ -358,7 +347,7 @@ class FeatureExtractor:
         read-only between calls; callers needing a mutable copy should
         ``.copy()`` it.
         """
-        snapshot = self._current_snapshot()
+        snapshot = self.snapshot
         cached = snapshot.matrix_cache.get(self._device_key)
         if cached is None:
             nodes, X = _compute_matrix(snapshot, self._device_vec)
@@ -370,10 +359,11 @@ class FeatureExtractor:
 
     def extract(self, node_id: int) -> np.ndarray:
         """302-entry feature vector for ``node_id``."""
-        info = self.graph.info(node_id)
-        if info.is_port:
+        graph = self.graph
+        row = graph.row_of.get(node_id)
+        if row is None:
+            raise FeatureError(f"node {node_id} not in dependency graph")
+        if graph.is_port[row]:
             raise FeatureError("features are extracted for op nodes only")
-        nodes, X = self.extract_all()
-        if self._row_of_node is None:
-            self._row_of_node = {nid: i for i, nid in enumerate(nodes)}
-        return X[self._row_of_node[node_id]].copy()
+        _, X = self.extract_all()
+        return X[np.searchsorted(graph.op_rows, row)].copy()

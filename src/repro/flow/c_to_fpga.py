@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from repro.backtrace.trace import BacktraceResult, Backtracer
 from repro.errors import FlowError
 from repro.fpga.device import Device, device_fingerprint, xc7z020
-from repro.graph.depgraph import DependencyGraph
+from repro.graph.snapshot import GraphStructure
 from repro.hls.synthesis import HLSResult
 from repro.impl.packing import Packing
 from repro.impl.placement import Placement
@@ -60,7 +60,7 @@ class FlowResult:
     placement: Placement
     congestion: CongestionMap
     timing: TimingReport
-    graph: DependencyGraph
+    graph: GraphStructure
     labels: BacktraceResult
     stage_seconds: dict[str, float] = field(default_factory=dict)
 

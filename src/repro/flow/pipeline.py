@@ -31,8 +31,8 @@ from typing import Iterable, Sequence
 from repro.backtrace.trace import BacktraceResult, Backtracer
 from repro.errors import DeadlineExceededError, FlowError
 from repro.fpga.device import Device, xc7z020
-from repro.graph.depgraph import DependencyGraph, build_dependency_graph
-from repro.graph.snapshot import compile_snapshot
+from repro.graph.depgraph import build_dependency_graph
+from repro.graph.snapshot import GraphStructure, compile_snapshot
 from repro.hls.scheduling import ClockConstraint
 from repro.hls.synthesis import HLSResult, synthesize
 from repro.impl.packing import Packing, pack_netlist
@@ -112,7 +112,7 @@ class FlowContext:
     placement: Placement | None = None
     congestion: CongestionMap | None = None
     timing: TimingReport | None = None
-    graph: DependencyGraph | None = None
+    graph: GraphStructure | None = None
     labels: BacktraceResult | None = None
     records: tuple[StageRecord, ...] = ()
 
@@ -239,17 +239,16 @@ class GraphStage(Stage):
     requires = ("hls",)
     provides = "graph"
 
-    def run(self, ctx: FlowContext) -> DependencyGraph:
+    def run(self, ctx: FlowContext) -> GraphStructure:
         hls = ctx.require("hls")
         graph = build_dependency_graph(
             hls.module,
             hls.bindings if ctx.options.merge_shared else None,
             merge_shared=ctx.options.merge_shared,
         )
-        # Pre-compile the frozen feature snapshot against this HLS
-        # result: every downstream extraction (dataset assembly,
-        # prediction, serving) then starts from flat NumPy arrays
-        # instead of re-walking networkx dictionaries.
+        # Compile the feature snapshot against this HLS result here, so
+        # every downstream extraction (dataset assembly, prediction,
+        # serving) finds it memoized on the graph.
         compile_snapshot(graph, hls)
         return graph
 

@@ -1,10 +1,6 @@
 """Operation dependency graph with sharing-aware merging and port nodes."""
 
-from repro.graph.depgraph import (
-    NodeInfo,
-    DependencyGraph,
-    build_dependency_graph,
-)
+from repro.graph.depgraph import build_dependency_graph
 from repro.graph.snapshot import (
     GraphSnapshot,
     GraphStructure,
@@ -12,8 +8,6 @@ from repro.graph.snapshot import (
 )
 
 __all__ = [
-    "NodeInfo",
-    "DependencyGraph",
     "build_dependency_graph",
     "GraphSnapshot",
     "GraphStructure",

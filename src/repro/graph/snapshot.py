@@ -1,21 +1,22 @@
-"""Frozen NumPy compilation of the dependency graph.
+"""The dependency graph as read-only NumPy arrays, and its HLS snapshot.
 
 The per-request hot path of the prediction phase is computing the
 302-entry feature vectors (paper Section III-B) for every operation
-node.  Doing that over networkx dictionaries costs a Python-level loop
-per node and per edge; this module compiles the graph once into flat
-NumPy arrays so feature extraction becomes whole-graph batch math:
+node.  The graph and everything the features read about it are flat
+NumPy arrays, so feature extraction is whole-graph batch math:
 
-* :class:`GraphStructure` — the HLS-independent skeleton: node order,
-  port mask, opcode/bitwidth/function-id vectors and CSR in/out/undirected
-  adjacency with wire weights.  Built by ``DependencyGraph.freeze()``
-  (or lazily on first use) and cached until the graph mutates.
+* :class:`GraphStructure` — the dependency graph itself, as
+  :func:`~repro.graph.depgraph.build_dependency_graph` returns it: node
+  order, port mask, opcode/bitwidth/function-id vectors, CSR
+  in/out/undirected adjacency with wire weights and the op-uid -> node
+  map.  Every array is read-only and the dataclass is frozen, so a
+  built graph never changes and nothing derived from it can go stale.
 * :class:`GraphSnapshot` — the structure plus everything feature
   extraction reads from the HLS result: the per-node resource matrix
   ``[n, 4]``, operator delay/latency vectors, per-edge ΔTcs and the
   per-function report tables behind the global-information features.
   Compiled by :func:`compile_snapshot` and memoized on the graph per
-  (graph version, HLS result) pair.
+  HLS result.
 
 All arrays index nodes by *row* (position in ``node_ids``), never by the
 original graph node id — ids are non-contiguous after Fig.-4 merging.
@@ -29,19 +30,18 @@ import numpy as np
 
 from repro.errors import FeatureError
 from repro.hls.opchar import RESOURCE_KINDS
-from repro.ir.opcodes import opcode_index
 
 
 @dataclass(frozen=True, eq=False)
 class GraphStructure:
-    """CSR skeleton of a frozen dependency graph (no HLS inputs).
+    """The frozen dependency graph (no HLS inputs).
 
     ``eq=False``: identity comparison/hashing — an auto-generated
     ``__eq__`` over ndarray fields would raise on comparison.
     """
 
     n: int
-    #: original node ids in graph insertion order (row -> id)
+    #: node ids in node order (row -> id): ops, then ports
     node_ids: np.ndarray
     #: node id -> row
     row_of: dict
@@ -52,7 +52,7 @@ class GraphStructure:
     rep_uid: np.ndarray          # int [n], representative op uid, -1 ports
     func_names: tuple
     func_id: np.ndarray          # int [n]
-    #: directed edges (rows) with wire-count weights, insertion order
+    #: directed edges (rows) with wire-count weights, grouped by source
     e_src: np.ndarray
     e_dst: np.ndarray
     e_w: np.ndarray              # float [E]
@@ -66,10 +66,39 @@ class GraphStructure:
     #: unique undirected neighbours CSR (rows)
     und_indptr: np.ndarray
     und_nbr: np.ndarray
+    #: op uid -> node id; the members of a merged node share its id
+    node_of_op: dict
+    #: ``[(hls, GraphSnapshot)]`` once :func:`compile_snapshot` ran
+    _snapshot_slot: list = field(default_factory=list, init=False,
+                                 repr=False)
 
-    @property
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+    def __getstate__(self) -> dict:
+        # the snapshot memo holds the HLS result it was compiled
+        # against and rebuilds cheaply: it never rides along in a pickle
+        return {**vars(self), "_snapshot_slot": []}
+
+    def n_nodes(self) -> int:
+        return self.n
+
     def n_edges(self) -> int:
         return len(self.e_src)
+
+    def node_for(self, op_uid: int) -> int:
+        """The node id of operation ``op_uid``."""
+        node = self.node_of_op.get(op_uid)
+        if node is None:
+            raise FeatureError(f"op uid {op_uid} not in dependency graph")
+        return node
+
+    def rep_uids(self, nodes) -> list[int]:
+        """Representative op uid of each op node id in ``nodes``; the
+        op behind it gives the node's function, opcode and source."""
+        return self.rep_uid[[self.row_of[n] for n in nodes]].tolist()
 
     def out_counts(self) -> np.ndarray:
         return self.out_indptr[1:] - self.out_indptr[:-1]
@@ -81,23 +110,14 @@ class GraphStructure:
         return self.und_indptr[1:] - self.und_indptr[:-1]
 
 
-def _csr_from_groups(groups: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, order) grouping ``arange(len(groups))`` by ``groups``."""
-    counts = np.bincount(groups, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    order = np.argsort(groups, kind="stable")
-    return indptr, order
-
-
 def dedup_sorted_keys(key: np.ndarray) -> np.ndarray:
     """Sort ``key`` in place and drop duplicates.
 
     One in-place sort plus an adjacent-difference pass — an order of
     magnitude faster than ``np.unique``'s integer hash path at the
     packed-pair-key sizes the graph/feature layers produce.  Shared by
-    :func:`structure_from_graph` and the extraction engine's set-union
-    dedup (``repro.features.extract``).
+    the graph build's undirected adjacency and the extraction engine's
+    set-union dedup (``repro.features.extract``).
     """
     if len(key):
         key.sort()
@@ -106,84 +126,6 @@ def dedup_sorted_keys(key: np.ndarray) -> np.ndarray:
         np.not_equal(key[1:], key[:-1], out=keep[1:])
         key = key[keep]
     return key
-
-
-def structure_from_graph(graph) -> GraphStructure:
-    """Compile ``graph`` (a :class:`~repro.graph.depgraph.DependencyGraph`)
-    into a :class:`GraphStructure`.  One O(n + E) Python pass — the only
-    one the fast feature path ever takes."""
-    g = graph.g
-    n = g.number_of_nodes()
-    node_ids = np.empty(n, dtype=np.int64)
-    is_port = np.zeros(n, dtype=bool)
-    opcode_id = np.full(n, -1, dtype=np.int64)
-    bitwidth = np.zeros(n, dtype=np.float64)
-    rep_uid = np.full(n, -1, dtype=np.int64)
-    func_id = np.zeros(n, dtype=np.int64)
-    row_of: dict = {}
-    fid_of: dict = {}
-    func_names: list = []
-
-    for i, (nid, info) in enumerate(g.nodes(data="info")):
-        node_ids[i] = nid
-        row_of[nid] = i
-        fname = info.function
-        fid = fid_of.get(fname)
-        if fid is None:
-            fid = fid_of[fname] = len(func_names)
-            func_names.append(fname)
-        func_id[i] = fid
-        if info.is_port:
-            is_port[i] = True
-        else:
-            opcode_id[i] = opcode_index(info.opcode)
-            bitwidth[i] = info.bitwidth
-            rep_uid[i] = info.op_uids[0]
-
-    n_edges = g.number_of_edges()
-    e_src = np.empty(n_edges, dtype=np.int64)
-    e_dst = np.empty(n_edges, dtype=np.int64)
-    e_w = np.empty(n_edges, dtype=np.float64)
-    for k, (u, v, w) in enumerate(g.edges(data="weight")):
-        e_src[k] = row_of[u]
-        e_dst[k] = row_of[v]
-        e_w[k] = w
-
-    out_indptr, out_edge = _csr_from_groups(e_src, n)
-    in_indptr, in_edge = _csr_from_groups(e_dst, n)
-
-    # Undirected unique-neighbour CSR: both edge directions, dedup via
-    # a combined (row, neighbour) key.  Parallel opposite-direction
-    # edges collapse to one undirected neighbour, like nx.to_undirected.
-    key = dedup_sorted_keys(np.concatenate([e_src * n + e_dst,
-                                            e_dst * n + e_src]))
-    und_rows = key // n
-    und_nbr = key % n
-    und_counts = np.bincount(und_rows, minlength=n)
-    und_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(und_counts, out=und_indptr[1:])
-
-    return GraphStructure(
-        n=n,
-        node_ids=node_ids,
-        row_of=row_of,
-        is_port=is_port,
-        op_rows=np.flatnonzero(~is_port),
-        opcode_id=opcode_id,
-        bitwidth=bitwidth,
-        rep_uid=rep_uid,
-        func_names=tuple(func_names),
-        func_id=func_id,
-        e_src=e_src,
-        e_dst=e_dst,
-        e_w=e_w,
-        out_indptr=out_indptr,
-        out_edge=out_edge,
-        in_indptr=in_indptr,
-        in_edge=in_edge,
-        und_indptr=und_indptr,
-        und_nbr=und_nbr,
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,17 +288,17 @@ def _snapshot_from_structure(s: GraphStructure, hls) -> GraphSnapshot:
     )
 
 
-def compile_snapshot(graph, hls) -> GraphSnapshot:
+def compile_snapshot(graph: GraphStructure, hls) -> GraphSnapshot:
     """The :class:`GraphSnapshot` of ``graph`` against ``hls``.
 
-    Memoized on the graph per (graph version, HLS result identity):
-    repeated feature extractions over the same artifacts — the serving
-    steady state — reuse one compilation.
+    Memoized on the graph per HLS result identity: repeated feature
+    extractions over the same artifacts — the serving steady state —
+    reuse one compilation.
     """
-    slot = getattr(graph, "_snapshot_slot", None)
-    version = graph.version
-    if slot is not None and slot[0] == version and slot[1] is hls:
-        return slot[2]
-    snapshot = _snapshot_from_structure(graph.structure(), hls)
-    graph._snapshot_slot = (version, hls, snapshot)
+    slot = graph._snapshot_slot
+    cached = slot[0] if slot else None
+    if cached is not None and cached[0] is hls:
+        return cached[1]
+    snapshot = _snapshot_from_structure(graph, hls)
+    slot[:] = [(hls, snapshot)]
     return snapshot

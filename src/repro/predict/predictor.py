@@ -86,11 +86,10 @@ class RegionIndex:
         operation in ``module``, the synthesized IR the graph was built
         from."""
         by_region: dict[tuple[str, int], list[int]] = {}
-        for i, node_id in enumerate(nodes):
-            info = graph.info(node_id)
+        for i, uid in enumerate(graph.rep_uids(nodes)):
             # cached uid->op map: one dict hit per node instead of a
             # scan over the module's functions per predicted operation
-            op = module.op_by_uid(info.op_uids[0])
+            op = module.op_by_uid(uid)
             by_region.setdefault((op.loc.file, op.loc.line), []).append(i)
         return cls(
             list(by_region),

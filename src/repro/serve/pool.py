@@ -5,12 +5,11 @@ whose ``predict_batch`` fans micro-batches out across ``N`` worker
 *processes* instead of invoking the model in-process:
 
 * each worker runs its own ``CongestionService`` (``registry=None`` —
-  workers never train) and adopts an inference-only
-  :class:`~repro.ml.compiled.CompiledPredictor` loaded from the model
-  registry's portable export
-  (:meth:`~repro.serve.registry.ModelRegistry.load_export`), falling
-  back to a pickled copy of the parent's predictor when no export
-  exists (non-compilable model families);
+  workers never train) and adopts the predictor the parent adopted
+  last: its compiled kernels as an inference-only
+  :class:`~repro.ml.compiled.CompiledPredictor` when the model family
+  compiles, else a pickled copy of the whole predictor.  Workers and
+  the parent's inline fallback therefore always answer with one model;
 * requests are **sharded deterministically**: the request's feature
   group (design, variant, directives) plus the device fingerprint hash
   to a fixed worker, so each worker's feature cache holds only its own
@@ -49,6 +48,7 @@ from repro.errors import (
     ReproError,
     ServeError,
 )
+from repro.ml.compiled import CompiledPredictor
 from repro.serve.resilience import deadline_timestamp
 from repro.serve.service import (
     CongestionService,
@@ -105,18 +105,6 @@ def _picklable_error(exc: BaseException) -> Exception:
         return ServeError(f"worker error (unpicklable): {exc!r}")
 
 
-def _load_adopted(payload: dict, spec: dict):
-    """Materialize the predictor a worker was told to adopt."""
-    if payload["kind"] == "registry":
-        from repro.serve.registry import ModelRegistry
-
-        return ModelRegistry(payload["root"]).load_export(
-            payload["family"], payload["fingerprint"],
-            device=spec["device"],
-        )
-    return pickle.loads(payload["blob"])
-
-
 def _pool_worker_main(worker_id: int, req_q, resp_q, spec: dict) -> None:
     """Entry point of one pool worker process (spawn start method)."""
     if spec.get("worker_faults"):
@@ -141,9 +129,8 @@ def _pool_worker_main(worker_id: int, req_q, resp_q, spec: dict) -> None:
         try:
             if kind == "adopt":
                 payload = message[2]
-                predictor = _load_adopted(payload, spec)
                 service.adopt_predictor(
-                    predictor, source=payload.get("source", "export")
+                    pickle.loads(payload["blob"]), source=payload["source"]
                 )
                 resp_q.put((worker_id, seq, "ok", service.model_generation))
             elif kind == "predict":
@@ -221,24 +208,20 @@ class PoolServer(CongestionService):
             "fault_seed": self.pool.fault_seed,
         }
 
-    def _adopt_payloads(self) -> list[dict]:
-        """Preferred-first ways for a worker to obtain the model."""
-        payloads = []
-        if self.registry is not None:
-            payloads.append({
-                "kind": "registry",
-                "root": self.registry.root,
-                "family": self.model_name,
-                "fingerprint": self.dataset_fingerprint,
-                "source": "export",
-            })
-        payloads.append({
-            "kind": "inline",
-            "blob": pickle.dumps(self._predictor,
+    def _adopt_payload(self) -> dict:
+        """The model every worker adopts: the parent's current
+        predictor, as its compiled kernels when its family compiles."""
+        predictor = self._predictor
+        kernels = predictor.compiled_ensembles() \
+            if hasattr(predictor, "compiled_ensembles") else None
+        if kernels is not None:
+            predictor = CompiledPredictor(kernels,
+                                          model_family=self.model_name)
+        return {
+            "blob": pickle.dumps(predictor,
                                  protocol=pickle.HIGHEST_PROTOCOL),
-            "source": "inline",
-        })
-        return payloads
+            "source": "inline" if kernels is None else "export",
+        }
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -261,28 +244,24 @@ class PoolServer(CongestionService):
         proc.start()
         self._procs[worker_id] = proc
 
-    def _adopt_worker(self, worker_id: int, payloads: list[dict]) -> None:
-        """Hand the worker its model; raises ``_WorkerFailure`` when no
-        payload can be adopted."""
-        last: Exception | None = None
-        for payload in payloads:
-            seq = self._next_seq()
-            self._expected.add((worker_id, seq))
-            self._req_qs[worker_id].put(("adopt", seq, payload))
-            try:
-                status, result = self._await(
-                    worker_id, seq, self.pool.start_timeout_s
-                )
-            except _WorkerFailure as exc:
-                raise _WorkerFailure(
-                    f"worker {worker_id} died during adopt: {exc}"
-                ) from exc
-            if status == "ok":
-                return
-            last = result  # worker-side adopt error; try next payload
-        raise _WorkerFailure(
-            f"worker {worker_id} could not adopt a model: {last!r}"
-        )
+    def _adopt_worker(self, worker_id: int, payload: dict) -> None:
+        """Hand the worker its model; raises ``_WorkerFailure`` when it
+        cannot adopt it."""
+        seq = self._next_seq()
+        self._expected.add((worker_id, seq))
+        self._req_qs[worker_id].put(("adopt", seq, payload))
+        try:
+            status, result = self._await(
+                worker_id, seq, self.pool.start_timeout_s
+            )
+        except _WorkerFailure as exc:
+            raise _WorkerFailure(
+                f"worker {worker_id} died during adopt: {exc}"
+            ) from exc
+        if status != "ok":
+            raise _WorkerFailure(
+                f"worker {worker_id} could not adopt the model: {result!r}"
+            )
 
     def _ensure_pool(self) -> bool:
         """Start and arm the pool lazily; returns ``False`` (and flips
@@ -291,13 +270,13 @@ class PoolServer(CongestionService):
             return False
         if self._procs:
             return True
-        self.warm()  # model + registry export must exist first
-        payloads = self._adopt_payloads()
+        self.warm()  # the model the workers adopt must exist first
+        payload = self._adopt_payload()
         try:
             for worker_id in range(self.pool.workers):
                 self._start_worker(worker_id)
             for worker_id in range(self.pool.workers):
-                self._adopt_worker(worker_id, payloads)
+                self._adopt_worker(worker_id, payload)
         except _WorkerFailure as exc:
             self._degrade_pool(f"pool failed to start: {exc}")
             return False
@@ -404,7 +383,7 @@ class PoolServer(CongestionService):
         self._req_qs[worker_id] = self._ctx.Queue()
         self._start_worker(worker_id)
         try:
-            self._adopt_worker(worker_id, self._adopt_payloads())
+            self._adopt_worker(worker_id, self._adopt_payload())
         except _WorkerFailure:
             return False
         self._pool_stats["worker_restarts"] += 1
@@ -529,15 +508,15 @@ class PoolServer(CongestionService):
         return out  # type: ignore[return-value]
 
     def adopt_predictor(self, predictor, *, source: str = "registry") -> int:
-        """Hot-swap: adopt in the parent, then broadcast to every live
-        worker (export-first, pickled fallback).  A worker that cannot
-        adopt the new model is treated as crashed and restarted."""
+        """Hot-swap: adopt in the parent, then broadcast the same model
+        to every live worker.  A worker that cannot adopt it is treated
+        as crashed and restarted."""
         generation = super().adopt_predictor(predictor, source=source)
         if self._procs:
-            payloads = self._adopt_payloads()
+            payload = self._adopt_payload()
             for worker_id in list(self._procs):
                 try:
-                    self._adopt_worker(worker_id, payloads)
+                    self._adopt_worker(worker_id, payload)
                 except _WorkerFailure:
                     if not self._restart_worker(worker_id):
                         self._degrade_pool(

@@ -9,8 +9,9 @@
   training dataset and fitting from scratch (saving the result);
 * requests run only the **HLS prefix** of the flow pipeline
   (``FlowPipeline.default().subset(["graph"])`` — no packing, placement
-  or routing ever executes on the serving path); feature extraction
-  rides the vectorized snapshot engine over the frozen dependency graph;
+  or routing ever executes on the serving path).  The graph stage
+  returns the dependency graph as read-only NumPy arrays, and feature
+  extraction is batched NumPy over them: serving needs no networkx;
 * the service keeps **one bounded cache**: a least-recently-used map of
   at most :attr:`CongestionService.FEATURE_CACHE_SIZE` request groups
   (design, variant, directives override).  An entry holds what an

@@ -46,8 +46,9 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: bump to invalidate every on-disk entry when artifact layouts change
 #: (v2: checksummed artifact container; v3: stage entries hold only the
-#: artifact, and a flow result's design keeps its pre-HLS module)
-_DISK_FORMAT_VERSION = 3
+#: artifact, and a flow result's design keeps its pre-HLS module; v4: a
+#: flow result's graph is the frozen array GraphStructure)
+_DISK_FORMAT_VERSION = 4
 
 
 class KeyedCache:

@@ -3,6 +3,7 @@ import pytest
 
 from repro.errors import FeatureError
 from repro.features import FeatureExtractor, N_FEATURES, feature_index
+from repro.features._reference import ReferenceGraph
 from repro.fpga import small_test_device
 from repro.graph import build_dependency_graph
 from repro.hls import synthesize
@@ -49,9 +50,10 @@ def test_interconnection_fan_matches_graph(extracted):
     col_in = feature_index("ic_1hop_fan_in")
     col_out = feature_index("ic_1hop_fan_out")
     col_tot = feature_index("ic_1hop_fan_total")
+    view = ReferenceGraph(graph)
     for row, node in enumerate(nodes):
-        assert X[row, col_in] == graph.fan_in(node)
-        assert X[row, col_out] == graph.fan_out(node)
+        assert X[row, col_in] == sum(view.in_edge_weights(node))
+        assert X[row, col_out] == sum(view.out_edge_weights(node))
         assert X[row, col_tot] == X[row, col_in] + X[row, col_out]
 
 
@@ -87,8 +89,9 @@ def test_global_features_constant_within_function(extracted):
     module, hls, graph, extractor, nodes, X = extracted
     col = feature_index("global_fop_lut")
     rows_by_fn = {}
-    for row, node in enumerate(nodes):
-        rows_by_fn.setdefault(graph.info(node).function, []).append(row)
+    for row, uid in enumerate(graph.rep_uids(nodes)):
+        function = module.op_by_uid(uid).parent.name
+        rows_by_fn.setdefault(function, []).append(row)
     for fn, rows in rows_by_fn.items():
         assert len(set(X[rows, col])) == 1
 
@@ -109,7 +112,7 @@ def test_rdt_uses_delta_tcs(extracted):
 
 def test_port_nodes_rejected(extracted):
     module, hls, graph, extractor, nodes, X = extracted
-    port = graph.port_nodes()[0]
+    port = int(graph.node_ids[graph.is_port][0])
     with pytest.raises(FeatureError):
         extractor.extract(port)
 
@@ -128,7 +131,10 @@ def test_merged_node_counts_shared_unit_once():
     graph = build_dependency_graph(hls.module, hls.bindings)
     extractor = FeatureExtractor(hls, graph, small_test_device())
     nodes, X = extractor.extract_all()
-    mul_nodes = [n for n in nodes if graph.info(n).opcode == "mul"]
+    mul_nodes = [
+        node for node, uid in zip(nodes, graph.rep_uids(nodes))
+        if hls.module.op_by_uid(uid).opcode == "mul"
+    ]
     assert len(mul_nodes) == 1  # merged
     dsp = X[nodes.index(mul_nodes[0]), feature_index("res_dsp_usage")]
     assert dsp == 1  # one shared DSP multiplier, not four

@@ -1,8 +1,13 @@
+import dataclasses
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import FeatureError, IRError
-from repro.graph import DependencyGraph, build_dependency_graph
+from repro.features._reference import ReferenceGraph
+from repro.graph import build_dependency_graph, compile_snapshot
 from repro.hls import DirectiveSet, synthesize
 from repro.ir import Function, I16, IRBuilder, Module
 
@@ -20,65 +25,8 @@ def simple_graph():
     return m, f, (s, t, p)
 
 
-def test_nodes_and_edges_with_wire_weights():
-    m, f, (s, t, p) = simple_graph()
-    g = build_dependency_graph(m)
-    n_s = g.node_for(s.producer.uid)
-    n_t = g.node_for(t.producer.uid)
-    n_p = g.node_for(p.producer.uid)
-    assert g.g[n_s][n_t]["weight"] == 8  # trunc consumes 8 of 16
-    assert g.g[n_t][n_p]["weight"] == 16  # two operand slots x 8 wires
-    assert g.fan_out(n_t) == 16
-    assert g.fan_in(n_p) == 16
-
-
-def test_port_nodes_connect_argument_users():
-    m, f, (s, t, p) = simple_graph()
-    g = build_dependency_graph(m)
-    ports = g.port_nodes()
-    assert len(ports) == 1
-    port = ports[0]
-    assert g.info(port).port_name == "x"
-    succ = g.successors(port)
-    assert g.node_for(s.producer.uid) in succ
-
-
-def test_two_hop_neighborhood():
-    m, f, (s, t, p) = simple_graph()
-    g = build_dependency_graph(m)
-    n_s = g.node_for(s.producer.uid)
-    two_hop = g.two_hop_neighborhood(n_s)
-    assert g.node_for(p.producer.uid) in two_hop
-    assert n_s not in two_hop
-
-
-def test_merge_nodes_redirects_edges():
-    m, f, (s, t, p) = simple_graph()
-    g = build_dependency_graph(m)
-    n_t = g.node_for(t.producer.uid)
-    n_p = g.node_for(p.producer.uid)
-    merged = g.merge_nodes([n_t, n_p])
-    assert g.node_for(t.producer.uid) == merged
-    assert g.node_for(p.producer.uid) == merged
-    info = g.info(merged)
-    assert set(info.op_uids) == {t.producer.uid, p.producer.uid}
-    # the add -> trunc edge now lands on the merged node
-    n_s = g.node_for(s.producer.uid)
-    assert g.g.has_edge(n_s, merged)
-    # no self loop from the internal t -> p edge
-    assert not g.g.has_edge(merged, merged)
-
-
-def test_merge_rejects_ports():
-    m, f, _ = simple_graph()
-    g = build_dependency_graph(m)
-    port = g.port_nodes()[0]
-    other = g.op_nodes()[0]
-    with pytest.raises(FeatureError):
-        g.merge_nodes([port, other])
-
-
-def test_shared_binding_merges_in_build():
+def shared_mul_chain():
+    """Four same-width multiplies in a chain, which the binder shares."""
     m = Module("m")
     f = Function("top", is_top=True)
     m.add_function(f)
@@ -90,12 +38,79 @@ def test_shared_binding_merges_in_build():
         v = b.mul(v, x, width=16)
         muls.append(v.producer)
     b.write_port(x, v)
+    return m, muls
+
+
+def edges(g) -> dict[tuple[int, int], float]:
+    """(source id, destination id) -> wires of every edge."""
+    ids = g.node_ids.tolist()
+    return {
+        (ids[src], ids[dst]): wires
+        for src, dst, wires in zip(g.e_src.tolist(), g.e_dst.tolist(),
+                                   g.e_w.tolist())
+    }
+
+
+def successors(g, node: int) -> list[int]:
+    return [dst for src, dst in edges(g) if src == node]
+
+
+def test_nodes_and_edges_with_wire_weights():
+    m, f, (s, t, p) = simple_graph()
+    g = build_dependency_graph(m)
+    n_s = g.node_for(s.producer.uid)
+    n_t = g.node_for(t.producer.uid)
+    n_p = g.node_for(p.producer.uid)
+    wires = edges(g)
+    assert wires[n_s, n_t] == 8  # trunc consumes 8 of 16
+    assert wires[n_t, n_p] == 16  # two operand slots x 8 wires
+    assert sum(w for (src, _), w in wires.items() if src == n_t) == 16
+    assert sum(w for (_, dst), w in wires.items() if dst == n_p) == 16
+
+
+def test_port_nodes_connect_argument_users():
+    m, f, (s, t, p) = simple_graph()
+    g = build_dependency_graph(m)
+    ports = g.node_ids[g.is_port].tolist()
+    assert len(ports) == 1
+    port = ports[0]
+    assert g.func_names[g.func_id[g.row_of[port]]] == "top"
+    assert g.node_for(s.producer.uid) in successors(g, port)
+
+
+def test_two_hop_neighborhood():
+    m, f, (s, t, p) = simple_graph()
+    g = build_dependency_graph(m)
+    n_s = g.node_for(s.producer.uid)
+    two_hop = ReferenceGraph(g).two_hop_neighborhood(n_s)
+    assert g.node_for(p.producer.uid) in two_hop
+    assert n_s not in two_hop
+
+
+def test_shared_binding_merges_in_build():
+    m, muls = shared_mul_chain()
     hls = synthesize(m)
     g_merged = build_dependency_graph(hls.module, hls.bindings)
     g_plain = build_dependency_graph(hls.module, None)
     assert g_merged.n_nodes() < g_plain.n_nodes()
     nodes = {g_merged.node_for(op.uid) for op in muls}
     assert len(nodes) == 1  # all four muls merged (Fig. 4)
+    merged = nodes.pop()
+    assert {uid for uid, node in g_merged.node_of_op.items()
+            if node == merged} == {op.uid for op in muls}
+    # the port fed every multiply: those edges land on the merged node
+    # with their wires summed, and the chain's internal edges vanish
+    port = int(g_merged.node_ids[g_merged.is_port][0])
+    plain_port = int(g_plain.node_ids[g_plain.is_port][0])
+    plain = edges(g_plain)
+    merged_edges = edges(g_merged)
+    assert merged_edges[port, merged] == sum(
+        plain[plain_port, g_plain.node_for(op.uid)] for op in muls
+    )
+    # the last multiply's edge to the port write now leaves the merged node
+    write = hls.module.functions["top"].ops_of("write_port")[0]
+    assert (merged, g_merged.node_for(write.uid)) in merged_edges
+    assert all(src != dst for src, dst in merged_edges)  # no self-loop
 
 
 def test_call_edges_cross_functions(tiny_module):
@@ -106,12 +121,12 @@ def test_call_edges_cross_functions(tiny_module):
     call = top.ops_of("call")[0]
     sq_mul = square.ops_of("mul")[0]
     call_node = g.node_for(call.uid)
-    assert g.node_for(sq_mul.uid) in g.successors(call_node)
+    assert g.node_for(sq_mul.uid) in successors(g, call_node)
 
 
 def test_graph_counts(tiny_module):
     g = build_dependency_graph(tiny_module)
-    assert g.n_nodes() == len(g.op_nodes()) + len(g.port_nodes())
+    assert g.n_nodes() == len(g.op_rows) + int(g.is_port.sum())
     assert g.n_edges() > 0
     with pytest.raises(FeatureError):
         g.node_for(10**9)
@@ -130,67 +145,55 @@ def test_chain_graph_structure(n):
     for _ in range(n - 1):
         v = b.add(v, v)
     g = build_dependency_graph(m)
-    for node in g.op_nodes():
-        assert len(g.predecessors(node)) <= 2
+    assert np.all(g.in_counts()[g.op_rows] <= 2)
     # chain length preserved
-    assert len(g.op_nodes()) == n
-
-
-def test_freeze_builds_views_once_and_mutation_invalidates():
-    """freeze() constructs the undirected view and CSR structure once;
-    construction does not pay per-call invalidation, and a post-freeze
-    mutation lazily rebuilds both."""
-    g = DependencyGraph()
-    ids = []
-    for i in range(4):
-        ids.append(g.add_port_node("f", f"p{i}"))
-    g.add_edge(ids[0], ids[1], 2)
-    g.add_edge(ids[1], ids[2], 3)
-
-    version = g.version
-    g.freeze()
-    assert g.version == version  # freezing is not a mutation
-    structure = g.structure()
-    assert g.structure() is structure  # cached, not rebuilt
-    assert g.two_hop_neighborhood(ids[0]) == {ids[1], ids[2]}
-
-    g.add_edge(ids[2], ids[3], 1)
-    assert g.version > version
-    rebuilt = g.structure()
-    assert rebuilt is not structure
-    assert rebuilt.n_edges == structure.n_edges + 1
-    assert g.two_hop_neighborhood(ids[1]) == {ids[0], ids[2], ids[3]}
+    assert len(g.op_rows) == n
 
 
 def test_build_dependency_graph_returns_frozen_graph(tiny_module):
-    from repro.hls import synthesize
-
     hls = synthesize(tiny_module)
     graph = build_dependency_graph(hls.module, hls.bindings)
-    # freeze() ran: the CSR structure exists at the current version
-    # (the undirected networkx copy stays lazy — reference path only)
-    assert graph._structure is not None
-    assert graph._structure_version == graph.version
-    assert graph._undirected_cache is None
-    structure = graph.structure()
-    assert structure.n == graph.n_nodes()
-    assert structure.n_edges == graph.n_edges()
-    assert len(structure.op_rows) == len(graph.op_nodes())
+    assert graph.n_nodes() == len(graph.node_ids) == graph.n
+    assert graph.n_edges() == len(graph.e_w)
+    for name in ("node_ids", "e_src", "e_dst", "e_w", "rep_uid",
+                 "bitwidth", "is_port", "out_edge", "und_nbr"):
+        array = getattr(graph, name)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        graph.e_w = np.zeros(graph.n_edges())
 
 
 def test_structure_matches_graph_queries(tiny_module):
-    from repro.hls import synthesize
-
     hls = synthesize(tiny_module)
     graph = build_dependency_graph(hls.module, hls.bindings)
-    s = graph.structure()
-    for row, node_id in enumerate(s.node_ids):
-        node_id = int(node_id)
-        assert s.row_of[node_id] == row
-        assert s.in_counts()[row] == len(graph.predecessors(node_id))
-        assert s.out_counts()[row] == len(graph.successors(node_id))
-        assert s.und_counts()[row] == len(graph.neighbors(node_id))
-        assert s.is_port[row] == graph.info(node_id).is_port
+    view = ReferenceGraph(graph)
+    assert [int(n) for n in graph.node_ids] == list(view.g.nodes)
+    for row, node_id in enumerate(graph.node_ids.tolist()):
+        assert graph.row_of[node_id] == row
+        assert graph.in_counts()[row] == len(view.predecessors(node_id))
+        assert graph.out_counts()[row] == len(view.successors(node_id))
+        assert graph.und_counts()[row] == len(view.neighbors(node_id))
+        assert graph.is_port[row] == view.info(node_id).is_port
+        out = graph.out_edge[graph.out_indptr[row]:graph.out_indptr[row + 1]]
+        assert graph.e_w[out].tolist() == view.out_edge_weights(node_id)
+    assert view.op_nodes() == graph.node_ids[graph.op_rows].tolist()
+
+
+def test_pickled_graph_carries_no_snapshot(tiny_module):
+    hls = synthesize(tiny_module)
+    graph = build_dependency_graph(hls.module, hls.bindings)
+    snapshot = compile_snapshot(graph, hls)
+    assert compile_snapshot(graph, hls) is snapshot
+    clone = pickle.loads(pickle.dumps(graph))
+    assert clone._snapshot_slot == []
+    assert graph._snapshot_slot  # the original keeps its memo
+    for name in ("node_ids", "e_src", "e_dst", "e_w", "und_nbr"):
+        np.testing.assert_array_equal(getattr(clone, name),
+                                      getattr(graph, name))
+    assert clone.node_of_op == graph.node_of_op
+    assert compile_snapshot(clone, hls) is not snapshot
 
 
 def test_pre_hls_module_with_hls_bindings_is_rejected(tiny_module):

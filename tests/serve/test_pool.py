@@ -1,19 +1,21 @@
 """The sharded multi-process serving pool (repro.serve.pool).
 
-Worker processes adopt the registry's compiled export; the parent
-shards, supervises and — when the pool cannot answer — falls back to
-inline serving with ``degraded=True``.  Everything here runs at tiny
-scale against one combo; the module-scoped fixture trains once and the
-pool workers load the persisted export, never retraining.
+Worker processes adopt the parent's model as compiled kernels; the
+parent shards, supervises and — when the pool cannot answer — falls
+back to inline serving with ``degraded=True``.  Everything here runs at
+tiny scale against one combo; the module-scoped fixture trains and
+publishes once, and every pool's parent loads that published model.
 """
 
 import os
-import time
 
+import numpy as np
 import pytest
 
+from repro.dataset.build import build_paper_dataset
 from repro.errors import DeadlineExceededError
 from repro.flow import FlowOptions
+from repro.predict.predictor import CongestionPredictor
 from repro.serve import (
     CongestionService,
     ModelRegistry,
@@ -178,6 +180,45 @@ def test_hot_swap_broadcasts_to_workers(pool_env):
         assert after[0].model_generation == generation
         assert after[0].model_source == "export"
         assert pool.stats()["pool"]["adopt_broadcasts"] == 1
+
+
+def _answers(responses) -> list[tuple]:
+    return [
+        (r.predicted_max_vertical, r.predicted_max_horizontal,
+         [(g.source_file, g.source_line, g.vertical, g.horizontal)
+          for g in r.regions])
+        for r in responses
+    ]
+
+
+def test_hot_swap_serves_the_adopted_unpublished_model(pool_env):
+    """After adopting a model the registry never saw, the workers answer
+    with it — exactly as an in-process service that adopted it does —
+    and not with the registry's published model."""
+    service: CongestionService = pool_env["service"]
+    dataset = build_paper_dataset(options=_options(), combos=COMBOS)
+    # every other sample: the fixture's dataset has no marginal
+    # samples, so refitting all of it would rebuild the published model
+    unpublished = CongestionPredictor("gbrt", service.device).fit(
+        dataset.subset(np.arange(0, dataset.n_samples, 2))
+    )
+    requests = [PredictRequest(d) for d in DESIGNS]
+    in_process = CongestionService(
+        "gbrt", options=_options(), combos=COMBOS, registry=None,
+    )
+    in_process.adopt_predictor(unpublished, source="memory")
+    expected = _answers(in_process.predict_batch(requests))
+    assert expected != _answers(pool_env["baseline"])  # a visible swap
+
+    with _pool() as pool:
+        pool.predict_batch(requests)  # workers start on the published model
+        generation = pool.adopt_predictor(unpublished, source="memory")
+        got = pool.predict_batch(requests)
+        stats = pool.stats()["pool"]
+    assert stats["inline_fallbacks"] == 0
+    assert all(not r.degraded and r.model_generation == generation
+               for r in got)
+    assert _answers(got) == expected
 
 
 def test_pool_behind_resilient_server(pool_env):
