@@ -15,18 +15,22 @@
 * the service keeps **one bounded cache**: a least-recently-used map of
   at most :attr:`CongestionService.FEATURE_CACHE_SIZE` request groups
   (design, variant, directives override).  An entry holds what an
-  answer reads — the feature matrix, the region index and the HLS
-  summary — plus the group's last answer and the model generation that
-  produced it.  A repeated group skips the design build, HLS and
+  answer reads — the group's *distinct* feature rows with an index from
+  each operation to its row, the region index and the HLS summary —
+  plus the group's last answer and the model generation that produced
+  it.  Operations of one design repeat their feature rows many times
+  over (about one row in eight is distinct on the paper designs), so
+  an entry is a fraction of the full matrix and the model scores each
+  distinct row once.  A repeated group skips the design build, HLS and
   extraction, and reuses its answer while that generation is current;
   after a model swap only the model reruns.  Serving never touches
   ``run_flow``'s result memo or the ``REPRO_CACHE_DIR`` disk cache, so
   its memory stays bounded however many distinct configurations
   arrive;
 * :meth:`predict_batch` answers many :class:`PredictRequest` objects in
-  one model invocation: features of all unique designs are stacked into
-  a single matrix and the regressors run once, which is where the batch
-  throughput win comes from.
+  one model invocation: the distinct rows of all unique groups are
+  stacked into a single matrix and the regressors run once, which is
+  where the batch throughput win comes from.
 """
 
 from __future__ import annotations
@@ -125,13 +129,36 @@ class PredictResponse:
     model_generation: int = 0
 
 
+def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, inverse)`` with ``rows[inverse]`` equal to ``X``: the
+    distinct rows of ``X`` (read-only) and each row's index among them.
+
+    Rows are compared by their bytes, so the split is exact: equal bytes
+    are equal values.  (A ``-0.0``/``0.0`` pair stays two rows.)
+    """
+    X = np.ascontiguousarray(X)
+    keys = X.view(np.dtype((np.void, X.dtype.itemsize * X.shape[1])))
+    _, first, inverse = np.unique(
+        keys.ravel(), return_index=True, return_inverse=True
+    )
+    rows = X[first]
+    rows.setflags(write=False)
+    return rows, inverse
+
+
 @dataclass(eq=False)
 class _CachedGroup:
     """One feature-cache entry: everything an answer reads about a
     request group, plus the group's last answer and the model
-    generation that produced it."""
+    generation that produced it.
 
-    X: np.ndarray
+    The group's feature matrix is kept as its distinct rows plus the
+    index of each operation's row (``rows[inverse]`` is the matrix), so
+    the model scores each distinct row once and the entry holds a
+    fraction of the full matrix."""
+
+    rows: np.ndarray
+    inverse: np.ndarray
     index: RegionIndex
     latency_cycles: int
     resources: dict[str, int]
@@ -366,9 +393,10 @@ class CongestionService:
     def _cached_group(self, request: PredictRequest,
                       deadline: float | None = None) -> _CachedGroup:
         """The feature-cache entry of ``request``'s group, computed on a
-        miss: build the design, run the HLS-prefix pipeline and extract
-        features.  A hit becomes the most recently used entry; a miss
-        past :attr:`FEATURE_CACHE_SIZE` evicts the least recently used.
+        miss: build the design, run the HLS-prefix pipeline, extract
+        features and keep the matrix's distinct rows.  A hit becomes the
+        most recently used entry; a miss past :attr:`FEATURE_CACHE_SIZE`
+        evicts the least recently used.
         """
         key = request.group_key
         entry = self._feature_cache.get(key)
@@ -382,8 +410,10 @@ class CongestionService:
         hls = ctx.hls
         extractor = FeatureExtractor(hls, ctx.graph, self.device)
         nodes, X = extractor.extract_all()
+        rows, inverse = _distinct_rows(X)
         entry = _CachedGroup(
-            X=X,
+            rows=rows,
+            inverse=inverse,
             index=RegionIndex.build(hls.module, ctx.graph, nodes),
             latency_cycles=hls.latency_cycles,
             resources=dict(hls.top_report.hierarchical_resources),
@@ -445,13 +475,15 @@ class CongestionService:
                     "the model invocation"
                 )
             v_all, h_all = predictor.predict_matrix(
-                np.vstack([entry.X for entry in stale])
+                np.vstack([entry.rows for entry in stale])
             )
             offset = 0
             for entry in stale:
-                v = v_all[offset:offset + len(entry.X)]
-                h = h_all[offset:offset + len(entry.X)]
-                offset += len(entry.X)
+                end = offset + len(entry.rows)
+                # scatter the distinct rows' answers back to operations
+                v = v_all[offset:end][entry.inverse]
+                h = h_all[offset:end][entry.inverse]
+                offset = end
                 regions = entry.index.regions(v, h)
                 regions.sort(key=lambda r: -r.average)
                 entry.answer = (regions, float(v.max()), float(h.max()))
@@ -466,7 +498,7 @@ class CongestionService:
             responses.append(PredictResponse(
                 request=request,
                 regions=regions[:request.top],
-                n_operations=len(entry.X),
+                n_operations=len(entry.inverse),
                 predicted_max_vertical=v_max,
                 predicted_max_horizontal=h_max,
                 model_source=source,

@@ -334,7 +334,11 @@ def test_graceful_drain_answers_every_admitted_request():
                    for i in range(6)]
         for t in threads:
             t.start()
-        time.sleep(0.08)  # let the requests land in queue/flight
+        # drain only once every request is admitted (queued or in flight)
+        deadline = time.monotonic() + 10
+        while handle.net.server.stats()["submitted"] < 6:
+            assert time.monotonic() < deadline, "requests never admitted"
+            time.sleep(0.005)
         handle.shutdown(drain=True)
         for t in threads:
             t.join(timeout=30)

@@ -18,10 +18,12 @@ from repro.errors import (
     StaleModelError,
 )
 from repro.explore import DirectiveSpace
+from repro.explore.session import build_design_for
+from repro.features import FeatureExtractor
 from repro.flow import FlowOptions
 from repro.fpga.device import small_test_device
 from repro.impl.routing import RoutingOptions
-from repro.kernels.combos import build_kernel
+from repro.kernels.combos import PAPER_COMBINATIONS, build_kernel
 from repro.predict import CongestionPredictor
 from repro.serve import (
     CongestionService,
@@ -52,6 +54,14 @@ def trained():
     predictor = CongestionPredictor("linear").fit(dataset)
     fingerprint = dataset_spec_fingerprint(COMBOS, _options())
     return predictor, dataset, fingerprint
+
+
+@pytest.fixture(scope="module")
+def trained_gbrt(trained):
+    """A gbrt predictor on the same dataset: serving's default model,
+    whose compiled trees score every row on its own, bit-exactly."""
+    _, dataset, _ = trained
+    return CongestionPredictor("gbrt").fit(dataset)
 
 
 # ----------------------------------------------------------------------
@@ -258,6 +268,60 @@ def test_service_batch_equals_per_request():
     stats = service.stats()
     assert stats["trained"] == 1
     assert stats["predictions"] == 2 * len(requests)
+
+
+def test_service_scores_distinct_rows_bit_identically(monkeypatch,
+                                                     trained_gbrt):
+    """A cache entry keeps its group's distinct feature rows and each
+    operation's index into them; scattered back, the answers of one
+    stacked batch equal the single requests and predict_design, bit for
+    bit."""
+    design = build_kernel("face_detection", scale=SCALE)
+    space = DirectiveSpace.around(design)
+    stock = design.directives.to_key()
+    overrides = [
+        key for key in dict.fromkeys(
+            space.apply(c, design.directives).to_key()
+            for c in space.sample(8, seed=1)
+        ) if key != stock
+    ][:2]
+    assert len(overrides) == 2
+    requests = [PredictRequest(name) for name in PAPER_COMBINATIONS] + [
+        PredictRequest("face_detection", directives=key)
+        for key in overrides
+    ]
+    singles = [_service_serving(trained_gbrt).predict(r) for r in requests]
+
+    matrices = []
+    extract_all = FeatureExtractor.extract_all
+
+    def recorded(self):
+        nodes, X = extract_all(self)
+        matrices.append(X)
+        return nodes, X
+
+    service = _service_serving(trained_gbrt)
+    monkeypatch.setattr(FeatureExtractor, "extract_all", recorded)
+    batch = service.predict_batch(requests)
+    monkeypatch.undo()
+    assert len(matrices) == len(requests)
+
+    for request, single, batched, X in zip(requests, singles, batch,
+                                           matrices):
+        assert replace(batched, latency_seconds=0.0, batch_size=1) \
+            == replace(single, latency_seconds=0.0)
+        entry = service._feature_cache[request.group_key]
+        assert len(entry.rows) < len(entry.inverse) == batched.n_operations
+        assert not entry.rows.flags.writeable
+        assert np.array_equal(entry.rows[entry.inverse], X)
+
+        prediction = trained_gbrt.predict_design(build_design_for(
+            request.design, request.variant, SCALE, request.directives))
+        assert batched.n_operations == len(prediction.node_ids)
+        assert batched.predicted_max_vertical == prediction.vertical.max()
+        assert batched.predicted_max_horizontal \
+            == prediction.horizontal.max()
+        assert batched.regions == prediction.hottest_regions(request.top)
 
 
 def test_service_second_instance_loads_from_registry(tmp_path):
