@@ -328,8 +328,7 @@ def bench_resilience(scale: float, seed: int, effort: str,
     designs = sorted(KERNEL_BUILDERS)
     requests = [PredictRequest(designs[i % len(designs)])
                 for i in range(n_requests)]
-    config = ServerConfig(max_queue=max(16, n_requests),
-                          batch_window_s=0.01, workers=2)
+    config = ServerConfig(max_queue=max(16, n_requests), workers=2)
 
     root = tempfile.mkdtemp(prefix="repro-bench-resil-")
     cache_dir = tempfile.mkdtemp(prefix="repro-bench-resil-cache-")
@@ -382,7 +381,6 @@ def bench_resilience(scale: float, seed: int, effort: str,
         "rate_per_s": rate,
         "fault_plan": fault_plan,
         "server": {"max_queue": config.max_queue,
-                   "batch_window_ms": config.batch_window_s * 1e3,
                    "workers": config.workers},
         "phases": phases,
     }
@@ -431,8 +429,7 @@ def bench_net(scale: float, seed: int, effort: str,
     designs = sorted(KERNEL_BUILDERS)
     requests = [PredictRequest(designs[i % len(designs)])
                 for i in range(n_requests)]
-    config = ServerConfig(max_queue=max(16, n_requests),
-                          batch_window_s=0.01, workers=2)
+    config = ServerConfig(max_queue=max(16, n_requests), workers=2)
     net_config = NetServerConfig(watch_registry=True, registry_poll_s=0.05)
 
     root = tempfile.mkdtemp(prefix="repro-bench-net-")
@@ -601,7 +598,6 @@ def bench_net(scale: float, seed: int, effort: str,
         "rate_per_s": rate,
         "fault_plan": fault_plan,
         "server": {"max_queue": config.max_queue,
-                   "batch_window_ms": config.batch_window_s * 1e3,
                    "workers": config.workers},
         "net": {"max_conn_inflight": net_config.max_conn_inflight,
                 "registry_poll_ms": net_config.registry_poll_s * 1e3},

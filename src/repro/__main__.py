@@ -288,7 +288,6 @@ def _cmd_serve_resilient(args, service) -> int:
         ))
     config = ServerConfig(
         max_queue=args.queue,
-        batch_window_s=args.batch_window_ms / 1e3,
         workers=args.workers,
         default_timeout_s=(
             args.timeout_ms / 1e3 if args.timeout_ms else None
@@ -309,8 +308,8 @@ def _cmd_serve_resilient(args, service) -> int:
             summary = report.summary()
             latency = summary["latency_ms"]
             print(f"\nopen-loop {args.requests} requests @ "
-                  f"{args.rate:.0f}/s (queue {args.queue}, window "
-                  f"{args.batch_window_ms:.0f}ms, {args.workers} worker(s)):")
+                  f"{args.rate:.0f}/s (queue {args.queue}, "
+                  f"{args.workers} worker(s)):")
             print(f"  success {100 * summary['success_rate']:.1f}%  "
                   f"degraded {summary['degraded']}  "
                   f"overload {summary['rejected_overload']}  "
@@ -418,7 +417,6 @@ def cmd_serve_net(args) -> int:
     service = _make_service(args)
     server_config = ServerConfig(
         max_queue=args.queue,
-        batch_window_s=args.batch_window_ms / 1e3,
         workers=args.workers,
         default_timeout_s=(
             args.timeout_ms / 1e3 if args.timeout_ms else None
@@ -584,9 +582,6 @@ def main(argv=None) -> int:
                          help="open-loop arrival rate for --resilient")
     p_serve.add_argument("--queue", type=int, default=64,
                          help="admission queue capacity (--resilient)")
-    p_serve.add_argument("--batch-window-ms", type=float, default=10.0,
-                         help="micro-batch collection window "
-                              "(--resilient)")
     p_serve.add_argument("--workers", type=int, default=1,
                          help="serving worker threads (--resilient)")
     p_serve.add_argument("--timeout-ms", type=float, default=None,
@@ -614,7 +609,6 @@ def main(argv=None) -> int:
                             "(0 = in-process)")
     p_net.add_argument("--queue", type=int, default=64,
                        help="admission queue capacity")
-    p_net.add_argument("--batch-window-ms", type=float, default=10.0)
     p_net.add_argument("--workers", type=int, default=1)
     p_net.add_argument("--timeout-ms", type=float, default=None,
                        help="default per-request deadline for requests "

@@ -8,12 +8,14 @@ production congestion-prediction endpoint needs:
   when it is full, :meth:`submit` raises a typed
   :class:`~repro.errors.OverloadedError` immediately (backpressure,
   never unbounded buffering);
-* **deadline-aware micro-batching** — a worker claims the oldest
-  queued request, then keeps collecting arrivals for up to
-  ``batch_window_s`` (or ``batch_max`` requests) and answers the whole
-  batch through the service's single stacked
+* **deadline-aware micro-batching** — a worker waits for the first
+  queued request, takes every request already queued with it (at most
+  ``batch_max``) and answers the whole batch through the service's
+  single stacked
   :meth:`~repro.serve.service.CongestionService.predict_batch`
-  invocation — the batching seam the throughput numbers come from;
+  invocation — the batching seam the throughput numbers come from.
+  It never waits for more arrivals: a lone request is served at once,
+  and requests that arrive while a batch is served form the next one;
 * **deadline propagation** — each request carries a deadline; expired
   requests are failed with
   :class:`~repro.errors.DeadlineExceededError` *before* work starts on
@@ -43,6 +45,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from collections.abc import Callable
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
@@ -68,8 +71,6 @@ class ServerConfig:
 
     #: admission-queue capacity; submits beyond it raise OverloadedError
     max_queue: int = 64
-    #: how long a worker keeps collecting a micro-batch
-    batch_window_s: float = 0.01
     #: micro-batch size cap
     batch_max: int = 16
     #: worker threads (each serves one micro-batch at a time)
@@ -99,6 +100,21 @@ class ServerConfig:
             raise ServeError(
                 f"restart_budget must be >= 1, got {self.restart_budget}"
             )
+        # a zero poll spins the supervisor on a CPU, and a zero window
+        # forgets every restart at once, so a storm never trips the budget
+        if self.supervisor_poll_s <= 0:
+            raise ServeError(
+                f"supervisor_poll_s must be > 0, got {self.supervisor_poll_s}"
+            )
+        if self.restart_window_s <= 0:
+            raise ServeError(
+                f"restart_window_s must be > 0, got {self.restart_window_s}"
+            )
+        if self.restart_backoff_s < 0:
+            raise ServeError(
+                f"restart_backoff_s must be >= 0, "
+                f"got {self.restart_backoff_s}"
+            )
 
 
 @dataclass
@@ -112,22 +128,33 @@ class _Item:
 
 
 class _AdmissionQueue:
-    """Bounded FIFO with typed overload rejection and front re-queue.
+    """Bounded FIFO with typed overload rejection and in-flight counting.
 
-    ``put`` never blocks and never buffers beyond ``capacity``;
-    ``requeue_front`` bypasses the capacity check because its items
-    were already admitted once (crash recovery must not drop them).
+    ``put`` never blocks and never buffers beyond ``capacity``.  A batch
+    counts as in flight from the moment :meth:`take_batch` pops it until
+    its worker calls :meth:`finish`, both under the queue lock, so
+    :meth:`wait_idle` never sees an empty queue while a worker holds
+    work.  ``finish`` may put a crashed batch's unresolved items back at
+    the front, past the capacity check: they were already admitted once
+    (crash recovery must not drop them).
     """
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self._items: deque[_Item] = deque()
+        self._inflight = 0
         self._cond = threading.Condition()
         self._closed = False
 
     def __len__(self) -> int:
         with self._cond:
             return len(self._items)
+
+    @property
+    def inflight(self) -> int:
+        """Requests taken by a worker and not yet finished."""
+        with self._cond:
+            return self._inflight
 
     def close(self) -> None:
         """Refuse all further admissions.  Taking this decision under
@@ -149,11 +176,19 @@ class _AdmissionQueue:
                     f"queued); retry later or raise max_queue"
                 )
             self._items.append(item)
+            # one waiter suffices: wait_idle only runs once the queue is
+            # closed, so this wakes a worker
             self._cond.notify()
 
-    def requeue_front(self, items: list[_Item]) -> None:
+    def finish(self, batch_size: int,
+               requeue: list[_Item] | None = None) -> None:
+        """Settle a batch :meth:`take_batch` returned: its
+        ``batch_size`` items leave flight, and ``requeue`` (the part a
+        crashed worker left unresolved) goes back to the front."""
         with self._cond:
-            self._items.extendleft(reversed(items))
+            if requeue:
+                self._items.extendleft(reversed(requeue))
+            self._inflight -= batch_size
             self._cond.notify_all()
 
     def wake_all(self) -> None:
@@ -166,29 +201,35 @@ class _AdmissionQueue:
             self._items.clear()
             return items
 
-    def take_batch(self, max_items: int, window_s: float,
+    def take_batch(self, max_items: int,
                    stop: threading.Event) -> list[_Item]:
-        """Block for the next micro-batch: the oldest item plus
-        whatever arrives within ``window_s`` (capped at ``max_items``).
-        Returns ``[]`` when woken by shutdown with nothing queued."""
+        """Block until a request is queued, then take every queued
+        request, oldest first and at most ``max_items``, and return at
+        once: a lone request never waits for company.  The batch is in
+        flight until :meth:`finish`.  Returns ``[]`` when woken by
+        shutdown with nothing queued."""
         with self._cond:
             while not self._items:
                 if stop.is_set():
                     return []
                 self._cond.wait(timeout=0.1)
-            batch = [self._items.popleft()]
-            horizon = time.monotonic() + window_s
-            while len(batch) < max_items and not stop.is_set():
-                if self._items:
-                    batch.append(self._items.popleft())
-                    continue
-                remaining = horizon - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cond.wait(timeout=remaining)
-                if not self._items and time.monotonic() >= horizon:
-                    break
+            batch = [self._items.popleft()
+                     for _ in range(min(max_items, len(self._items)))]
+            self._inflight += len(batch)
             return batch
+
+    def wait_idle(self, timeout_s: float,
+                  give_up: Callable[[], bool]) -> bool:
+        """Block until the queue is empty with nothing in flight, or
+        ``give_up()`` turns true, or ``timeout_s`` passes.  Returns
+        whether the queue went idle."""
+        with self._cond:
+            self._cond.wait_for(
+                lambda: give_up() or (not self._items
+                                      and self._inflight == 0),
+                timeout=timeout_s,
+            )
+            return not self._items and self._inflight == 0
 
 
 class ResilientCongestionServer:
@@ -216,7 +257,7 @@ class ResilientCongestionServer:
             "batches": 0, "batched_requests": 0,
             "worker_crashes": 0, "worker_restarts": 0,
             "late_deliveries": 0, "last_worker_crash": "",
-            "inflight": 0, "swaps": 0, "supervisor_gave_up": False,
+            "swaps": 0, "supervisor_gave_up": False,
         }
         self._workers: list[threading.Thread] = []
         self._workers_lock = threading.Lock()
@@ -274,6 +315,10 @@ class ResilientCongestionServer:
                 with self._stats_lock:
                     self._stats["worker_restarts"] += 1
 
+    def _gave_up(self) -> bool:
+        with self._stats_lock:
+            return self._stats["supervisor_gave_up"]
+
     def _give_up(self) -> None:
         """Restart budget exhausted: stop serving, fail queued work."""
         with self._stats_lock:
@@ -302,14 +347,9 @@ class ResilientCongestionServer:
         self._closed = True
         self._queue.close()
         if drain:
-            horizon = time.monotonic() + timeout_s
-            while time.monotonic() < horizon:
-                with self._stats_lock:
-                    inflight = self._stats["inflight"]
-                    gave_up = self._stats["supervisor_gave_up"]
-                if gave_up or (len(self._queue) == 0 and inflight == 0):
-                    break
-                time.sleep(0.005)
+            # woken by every finished batch, and by the supervisor's
+            # give-up, which closes the queue again
+            self._queue.wait_idle(timeout_s, self._gave_up)
         self._stop.set()
         self._queue.wake_all()
         for item in self._queue.drain():
@@ -402,14 +442,10 @@ class ResilientCongestionServer:
     # ------------------------------------------------------------------
     def _worker_loop(self) -> None:
         while not self._stop.is_set():
-            batch = self._queue.take_batch(
-                self.config.batch_max, self.config.batch_window_s,
-                self._stop,
-            )
+            batch = self._queue.take_batch(self.config.batch_max,
+                                           self._stop)
             if not batch:
                 continue
-            with self._stats_lock:
-                self._stats["inflight"] += len(batch)
             pending = set(range(len(batch)))
             try:
                 # chaos seam: an injected fault here escapes the loop —
@@ -420,15 +456,14 @@ class ResilientCongestionServer:
                 # worker crash: put the unresolved part of the batch
                 # back at the FRONT of the queue (admitted work is
                 # never dropped) and die; the supervisor restarts us
-                self._queue.requeue_front([batch[i] for i in sorted(pending)])
                 with self._stats_lock:
                     self._stats["worker_crashes"] += 1
                     self._stats["last_worker_crash"] = repr(exc)
-                    self._stats["inflight"] -= len(batch)
+                self._queue.finish(
+                    len(batch), requeue=[batch[i] for i in sorted(pending)]
+                )
                 return
-            else:
-                with self._stats_lock:
-                    self._stats["inflight"] -= len(batch)
+            self._queue.finish(len(batch))
 
     def _fail(self, item: _Item, exc: Exception) -> None:
         with self._stats_lock:
@@ -508,6 +543,7 @@ class ResilientCongestionServer:
         with self._stats_lock:
             stats = dict(self._stats)
         stats["queue_depth"] = len(self._queue)
+        stats["inflight"] = self._queue.inflight
         stats["service"] = self.service.stats()
         return stats
 

@@ -176,7 +176,7 @@ def test_sweep_through_resilient_server(service):
     configs = direct.space.sample(3, seed=5)
     expected = direct.evaluate(configs)
     with ResilientCongestionServer(
-        service, ServerConfig(max_queue=8, batch_window_s=0.005)
+        service, ServerConfig(max_queue=8)
     ) as server:
         session = ExplorationSession(
             "face_detection", server=server, max_knobs=4

@@ -220,7 +220,7 @@ def test_garbage_frame_kills_connection_never_the_server():
 
 def test_timeout_ms_becomes_pipeline_deadline():
     service = BlockingService()
-    config = ServerConfig(batch_max=1, batch_window_s=0.0, workers=1)
+    config = ServerConfig(batch_max=1, workers=1)
     with served(service, config) as handle:
         outcome = {}
 
@@ -251,7 +251,7 @@ def test_timeout_ms_becomes_pipeline_deadline():
 
 def test_per_connection_inflight_cap_is_typed_backpressure():
     service = BlockingService()
-    config = ServerConfig(batch_max=1, batch_window_s=0.0, workers=1)
+    config = ServerConfig(batch_max=1, workers=1)
     net_config = NetServerConfig(watch_registry=False, max_conn_inflight=1)
     with served(service, config, net_config) as handle:
         sock = socket.create_connection((handle.host, handle.port),
@@ -275,8 +275,7 @@ def test_per_connection_inflight_cap_is_typed_backpressure():
 
 def test_admission_overload_reaches_the_wire_typed():
     service = BlockingService()
-    config = ServerConfig(max_queue=1, batch_max=1, batch_window_s=0.0,
-                          workers=1)
+    config = ServerConfig(max_queue=1, batch_max=1, workers=1)
     with served(service, config) as handle:
         server = handle.net.server
         admit = server.submit
@@ -319,7 +318,7 @@ def test_admission_overload_reaches_the_wire_typed():
 
 def test_graceful_drain_answers_every_admitted_request():
     service = SlowService(delay_s=0.05)
-    config = ServerConfig(batch_max=1, batch_window_s=0.0, workers=1)
+    config = ServerConfig(batch_max=1, workers=1)
     with served(service, config) as handle:
         results, failures = [], []
 
@@ -370,7 +369,7 @@ def test_wire_faults_are_survived_by_client_retry():
 
 def test_registry_watcher_hot_swaps_between_batches():
     service = fake_registry_service()
-    config = ServerConfig(batch_max=4, batch_window_s=0.0)
+    config = ServerConfig(batch_max=4)
     net_config = NetServerConfig(watch_registry=True,
                                  registry_poll_s=0.01)
     with served(service, config, net_config) as handle:

@@ -226,9 +226,7 @@ def test_pool_behind_resilient_server(pool_env):
     micro-batching and close-drain all apply; closing the server stops
     the worker processes."""
     pool = _pool()
-    server = ResilientCongestionServer(
-        pool, ServerConfig(batch_window_s=0.02, batch_max=8),
-    )
+    server = ResilientCongestionServer(pool, ServerConfig(batch_max=8))
     with server:
         futures = [server.submit(PredictRequest(d)) for d in DESIGNS]
         responses = [f.result(timeout=120) for f in futures]

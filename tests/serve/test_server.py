@@ -7,8 +7,10 @@ real trained model lives in ``test_serve.py`` and the chaos/crash-safety
 suite in ``test_crash_safety.py``.
 """
 
+import sys
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 
@@ -24,6 +26,7 @@ from repro.serve import (
     ResilientCongestionServer,
     ServerConfig,
 )
+from repro.serve.server import _AdmissionQueue, _Item
 from repro.util.faults import FaultSpec, injected_faults
 
 
@@ -64,6 +67,16 @@ class BlockingService(StubService):
         return super().predict_batch(requests, deadline=deadline)
 
 
+def _designs(batches):
+    """The design names of each recorded ``predict_batch`` call."""
+    return [[r.design for r in requests] for requests, _ in batches]
+
+
+def _item(design):
+    return _Item(request=PredictRequest(design), future=Future(),
+                 deadline=None)
+
+
 def test_config_validation():
     with pytest.raises(ServeError, match="max_queue"):
         ServerConfig(max_queue=0)
@@ -71,6 +84,50 @@ def test_config_validation():
         ServerConfig(workers=0)
     with pytest.raises(ServeError, match="batch_max"):
         ServerConfig(batch_max=0)
+    with pytest.raises(ServeError, match="supervisor_poll_s"):
+        ServerConfig(supervisor_poll_s=0)
+    with pytest.raises(ServeError, match="supervisor_poll_s"):
+        ServerConfig(supervisor_poll_s=-0.01)
+    with pytest.raises(ServeError, match="restart_window_s"):
+        ServerConfig(restart_window_s=0)
+    with pytest.raises(ServeError, match="restart_backoff_s"):
+        ServerConfig(restart_backoff_s=-0.01)
+    ServerConfig(restart_backoff_s=0)  # no backoff is a valid choice
+
+
+def test_take_batch_returns_what_is_queued_at_once():
+    queue = _AdmissionQueue(capacity=8)
+    stop = threading.Event()
+    items = [_item(f"r{i}") for i in range(5)]
+    for item in items:
+        queue.put(item)
+    # oldest first, capped, and the rest without waiting for company
+    assert queue.take_batch(3, stop) == items[:3]
+    assert queue.take_batch(3, stop) == items[3:]
+    assert len(queue) == 0
+    assert queue.inflight == 5
+    stop.set()
+    assert queue.take_batch(3, stop) == []
+
+
+def test_taken_batch_is_in_flight_until_finished():
+    queue = _AdmissionQueue(capacity=8)
+    stop = threading.Event()
+    first, second = _item("a"), _item("b")
+    queue.put(first)
+    queue.put(second)
+    assert queue.take_batch(4, stop) == [first, second]
+    # the queue is empty, but a worker holds the batch: not idle
+    assert not queue.wait_idle(0, give_up=lambda: False)
+    # a give-up ends the wait at once, idle or not
+    assert not queue.wait_idle(60, give_up=lambda: True)
+    # a crash settles the batch and puts its unresolved part back
+    queue.finish(2, requeue=[second])
+    assert queue.inflight == 0
+    assert not queue.wait_idle(0, give_up=lambda: False)
+    assert queue.take_batch(4, stop) == [second]
+    queue.finish(1)
+    assert queue.wait_idle(0, give_up=lambda: False)
 
 
 def test_submit_and_predict_roundtrip():
@@ -85,39 +142,38 @@ def test_submit_and_predict_roundtrip():
         assert stats["failed"] == 0
 
 
-def test_micro_batching_coalesces_concurrent_requests():
-    service = StubService()
-    config = ServerConfig(batch_window_s=0.25, batch_max=16)
+def _serve_behind_held_batch(config, n_requests):
+    """Submit r0 and hold the worker on it while r1.. queue up, then
+    release; returns the design names of each served batch."""
+    service = BlockingService()
     with ResilientCongestionServer(service, config) as server:
-        futures = [
-            server.submit(PredictRequest("face_detection"))
-            for _ in range(6)
-        ]
+        futures = [server.submit(PredictRequest("r0"))]
+        assert service.started.wait(timeout=5)  # the worker holds [r0]
+        futures += [server.submit(PredictRequest(f"r{i}"))
+                    for i in range(1, n_requests)]
+        service.release.set()
         responses = [f.result(timeout=10) for f in futures]
     assert all(r.model_source == "stub" for r in responses)
-    # all six arrived well inside one 250ms window: far fewer service
-    # invocations than requests (typically 1-2, never 6)
-    assert 1 <= len(service.batches) <= 3
-    assert sum(len(reqs) for reqs, _ in service.batches) == 6
-    assert max(len(reqs) for reqs, _ in service.batches) >= 2
+    return _designs(service.batches)
+
+
+def test_micro_batching_coalesces_concurrent_requests():
+    # a lone request is served at once; everything that queued while it
+    # was served goes out as the next batch
+    assert _serve_behind_held_batch(ServerConfig(batch_max=16), 6) == [
+        ["r0"], ["r1", "r2", "r3", "r4", "r5"],
+    ]
 
 
 def test_batch_max_caps_coalescing():
-    service = StubService()
-    config = ServerConfig(batch_window_s=0.25, batch_max=2)
-    with ResilientCongestionServer(service, config) as server:
-        futures = [
-            server.submit(PredictRequest("face_detection"))
-            for _ in range(5)
-        ]
-        for future in futures:
-            future.result(timeout=10)
-    assert all(len(reqs) <= 2 for reqs, _ in service.batches)
+    assert _serve_behind_held_batch(ServerConfig(batch_max=2), 6) == [
+        ["r0"], ["r1", "r2"], ["r3", "r4"], ["r5"],
+    ]
 
 
 def test_overload_is_rejected_typed_never_buffered():
     service = BlockingService()
-    config = ServerConfig(max_queue=2, batch_max=1, batch_window_s=0.0)
+    config = ServerConfig(max_queue=2, batch_max=1)
     with ResilientCongestionServer(service, config) as server:
         first = server.submit(PredictRequest("a"))
         assert service.started.wait(timeout=5)  # worker holds request 1
@@ -143,17 +199,24 @@ def test_expired_request_fails_typed_before_service_work():
     assert service.batches == []  # never reached the service
 
 
-def test_batch_deadline_is_loosest_member():
-    service = StubService()
-    config = ServerConfig(batch_window_s=0.25)
-    with ResilientCongestionServer(service, config) as server:
+def _batch_deadline(b_timeout_s):
+    """Serve ``a`` (5s deadline) and ``b`` as one batch queued behind a
+    held request; returns the deadline that batch ran under."""
+    service = BlockingService()
+    with ResilientCongestionServer(service, ServerConfig()) as server:
+        held = server.submit(PredictRequest("held"))
+        assert service.started.wait(timeout=5)
         f1 = server.submit(PredictRequest("a"), timeout_s=5.0)
-        f2 = server.submit(PredictRequest("b"), timeout_s=60.0)
-        f1.result(timeout=10)
-        f2.result(timeout=10)
-    batched = [b for b in service.batches if len(b[0]) == 2]
-    assert batched, "requests were not coalesced into one batch"
-    deadline = batched[0][1]
+        f2 = server.submit(PredictRequest("b"), timeout_s=b_timeout_s)
+        service.release.set()
+        for future in (held, f1, f2):
+            future.result(timeout=10)
+    assert _designs(service.batches) == [["held"], ["a", "b"]]
+    return service.batches[1][1]
+
+
+def test_batch_deadline_is_loosest_member():
+    deadline = _batch_deadline(60.0)
     assert deadline is not None
     # the propagated deadline is the LOOSEST member's (about 60s out)
     assert deadline - time.monotonic() > 10.0
@@ -162,21 +225,12 @@ def test_batch_deadline_is_loosest_member():
 def test_mixed_deadlines_propagate_none():
     """One member without a deadline means the shared extraction has no
     budget to enforce — per-request expiry is still handled per item."""
-    service = StubService()
-    config = ServerConfig(batch_window_s=0.25)
-    with ResilientCongestionServer(service, config) as server:
-        f1 = server.submit(PredictRequest("a"), timeout_s=5.0)
-        f2 = server.submit(PredictRequest("b"))  # no deadline
-        f1.result(timeout=10)
-        f2.result(timeout=10)
-    batched = [b for b in service.batches if len(b[0]) == 2]
-    if batched:  # coalescing is timing-dependent; the property is not
-        assert batched[0][1] is None
+    assert _batch_deadline(None) is None
 
 
 def test_worker_crash_restarts_without_dropping_requests():
     service = StubService()
-    config = ServerConfig(batch_window_s=0.0, supervisor_poll_s=0.01)
+    config = ServerConfig(supervisor_poll_s=0.01)
     with ResilientCongestionServer(service, config) as server:
         with injected_faults(
             [FaultSpec("server.worker", "error", max_fires=1)]
@@ -198,8 +252,7 @@ def test_worker_crash_restarts_without_dropping_requests():
 
 def test_repeated_crashes_still_serve_everything():
     service = StubService()
-    config = ServerConfig(batch_window_s=0.0, workers=2,
-                          supervisor_poll_s=0.01)
+    config = ServerConfig(workers=2, supervisor_poll_s=0.01)
     with ResilientCongestionServer(service, config) as server:
         with injected_faults(
             [FaultSpec("server.worker", "error", probability=0.5,
@@ -219,9 +272,8 @@ def test_service_error_settles_every_live_future():
         def predict_batch(self, requests, *, deadline=None):
             raise ServeError("unknown design")
 
-    with ResilientCongestionServer(
-        FailingService(), ServerConfig(batch_window_s=0.1)
-    ) as server:
+    with ResilientCongestionServer(FailingService(),
+                                   ServerConfig()) as server:
         futures = [server.submit(PredictRequest("nope")) for _ in range(3)]
         for future in futures:
             with pytest.raises(ServeError, match="unknown design"):
@@ -233,7 +285,7 @@ def test_service_error_settles_every_live_future():
 
 def test_close_fails_queued_requests_typed():
     service = BlockingService()
-    config = ServerConfig(batch_max=1, batch_window_s=0.0)
+    config = ServerConfig(batch_max=1)
     server = ResilientCongestionServer(service, config)
     held = server.submit(PredictRequest("a"))
     assert service.started.wait(timeout=5)
@@ -256,7 +308,7 @@ def test_drain_close_answers_every_admitted_request():
             return super().predict_batch(requests, deadline=deadline)
 
     service = SlowService()
-    config = ServerConfig(batch_max=1, batch_window_s=0.0, workers=1)
+    config = ServerConfig(batch_max=1, workers=1)
     server = ResilientCongestionServer(service, config)
     futures = [server.submit(PredictRequest(f"d{i}")) for i in range(8)]
     server.close(drain=True, timeout_s=10.0)
@@ -270,14 +322,47 @@ def test_drain_close_answers_every_admitted_request():
         server.submit(PredictRequest("late"))
 
 
+def test_drain_close_under_thread_churn_leaves_nothing_in_flight():
+    """More workers than cores and a short switch interval: every worker
+    moves the in-flight count under the queue lock, so it must come back
+    to zero, and a drain must answer everything admitted."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        server = ResilientCongestionServer(
+            StubService(), ServerConfig(max_queue=512, batch_max=3,
+                                        workers=6),
+        )
+        futures = []
+
+        def submit_many():
+            for _ in range(100):
+                futures.append(server.submit(PredictRequest("x")))
+
+        threads = [threading.Thread(target=submit_many) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        server.close(drain=True, timeout_s=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(futures) == 400
+    assert all(f.result(timeout=0).model_source == "stub" for f in futures)
+    stats = server.stats()
+    assert stats["inflight"] == 0
+    assert stats["completed"] == 400
+    assert stats["failed"] == 0
+
+
 def test_concurrent_submit_vs_close_never_loses_a_future():
     """The shutdown race: a submit racing close either enters the queue
     (and is drained/served) or raises typed — no future is ever left
     forever-pending, and none is answered twice."""
     for round_ in range(5):
         service = StubService()
-        config = ServerConfig(max_queue=256, batch_window_s=0.0,
-                              workers=2)
+        config = ServerConfig(max_queue=256, workers=2)
         server = ResilientCongestionServer(service, config)
         admitted = []
         admitted_lock = threading.Lock()
@@ -319,8 +404,7 @@ def test_concurrent_submit_vs_close_never_loses_a_future():
 
 def test_supervisor_gives_up_after_restart_storm():
     service = StubService()
-    config = ServerConfig(batch_window_s=0.0, workers=1,
-                          supervisor_poll_s=0.005,
+    config = ServerConfig(workers=1, supervisor_poll_s=0.005,
                           restart_budget=3, restart_window_s=30.0,
                           restart_backoff_s=0.001)
     server = ResilientCongestionServer(service, config)
@@ -348,28 +432,34 @@ def test_supervisor_gives_up_after_restart_storm():
 
 def test_hot_swap_waits_for_inflight_batch_and_bumps_generation():
     class GenerationService(StubService):
-        """Tracks adopt_predictor like the real service; blocks one
-        batch so a swap can race it."""
+        """Tracks adopt_predictor like the real service; holds its first
+        two batches, each until its gate opens, so a swap can race the
+        second."""
 
         def __init__(self):
             super().__init__()
             self.model_generation = 1
-            self.release = threading.Event()
-            self.started = threading.Event()
-            self.block_next = True
+            self.gates = [threading.Event(), threading.Event()]
+            self.entered = [threading.Event(), threading.Event()]
+            self.calls = 0
+            self.serving = False
+            self.swapped_mid_batch = False
 
         def adopt_predictor(self, predictor, *, source="registry"):
+            self.swapped_mid_batch |= self.serving
             self.model_generation += 1
             return self.model_generation
 
         def predict_batch(self, requests, *, deadline=None):
+            self.serving = True
             generation = self.model_generation
-            if self.block_next:
-                self.block_next = False
-                self.started.set()
-                assert self.release.wait(timeout=10.0)
+            call, self.calls = self.calls, self.calls + 1
+            if call < len(self.gates):
+                self.entered[call].set()
+                assert self.gates[call].wait(timeout=10.0)
             with self.lock:
-                self.batches.append(list(requests))
+                self.batches.append((list(requests), deadline))
+            self.serving = False
             return [
                 PredictResponse(request=r, model_source="stub",
                                 model_generation=generation)
@@ -377,10 +467,14 @@ def test_hot_swap_waits_for_inflight_batch_and_bumps_generation():
             ]
 
     service = GenerationService()
-    config = ServerConfig(batch_max=4, batch_window_s=0.05, workers=1)
+    config = ServerConfig(batch_max=4, workers=1)
     with ResilientCongestionServer(service, config) as server:
+        gate = server.submit(PredictRequest("gate"))
+        assert service.entered[0].wait(timeout=5)  # the worker holds it
         first = [server.submit(PredictRequest(f"a{i}")) for i in range(3)]
-        assert service.started.wait(timeout=5)
+        service.gates[0].set()
+        # the three queued requests go out as one batch, held in turn
+        assert service.entered[1].wait(timeout=5)
 
         swapped = threading.Event()
 
@@ -391,19 +485,21 @@ def test_hot_swap_waits_for_inflight_batch_and_bumps_generation():
 
         swapper = threading.Thread(target=swap)
         swapper.start()
-        time.sleep(0.05)
-        assert not swapped.is_set()  # swap must wait for the batch
-        service.release.set()
+        assert not swapped.wait(timeout=0.05)  # swap waits for the batch
+        service.gates[1].set()
         swapper.join(timeout=10)
         assert swapped.is_set()
 
         second = [server.submit(PredictRequest(f"b{i}")) for i in range(3)]
         first_gens = {f.result(timeout=10).model_generation
-                      for f in first}
+                      for f in (gate, *first)}
         second_gens = {f.result(timeout=10).model_generation
                        for f in second}
         # each batch is single-generation: the swap landed BETWEEN
         # batches, never inside one
+        assert _designs(service.batches[:2]) == [["gate"],
+                                                 ["a0", "a1", "a2"]]
+        assert not service.swapped_mid_batch
         assert first_gens == {1}
         assert second_gens == {2}
         assert server.stats()["swaps"] == 1
