@@ -896,7 +896,7 @@ def bench_predict(scale: float, seed: int, effort: str,
     os.environ["REPRO_CACHE_DIR"] = cache_dir
     try:
         trainer = CongestionService(model, options=options)
-        trainer.warm()  # trains once; persists model + compiled export
+        trainer.warm()  # trains once; publishes the kernels + manifest
         designs = sorted(KERNEL_BUILDERS)
         requests = [PredictRequest(designs[i % len(designs)])
                     for i in range(n_requests)]

@@ -34,9 +34,9 @@ process loads from the registry under ``REPRO_CACHE_DIR``)::
     )
 
 The package namespace resolves lazily (PEP 562): importing ``repro`` is
-free, and inference-only consumers — a serving-pool worker importing
-:mod:`repro.ml.compiled` to load a portable model export — never pull
-in the flow/training stack at all.
+free, and inference-only consumers — a process importing
+:mod:`repro.ml.compiled` to decode and run a model's packed kernels —
+never pull in the flow/training stack at all.
 """
 
 import importlib

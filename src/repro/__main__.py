@@ -9,7 +9,7 @@ predict     train GBRT and print predicted hotspots for a design variant
 serve-demo  train-or-load via the model registry, answer a request
             batch, print latency percentiles and cache statistics
             (``--pool N`` shards across N worker processes serving
-            the compiled model export)
+            the model's kernels)
 explore     what-if directive exploration: sweep a directive space
             (``--mode sweep``) or run the predictor-guided autotuner
             (``--mode tune``) without ever place-and-routing
@@ -330,17 +330,20 @@ def _cmd_serve_resilient(args, service) -> int:
     return 0
 
 
-def _make_service(args) -> CongestionService:
+def _make_service(args, *,
+                  prediction_cache: bool = True) -> CongestionService:
     """``--pool N`` swaps the in-process service for the sharded
-    multi-process pool — same surface, workers serve the compiled
-    model export from the registry."""
+    multi-process pool — same surface, workers serve the parent's
+    model kernels."""
     if getattr(args, "pool", 0) > 0:
         return PoolServer(
             args.model, options=_options(args), n_jobs=args.jobs,
+            prediction_cache=prediction_cache,
             pool=PoolConfig(workers=args.pool),
         )
     return CongestionService(
-        args.model, options=_options(args), n_jobs=args.jobs
+        args.model, options=_options(args), n_jobs=args.jobs,
+        prediction_cache=prediction_cache,
     )
 
 
@@ -349,7 +352,8 @@ def cmd_serve_demo(args) -> int:
         print(f"error: --requests must be >= 1, got {args.requests}",
               file=sys.stderr)
         return 1
-    service = _make_service(args)
+    # no answer reuse: the timings must be model invocations, not hits
+    service = _make_service(args, prediction_cache=False)
     if args.resilient:
         try:
             return _cmd_serve_resilient(args, service)
@@ -572,8 +576,8 @@ def main(argv=None) -> int:
                          help="number of prediction requests to answer")
     p_serve.add_argument("--pool", type=int, default=0, metavar="N",
                          help="shard prediction across N worker "
-                              "processes serving the compiled model "
-                              "export (0 = in-process)")
+                              "processes serving the model's kernels "
+                              "(0 = in-process)")
     p_serve.add_argument("--resilient", action="store_true",
                          help="serve through the fault-tolerant "
                               "front-end (bounded queue, micro-batching,"
@@ -605,7 +609,7 @@ def main(argv=None) -> int:
                        choices=("linear", "ann", "gbrt"))
     p_net.add_argument("--pool", type=int, default=0, metavar="N",
                        help="shard prediction across N worker processes "
-                            "serving the compiled model export "
+                            "serving the model's kernels "
                             "(0 = in-process)")
     p_net.add_argument("--queue", type=int, default=64,
                        help="admission queue capacity")

@@ -1,10 +1,10 @@
 """From-scratch NumPy ML stack with a scikit-learn-style API.
 
 Exports resolve lazily (PEP 562): :mod:`repro.ml.compiled` — the
-inference-only compiled-ensemble kernel and portable-export loader —
-must stay importable without dragging in the training estimators, which
-is what lets serving-pool workers run models without the training
-stack in the process at all.
+inference-only model kernels and their packed-bytes format — must stay
+importable without dragging in the training estimators, so a model's
+persisted kernels decode and run without the training stack in the
+process at all.
 """
 
 import importlib
@@ -34,11 +34,7 @@ _EXPORTS = {
     "GradientBoostingRegressor": "repro.ml.gbrt",
     "RandomForestRegressor": "repro.ml.gbrt",
     "CompiledEnsemble": "repro.ml.compiled",
-    "CompiledPredictor": "repro.ml.compiled",
     "compile_ensemble": "repro.ml.compiled",
-    "load_export": "repro.ml.compiled",
-    "save_export": "repro.ml.compiled",
-    "EXPORT_FORMAT_VERSION": "repro.ml.compiled",
 }
 
 __all__ = list(_EXPORTS)

@@ -74,15 +74,6 @@ class BaseEstimator:
         return type(self)(**self.get_params())
 
     # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        # the compiled-kernel cache (repro.ml.compiled) is derived
-        # state: rebuilt lazily on first predict, excluded from pickles
-        # so persisted models don't carry the node tables twice
-        state = dict(self.__dict__)
-        state.pop("_compiled", None)
-        return state
-
-    # ------------------------------------------------------------------
     def _mark_fitted(self) -> None:
         self._fitted = True
 

@@ -1,4 +1,4 @@
-"""Compiled tree-ensemble inference: flat node tables, no Python objects.
+"""Flat NumPy inference kernels: the one form a trained model is served in.
 
 The training stack grows trees as linked lists of
 :class:`~repro.ml.tree._Node` dataclasses — convenient to build, slow to
@@ -27,32 +27,33 @@ bit-identical; parity with the object-walk reference is pinned at
 ``1e-9`` by ``tests/ml/test_compiled_parity.py`` (only the summation
 order over trees differs).
 
-This module is deliberately importable **without the training stack**
-(NumPy + :mod:`repro.errors` only; estimators are compiled duck-typed):
-:func:`save_export` / :func:`load_export` persist compiled tables as a
-versioned portable artifact (``.npz`` weights + JSON manifest) that a
-fleet of serving processes — e.g. :class:`repro.serve.pool.PoolServer`
-workers — loads without importing, or paying for, training code.
+The scale-sensitive families get dense kernels that repeat
+``ScaledModel.predict`` op for op, so their answers are bit-identical
+to the fitted estimators': :class:`LinearKernel` (the scaler, then
+Lasso's ``X @ coef + intercept``) and :class:`MLPKernel` (the scaler,
+then the network's own standardization, layers, activation and
+unscale).  :func:`compile_model` lowers a fitted ``ScaledModel`` to
+the right one.
+
+Every kernel is a set of named arrays: :func:`pack_kernels` writes one
+``np.savez`` payload holding both congestion directions, and
+:func:`unpack_kernels` decodes it with ``allow_pickle=False``.  The
+model registry persists exactly these bytes and pool workers receive
+them.  This module is deliberately importable **without the training
+stack** (NumPy + :mod:`repro.errors` only; estimators are compiled
+duck-typed), so the bytes decode and serve without it.
 """
 
 from __future__ import annotations
 
-import json
-import os
+import io
 
 import numpy as np
 
 from repro.errors import CorruptArtifactError, MLError
 
-#: bump when the export array layout or manifest schema changes
-EXPORT_FORMAT_VERSION = 1
-
-#: directions a congestion export must provide
+#: directions a congestion model's kernels must provide
 _DIRECTIONS = ("vertical", "horizontal")
-
-#: array names persisted per direction in an export ``.npz``
-_ARRAY_KEYS = ("feature", "threshold", "left", "right", "value", "roots",
-               "edges", "edge_offsets", "depth", "base", "scale")
 
 
 def _check_matrix(X, n_features: int) -> np.ndarray:
@@ -66,7 +67,7 @@ def _check_matrix(X, n_features: int) -> np.ndarray:
         raise MLError("X contains NaN or infinite values")
     if X.shape[1] != n_features:
         raise MLError(
-            f"X has {X.shape[1]} features, compiled ensemble expects "
+            f"X has {X.shape[1]} features, the model kernel expects "
             f"{n_features}"
         )
     return X
@@ -94,6 +95,8 @@ class CompiledEnsemble:
     ``base``/``scale`` encode the GBRT init/learning-rate (or the
     forest's ``1/n_trees`` averaging; identity for a single tree).
     """
+
+    kind = "trees"
 
     __slots__ = ("feature", "threshold", "left", "right", "value",
                  "roots", "depth", "base", "scale", "n_features",
@@ -288,7 +291,7 @@ class CompiledEnsemble:
 
     # ------------------------------------------------------------------
     def to_arrays(self) -> dict[str, np.ndarray]:
-        """All state as named arrays (the export payload)."""
+        """All state as named arrays (see :func:`pack_kernels`)."""
         return {
             "feature": self.feature, "threshold": self.threshold,
             "left": self.left, "right": self.right, "value": self.value,
@@ -301,27 +304,7 @@ class CompiledEnsemble:
 
     @classmethod
     def from_arrays(cls, arrays) -> "CompiledEnsemble":
-        try:
-            return cls(
-                feature=arrays["feature"], threshold=arrays["threshold"],
-                left=arrays["left"], right=arrays["right"],
-                value=arrays["value"], roots=arrays["roots"],
-                depth=int(arrays["depth"]), base=float(arrays["base"]),
-                scale=float(arrays["scale"]), edges=arrays["edges"],
-                edge_offsets=arrays["edge_offsets"],
-            )
-        except KeyError as exc:
-            raise CorruptArtifactError(
-                f"compiled export is missing array {exc}"
-            ) from exc
-
-    def meta(self) -> dict:
-        """Human-readable summary for the export manifest."""
-        return {
-            "n_trees": self.n_trees, "n_nodes": self.n_nodes,
-            "n_features": self.n_features, "depth": self.depth,
-            "base": self.base, "scale": self.scale,
-        }
+        return cls(**arrays)
 
 
 def compile_ensemble(estimator) -> CompiledEnsemble:
@@ -373,142 +356,154 @@ def shared_binning(a: CompiledEnsemble, b: CompiledEnsemble) -> bool:
     )
 
 
-class CompiledPredictor:
-    """Inference-only congestion predictor over compiled ensembles.
+class LinearKernel:
+    """The ``linear`` family's ``ScaledModel.predict``, op for op:
+    ``((X - mean) / scale) @ coef + intercept``."""
 
-    Duck-types the one method the serving path needs —
-    :meth:`predict_matrix` — so :class:`repro.serve.CongestionService`
-    can adopt it in place of a full ``CongestionPredictor``.  This is
-    what pool workers run: loaded from a registry export, it carries no
-    training code, no scaler, no dataset references.
-    """
+    kind = "linear"
 
-    def __init__(self, ensembles: dict[str, CompiledEnsemble], *,
-                 model_family: str = "gbrt",
-                 manifest: dict | None = None) -> None:
-        missing = [d for d in _DIRECTIONS if d not in ensembles]
-        if missing:
-            raise MLError(
-                f"compiled predictor is missing directions {missing}"
-            )
-        self.ensembles = dict(ensembles)
-        self.model_name = model_family
-        self.manifest = dict(manifest or {})
-        self._shared_bins = shared_binning(
-            self.ensembles["vertical"], self.ensembles["horizontal"]
+    def __init__(self, *, mean, scale, coef, intercept) -> None:
+        self.mean = np.asarray(mean, dtype=np.float64)
+        self.scale = np.asarray(scale, dtype=np.float64)
+        self.coef = np.asarray(coef, dtype=np.float64)
+        self.intercept = float(intercept)
+        self.n_features = int(self.coef.size)
+
+    def predict(self, X) -> np.ndarray:
+        X = _check_matrix(X, self.n_features)
+        return ((X - self.mean) / self.scale) @ self.coef + self.intercept
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        return {"mean": self.mean, "scale": self.scale, "coef": self.coef,
+                "intercept": np.float64(self.intercept)}
+
+    @classmethod
+    def from_arrays(cls, arrays) -> "LinearKernel":
+        return cls(**arrays)
+
+
+class MLPKernel:
+    """The ``ann`` family's ``ScaledModel.predict``, op for op: the
+    scaler, the network's own input standardization, its dense layers
+    (activation between them, none after the last) and the target
+    unscale."""
+
+    kind = "mlp"
+
+    def __init__(self, *, mean, scale, x_mean, x_std, weights, biases,
+                 activation: str, y_mean, y_std) -> None:
+        if activation not in ("relu", "tanh"):
+            raise MLError(f"unknown MLP activation {activation!r}")
+        self.mean = np.asarray(mean, dtype=np.float64)
+        self.scale = np.asarray(scale, dtype=np.float64)
+        self.x_mean = np.asarray(x_mean, dtype=np.float64)
+        self.x_std = np.asarray(x_std, dtype=np.float64)
+        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
+        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        self.activation = activation
+        self.y_mean = float(y_mean)
+        self.y_std = float(y_std)
+        self.n_features = int(self.weights[0].shape[0])
+
+    def predict(self, X) -> np.ndarray:
+        X = _check_matrix(X, self.n_features)
+        a = ((X - self.mean) / self.scale - self.x_mean) / self.x_std
+        last = len(self.weights) - 1
+        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = a @ w + b
+            if layer == last:
+                a = z
+            elif self.activation == "relu":
+                a = np.maximum(z, 0.0)
+            else:
+                a = np.tanh(z)
+        return a[:, 0] * self.y_std + self.y_mean
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        arrays = {"mean": self.mean, "scale": self.scale,
+                  "x_mean": self.x_mean, "x_std": self.x_std,
+                  "activation": np.array(self.activation),
+                  "y_mean": np.float64(self.y_mean),
+                  "y_std": np.float64(self.y_std)}
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            arrays[f"w{i}"] = w
+            arrays[f"b{i}"] = b
+        return arrays
+
+    @classmethod
+    def from_arrays(cls, arrays) -> "MLPKernel":
+        arrays = dict(arrays)
+        weights, biases = [], []
+        while f"w{len(weights)}" in arrays:
+            biases.append(arrays.pop(f"b{len(weights)}"))
+            weights.append(arrays.pop(f"w{len(weights)}"))
+        return cls(weights=weights, biases=biases,
+                   activation=str(arrays.pop("activation")), **arrays)
+
+
+def compile_model(model):
+    """Lower a fitted ``ScaledModel`` (:mod:`repro.predict.evaluate`) to
+    the kernel that repeats its ``predict``: the tree estimator's own
+    cached :class:`CompiledEnsemble` when there is no scaler, else a
+    :class:`MLPKernel` or :class:`LinearKernel`.  Duck-typed, like
+    :func:`compile_ensemble`."""
+    estimator = model.estimator
+    if not model.with_scaler:
+        return estimator.compile_kernel()
+    scaler = model._scaler
+    if hasattr(estimator, "_weights"):  # MLPRegressor
+        return MLPKernel(
+            mean=scaler.mean_, scale=scaler.scale_,
+            x_mean=estimator._x_mean, x_std=estimator._x_std,
+            weights=estimator._weights, biases=estimator._biases,
+            activation=estimator.activation,
+            y_mean=estimator._y_mean, y_std=estimator._y_std,
         )
-
-    @property
-    def n_features(self) -> int:
-        return self.ensembles["vertical"].n_features
-
-    def predict_matrix(self, X) -> tuple[np.ndarray, np.ndarray]:
-        vertical = self.ensembles["vertical"]
-        horizontal = self.ensembles["horizontal"]
-        if self._shared_bins:
-            codes = vertical.bin(X)
-            return (
-                vertical.predict_codes(codes),
-                horizontal.predict_codes(codes),
-            )
-        return vertical.predict(X), horizontal.predict(X)
+    if hasattr(estimator, "coef_"):  # LassoRegression / LinearRegression
+        return LinearKernel(mean=scaler.mean_, scale=scaler.scale_,
+                            coef=estimator.coef_,
+                            intercept=estimator.intercept_)
+    raise MLError(f"cannot compile {type(estimator).__name__}")
 
 
-# ----------------------------------------------------------------------
-# portable export: .npz weights + JSON manifest
-# ----------------------------------------------------------------------
-def _atomic_replace(tmp: str, dest: str) -> None:
-    try:
-        os.replace(tmp, dest)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
+_KERNEL_TYPES = {cls.kind: cls
+                 for cls in (CompiledEnsemble, LinearKernel, MLPKernel)}
 
 
-def save_export(npz_path: str, manifest_path: str,
-                ensembles: dict[str, CompiledEnsemble],
-                meta: dict | None = None) -> dict:
-    """Persist compiled ensembles as a portable artifact pair.
-
-    The ``.npz`` holds every array; the JSON manifest holds the format
-    version, per-direction summaries and caller metadata (model family,
-    fingerprints).  Both writes are atomic and the manifest lands
-    *last* — a reader that sees the manifest sees a complete export.
-    Returns the manifest dict.
-    """
+def pack_kernels(kernels: dict) -> bytes:
+    """Every array of every direction's kernel as one ``np.savez``
+    payload; each direction also records its kernel ``kind``."""
     arrays: dict[str, np.ndarray] = {}
-    directions: dict[str, dict] = {}
-    for name in sorted(ensembles):
-        ens = ensembles[name]
-        for key, arr in ens.to_arrays().items():
-            arrays[f"{name}__{key}"] = arr
-        directions[name] = ens.meta()
-    manifest = {
-        "export_format_version": EXPORT_FORMAT_VERSION,
-        "directions": directions,
-        **(meta or {}),
-    }
-    # np.savez appends ".npz" to names missing it — give the tmp file
-    # the suffix up front so the replace source actually exists
-    tmp_npz = f"{npz_path}.tmp.{os.getpid()}.npz"
-    np.savez(tmp_npz, **arrays)
-    _atomic_replace(tmp_npz, npz_path)
-    tmp_json = f"{manifest_path}.tmp.{os.getpid()}"
-    with open(tmp_json, "w") as fh:
-        json.dump(manifest, fh, indent=2, default=list)
-        fh.write("\n")
-    _atomic_replace(tmp_json, manifest_path)
-    return manifest
+    for direction, kernel in kernels.items():
+        arrays[f"{direction}__kind"] = np.array(kernel.kind)
+        for key, value in kernel.to_arrays().items():
+            arrays[f"{direction}__{key}"] = value
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
 
 
-def load_export(npz_path: str, manifest_path: str) -> CompiledPredictor:
-    """Load a portable export written by :func:`save_export`.
-
-    Raises ``FileNotFoundError`` when either half is missing (callers
-    treat that as a plain miss) and
-    :class:`~repro.errors.CorruptArtifactError` on a malformed pair.
-    """
-    with open(manifest_path) as fh:
-        text = fh.read()
+def unpack_kernels(payload: bytes) -> dict:
+    """Decode a :func:`pack_kernels` payload (never unpickling);
+    any damage raises :class:`~repro.errors.CorruptArtifactError`."""
     try:
-        manifest = json.loads(text)
-    except ValueError as exc:
+        grouped: dict[str, dict] = {}
+        with np.load(io.BytesIO(payload), allow_pickle=False) as data:
+            for name in data.files:
+                direction, _, key = name.partition("__")
+                grouped.setdefault(direction, {})[key] = data[name]
+        kernels = {
+            direction: _KERNEL_TYPES[str(arrays.pop("kind"))]
+            .from_arrays(arrays)
+            for direction, arrays in grouped.items()
+        }
+    except Exception as exc:  # zip, format, key or shape damage
         raise CorruptArtifactError(
-            f"malformed export manifest {manifest_path}: {exc}"
+            f"undecodable model kernels: {exc!r}"
         ) from exc
-    version = manifest.get("export_format_version")
-    if version != EXPORT_FORMAT_VERSION:
+    if sorted(kernels) != sorted(_DIRECTIONS):
         raise CorruptArtifactError(
-            f"export {manifest_path} has format version {version!r}, "
-            f"this library reads {EXPORT_FORMAT_VERSION}"
+            f"model kernels cover {sorted(kernels)}, expected "
+            f"{sorted(_DIRECTIONS)}"
         )
-    directions = manifest.get("directions")
-    if not isinstance(directions, dict) or not directions:
-        raise CorruptArtifactError(
-            f"export manifest {manifest_path} names no directions"
-        )
-    try:
-        with np.load(npz_path, allow_pickle=False) as data:
-            ensembles = {
-                name: CompiledEnsemble.from_arrays({
-                    key: data[f"{name}__{key}"] for key in _ARRAY_KEYS
-                    if f"{name}__{key}" in data
-                })
-                for name in directions
-            }
-    except FileNotFoundError:
-        raise
-    except CorruptArtifactError:
-        raise
-    except Exception as exc:  # zip/format/key damage
-        raise CorruptArtifactError(
-            f"unreadable compiled export {npz_path}: {exc}"
-        ) from exc
-    return CompiledPredictor(
-        ensembles,
-        model_family=manifest.get("model_family", "gbrt"),
-        manifest=manifest,
-    )
+    return kernels

@@ -65,11 +65,6 @@ class FeatureBinner:
             codes[:, j] = np.searchsorted(col_edges, X[:, j], side="right")
         return codes
 
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_padded_edges", None)  # derived, rebuilt lazily
-        return state
-
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).transform(X)
 

@@ -7,7 +7,10 @@ time-consuming RTL implementation flow."
 
 ``CongestionPredictor.predict_design`` therefore consumes only HLS-level
 artifacts (module, schedule, binding, reports, dependency graph) — no
-placement or routing is required at prediction time.
+placement or routing is required at prediction time.  The model itself
+is one flat NumPy kernel per congestion direction
+(:mod:`repro.ml.compiled`), whether it was just fitted, loaded from the
+model registry or handed to a pool worker.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from repro.graph.depgraph import build_dependency_graph
 from repro.hls.synthesis import HLSResult, synthesize
 from repro.ir.module import Module
 from repro.kernels.common import KernelDesign
-from repro.ml.gbrt import GradientBoostingRegressor
+from repro.ml.compiled import CompiledEnsemble, compile_model, shared_binning
 from repro.ml.metrics import mean_absolute_error
 from repro.predict.evaluate import ScaledModel, _model_factories
 
@@ -127,7 +130,16 @@ def regions_from_predictions(
 
 
 class CongestionPredictor:
-    """Vertical + horizontal congestion regressors behind one facade."""
+    """Vertical + horizontal congestion regressors behind one facade.
+
+    A fitted predictor answers through one flat NumPy kernel per
+    direction (:mod:`repro.ml.compiled`) and nothing else: :meth:`fit`
+    lowers the trained models right away, and :meth:`from_kernels`
+    rebuilds a predictor from kernels alone — what the model registry
+    loads and what pool workers adopt.  Only the instance that fitted
+    keeps its training-time estimators (for
+    :attr:`feature_importances_`).
+    """
 
     def __init__(self, model: str = "gbrt", device: Device | None = None):
         factories = _model_factories()
@@ -137,24 +149,38 @@ class CongestionPredictor:
         self.device = device or xc7z020()
         self._models: dict[str, ScaledModel] = {}
         self._factory = factories[model]
+        #: direction -> kernel; empty until fitted
+        self.kernels: dict = {}
+        self._shared_bins = False
 
-    # ------------------------------------------------------------------
-    # pickling: the factory is a module-level lambda (unpicklable);
-    # restore it from the model name so trained predictors can be
-    # persisted by the model registry.
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_factory", None)
-        return state
+    @classmethod
+    def from_kernels(cls, model: str, kernels: dict, *,
+                     device: Device | None = None,
+                     n_training_samples: int | None = None,
+                     ) -> "CongestionPredictor":
+        """A predictor serving ``kernels`` (``{"vertical": ...,
+        "horizontal": ...}``), with no training-time estimators."""
+        predictor = cls(model, device)
+        predictor._adopt_kernels(kernels)
+        if n_training_samples is not None:
+            predictor.n_training_samples_ = n_training_samples
+        return predictor
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._factory = _model_factories()[self.model_name]
+    def _adopt_kernels(self, kernels: dict) -> None:
+        self.kernels = dict(kernels)
+        vertical, horizontal = kernels["vertical"], kernels["horizontal"]
+        # both directions are fitted on the same X, so tree ensembles
+        # share their bin edges: quantize once, traverse twice
+        self._shared_bins = (
+            vertical.kind == horizontal.kind == CompiledEnsemble.kind
+            and shared_binning(vertical, horizontal)
+        )
 
     # ------------------------------------------------------------------
     def fit(self, dataset: CongestionDataset, *, filter_marginal: bool = True
             ) -> "CongestionPredictor":
-        """Train one regressor per congestion direction."""
+        """Train one regressor per congestion direction, then lower each
+        to its serving kernel."""
         data = dataset.filter_marginal()[0] if filter_marginal else dataset
         for target in ("vertical", "horizontal"):
             model = ScaledModel(
@@ -162,53 +188,29 @@ class CongestionPredictor:
             )
             model.fit(data.X, data.target(target))
             self._models[target] = model
+        self._adopt_kernels({
+            target: compile_model(model)
+            for target, model in self._models.items()
+        })
         self.n_training_samples_ = data.n_samples
         return self
 
     def _check_fitted(self) -> None:
-        if not self._models:
+        if not self.kernels:
             raise MLError("CongestionPredictor must be fitted first")
 
     # ------------------------------------------------------------------
-    def compiled_ensembles(self) -> dict | None:
-        """Per-direction compiled kernels (``repro.ml.compiled``).
-
-        Returns ``None`` for model families the compiled path cannot
-        represent — anything behind a feature scaler, or estimators
-        without a ``compile_kernel`` (linear, ANN) — and for a
-        predictor with no fitted models at all.  Used for the
-        shared-binning fast path below and by the model registry to
-        decide whether a portable export can be written.
-        """
-        if not self._models:
-            return None
-        out = {}
-        for target, scaled in self._models.items():
-            estimator = scaled.estimator
-            if scaled.with_scaler or not hasattr(estimator, "compile_kernel"):
-                return None
-            out[target] = estimator.compile_kernel()
-        return out
-
     def predict_matrix(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         self._check_fitted()
-        kernels = self.compiled_ensembles()
-        if kernels is not None:
-            from repro.ml.compiled import shared_binning
-
-            vertical, horizontal = kernels["vertical"], kernels["horizontal"]
-            if shared_binning(vertical, horizontal):
-                # both directions are fitted on the same X, so their
-                # bin edges coincide: quantize once, traverse twice
-                codes = vertical.bin(X)
-                return (
-                    vertical.predict_codes(codes),
-                    horizontal.predict_codes(codes),
-                )
-        return (
-            self._models["vertical"].predict(X),
-            self._models["horizontal"].predict(X),
-        )
+        vertical = self.kernels["vertical"]
+        horizontal = self.kernels["horizontal"]
+        if self._shared_bins:
+            codes = vertical.bin(X)
+            return (
+                vertical.predict_codes(codes),
+                horizontal.predict_codes(codes),
+            )
+        return vertical.predict(X), horizontal.predict(X)
 
     def score(self, dataset: CongestionDataset) -> dict[str, float]:
         """MAE per direction on a labelled dataset."""
@@ -251,9 +253,11 @@ class CongestionPredictor:
     # ------------------------------------------------------------------
     @property
     def feature_importances_(self) -> np.ndarray | None:
-        """Vertical-model importances (GBRT split counts), if available."""
+        """Vertical-model importances (GBRT split counts), if available:
+        ``None`` for families without them and for a predictor rebuilt
+        from kernels."""
         self._check_fitted()
-        estimator = self._models["vertical"].estimator
-        if isinstance(estimator, GradientBoostingRegressor):
-            return estimator.feature_importances_
-        return getattr(estimator, "feature_importances_", None)
+        model = self._models.get("vertical")
+        if model is None:
+            return None
+        return getattr(model.estimator, "feature_importances_", None)

@@ -6,11 +6,12 @@ serving change (sharding, multi-backend, hot-swap) lands here instead
 of rewriting the flow or predict layers.  The pieces:
 
 * :class:`ModelRegistry` — crash-safe persistence of trained
-  predictors (checksummed artifacts, quarantine on corruption);
+  predictors as NumPy kernels (checksummed artifacts, quarantine on
+  corruption);
 * :class:`CongestionService` — load-or-train once, batched prediction
   over the HLS-prefix pipeline;
 * :class:`PoolServer` — the same service surface fanned out across
-  sharded worker processes, each serving a compiled model export
+  sharded worker processes, each serving the parent's model kernels
   (:mod:`repro.ml.compiled`);
 * :class:`ResilientCongestionServer` — bounded admission, deadline-
   aware micro-batching, worker supervision, graceful degradation —

@@ -1,4 +1,4 @@
-"""Sharded multi-process serving pool over compiled model exports.
+"""Sharded multi-process serving pool over the parent's model kernels.
 
 :class:`PoolServer` is a :class:`~repro.serve.service.CongestionService`
 whose ``predict_batch`` fans micro-batches out across ``N`` worker
@@ -6,10 +6,12 @@ whose ``predict_batch`` fans micro-batches out across ``N`` worker
 
 * each worker runs its own ``CongestionService`` (``registry=None`` —
   workers never train) and adopts the predictor the parent adopted
-  last: its compiled kernels as an inference-only
-  :class:`~repro.ml.compiled.CompiledPredictor` when the model family
-  compiles, else a pickled copy of the whole predictor.  Workers and
-  the parent's inline fallback therefore always answer with one model;
+  last, sent as its kernels packed exactly as the model registry
+  persists them (:func:`~repro.ml.compiled.pack_kernels`) and rebuilt
+  with :meth:`~repro.predict.CongestionPredictor.from_kernels`; worker
+  answers report ``model_source == "export"``.  Workers and the
+  parent's inline fallback therefore always answer with one model, for
+  every model family;
 * requests are **sharded deterministically**: the request's feature
   group (design, variant, directives) plus the device fingerprint hash
   to a fixed worker, so each worker's feature cache holds only its own
@@ -48,7 +50,8 @@ from repro.errors import (
     ReproError,
     ServeError,
 )
-from repro.ml.compiled import CompiledPredictor
+from repro.ml.compiled import pack_kernels, unpack_kernels
+from repro.predict.predictor import CongestionPredictor
 from repro.serve.resilience import deadline_timestamp
 from repro.serve.service import (
     CongestionService,
@@ -128,10 +131,11 @@ def _pool_worker_main(worker_id: int, req_q, resp_q, spec: dict) -> None:
         seq = message[1]
         try:
             if kind == "adopt":
-                payload = message[2]
-                service.adopt_predictor(
-                    pickle.loads(payload["blob"]), source=payload["source"]
+                predictor = CongestionPredictor.from_kernels(
+                    spec["model"], unpack_kernels(message[2]),
+                    device=spec["device"],
                 )
+                service.adopt_predictor(predictor, source="export")
                 resp_q.put((worker_id, seq, "ok", service.model_generation))
             elif kind == "predict":
                 requests, remaining = message[2], message[3]
@@ -208,20 +212,10 @@ class PoolServer(CongestionService):
             "fault_seed": self.pool.fault_seed,
         }
 
-    def _adopt_payload(self) -> dict:
+    def _adopt_payload(self) -> bytes:
         """The model every worker adopts: the parent's current
-        predictor, as its compiled kernels when its family compiles."""
-        predictor = self._predictor
-        kernels = predictor.compiled_ensembles() \
-            if hasattr(predictor, "compiled_ensembles") else None
-        if kernels is not None:
-            predictor = CompiledPredictor(kernels,
-                                          model_family=self.model_name)
-        return {
-            "blob": pickle.dumps(predictor,
-                                 protocol=pickle.HIGHEST_PROTOCOL),
-            "source": "inline" if kernels is None else "export",
-        }
+        predictor's kernels, packed as the registry persists them."""
+        return pack_kernels(self._predictor.kernels)
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -244,7 +238,7 @@ class PoolServer(CongestionService):
         proc.start()
         self._procs[worker_id] = proc
 
-    def _adopt_worker(self, worker_id: int, payload: dict) -> None:
+    def _adopt_worker(self, worker_id: int, payload: bytes) -> None:
         """Hand the worker its model; raises ``_WorkerFailure`` when it
         cannot adopt it."""
         seq = self._next_seq()

@@ -3,23 +3,32 @@
 The paper's serving story ("detect congested regions ... without running
 the time-consuming RTL implementation flow") only pays off if a trained
 model outlives the process that trained it.  :class:`ModelRegistry`
-persists :class:`~repro.predict.CongestionPredictor` instances under
-``REPRO_CACHE_DIR`` (or any explicit root) next to a JSON
-:class:`ModelManifest` that records everything the model's validity
-depends on:
+persists a :class:`~repro.predict.CongestionPredictor` under
+``REPRO_CACHE_DIR`` (or any explicit root) as one slot of exactly two
+files:
 
-* the **model family** (linear / ann / gbrt);
-* the **feature-registry hash** — the exact 302-feature vector layout
-  the model was trained on;
-* the **dataset fingerprint** — which combos and flow options produced
-  the training labels;
-* the **device fingerprint** — the fabric calibration (grid, columns,
-  track counts) behind those labels.
+* ``<key>.kernels`` — the model's NumPy kernels, both directions in
+  one :func:`~repro.ml.compiled.pack_kernels` payload, inside the
+  checksummed artifact container; loading decodes it with
+  ``allow_pickle=False``, so a load never unpickles anything;
+* ``<key>.model.json`` — the :class:`ModelManifest`, written last (it
+  is the commit record), which records everything the model's validity
+  depends on:
+
+  * the **model family** (linear / ann / gbrt);
+  * the **feature-registry hash** — the exact 302-feature vector layout
+    the model was trained on;
+  * the **dataset fingerprint** — which combos and flow options
+    produced the training labels;
+  * the **device fingerprint** — the fabric calibration (grid, columns,
+    track counts) behind those labels.
 
 ``load`` refuses to return a model whose manifest no longer matches the
 running library (:class:`~repro.errors.StaleModelError`): a recalibrated
 device or a changed feature registry silently invalidates every persisted
-model, exactly like the flow disk cache.
+model, exactly like the flow disk cache.  Slots written by an earlier
+format version have other names, so they are never read: the first
+service per root trains once and publishes the current pair.
 """
 
 from __future__ import annotations
@@ -38,20 +47,20 @@ from repro.errors import (
 from repro.features.registry import N_FEATURES, registry_hash
 from repro.flow.pipeline import FlowOptions
 from repro.fpga.device import Device, device_fingerprint, xc7z020
-from repro.ml import compiled as ml_compiled
+from repro.ml.compiled import pack_kernels, unpack_kernels
 from repro.predict.predictor import CongestionPredictor
 from repro.util.cache import (
     CACHE_DIR_ENV,
-    deep_pickle_dump,
-    deep_pickle_load,
+    atomic_checked_write,
+    checked_read,
     quarantine_artifact,
     writer_tmp_path,
 )
 from repro.util.faults import fault_point
 
 #: bump when the persisted predictor layout changes incompatibly
-#: (v2: checksummed model artifacts)
-MANIFEST_FORMAT_VERSION = 2
+#: (v2: checksummed model artifacts; v3: NumPy kernels, not a pickle)
+MANIFEST_FORMAT_VERSION = 3
 
 
 def dataset_spec_fingerprint(
@@ -97,7 +106,7 @@ class ModelManifest:
 
 
 class ModelRegistry:
-    """Save/load trained predictors with manifest validation."""
+    """Save/load trained predictors' kernels with manifest validation."""
 
     def __init__(self, root: str | None = None) -> None:
         if root is None:
@@ -141,23 +150,12 @@ class ModelRegistry:
     def manifest_path(self, model_family: str, dataset_fingerprint: str,
                       device: Device | None = None) -> str:
         key = self._key(model_family, dataset_fingerprint, device)
-        return os.path.join(self.root, f"{key}.manifest.json")
+        return os.path.join(self.root, f"{key}.model.json")
 
-    def model_path(self, model_family: str, dataset_fingerprint: str,
-                   device: Device | None = None) -> str:
+    def kernels_path(self, model_family: str, dataset_fingerprint: str,
+                     device: Device | None = None) -> str:
         key = self._key(model_family, dataset_fingerprint, device)
-        return os.path.join(self.root, f"{key}.model.pkl")
-
-    def export_npz_path(self, model_family: str, dataset_fingerprint: str,
-                        device: Device | None = None) -> str:
-        key = self._key(model_family, dataset_fingerprint, device)
-        return os.path.join(self.root, f"{key}.export.npz")
-
-    def export_manifest_path(self, model_family: str,
-                             dataset_fingerprint: str,
-                             device: Device | None = None) -> str:
-        key = self._key(model_family, dataset_fingerprint, device)
-        return os.path.join(self.root, f"{key}.export.json")
+        return os.path.join(self.root, f"{key}.kernels")
 
     # ------------------------------------------------------------------
     def save(
@@ -168,7 +166,7 @@ class ModelRegistry:
     ) -> ModelManifest:
         """Persist a fitted predictor; returns the written manifest."""
         n_samples = getattr(predictor, "n_training_samples_", None)
-        if n_samples is None:
+        if n_samples is None or not predictor.kernels:
             raise ModelRegistryError(
                 "refusing to persist an unfitted CongestionPredictor"
             )
@@ -183,13 +181,13 @@ class ModelRegistry:
         )
         family, fp = predictor.model_name, dataset_fingerprint
         dev = predictor.device
-        deep_pickle_dump(self.model_path(family, fp, dev), predictor,
-                         site="registry.save")
-        self._write_export(predictor, manifest, family, fp, dev)
-        # The manifest is written *after* the model and stays plain,
+        atomic_checked_write(self.kernels_path(family, fp, dev),
+                             pack_kernels(predictor.kernels),
+                             site="registry.save")
+        # The manifest is written *after* the kernels and stays plain,
         # human-readable JSON (truncation surfaces as a parse failure on
         # load and quarantines the pair).  A crash between the two
-        # writes leaves a model without a manifest: a plain miss.
+        # writes leaves kernels without a manifest: a plain miss.
         manifest_path = self.manifest_path(family, fp, dev)
         fault_point("registry.save.manifest")
         tmp = writer_tmp_path(manifest_path)
@@ -206,41 +204,9 @@ class ModelRegistry:
         self.saves += 1
         return manifest
 
-    def _write_export(self, predictor: CongestionPredictor,
-                      manifest: ModelManifest, family: str, fp: str,
-                      device: Device) -> None:
-        """Persist the compiled-kernel export next to the pickled model.
-
-        Written *between* the model and the registry manifest so the
-        manifest stays the publish point: a reader that sees the
-        manifest sees a complete (model, export) set.  Families the
-        compiled path cannot represent (scaled pipelines, linear/ANN)
-        get any stale export removed instead, so an old artifact can
-        never shadow the freshly saved model.
-        """
-        kernels = predictor.compiled_ensembles() \
-            if hasattr(predictor, "compiled_ensembles") else None
-        npz = self.export_npz_path(family, fp, device)
-        exp_manifest = self.export_manifest_path(family, fp, device)
-        if kernels is None:
-            for path in (exp_manifest, npz):  # manifest first: unpublish
-                try:
-                    os.remove(path)
-                except OSError:
-                    pass
-            return
-        ml_compiled.save_export(npz, exp_manifest, kernels, meta={
-            "model_family": manifest.model_family,
-            "feature_registry_hash": manifest.feature_registry_hash,
-            "dataset_fingerprint": manifest.dataset_fingerprint,
-            "device_fingerprint": manifest.device_fingerprint,
-            "n_features": manifest.n_features,
-            "created_at": manifest.created_at,
-        })
-
     def artifact_version(self, model_family: str, dataset_fingerprint: str,
                          device: Device | None = None) -> tuple | None:
-        """Opaque change token for the persisted (manifest, model) pair,
+        """Opaque change token for the persisted (manifest, kernels) pair,
         or ``None`` when nothing is persisted.
 
         A re-``save`` of the same key rewrites the manifest via
@@ -276,14 +242,14 @@ class ModelRegistry:
             return ModelManifest.from_json(text)
         except (json.JSONDecodeError, ValueError, TypeError, KeyError) \
                 as exc:
-            # Malformed or truncated manifest: the (manifest, model)
+            # Malformed or truncated manifest: the (manifest, kernels)
             # pair is unusable as a whole — quarantine both and raise a
             # typed error naming the offending path, never a raw
             # JSONDecodeError.
             self.misses += 1
             self._quarantine(
                 path,
-                self.model_path(model_family, dataset_fingerprint, device),
+                self.kernels_path(model_family, dataset_fingerprint, device),
             )
             raise CorruptArtifactError(
                 f"malformed manifest {path} (quarantined): {exc}"
@@ -322,22 +288,22 @@ class ModelRegistry:
         :class:`StaleModelError` when a persisted model no longer
         matches the running library, and
         :class:`~repro.errors.CorruptArtifactError` (after quarantining
-        the artifact pair) when checksum verification or
-        deserialization fails.  Transient I/O failures propagate as
+        the artifact pair) when checksum verification or decoding
+        fails.  Transient I/O failures propagate as
         ``OSError`` so callers can retry them.
         """
         device = device or xc7z020()
         manifest = self.read_manifest(model_family, dataset_fingerprint,
                                       device)
         self._validate(manifest, device)
-        path = self.model_path(model_family, dataset_fingerprint, device)
+        path = self.kernels_path(model_family, dataset_fingerprint, device)
         manifest_path = self.manifest_path(model_family,
                                            dataset_fingerprint, device)
         try:
-            predictor = deep_pickle_load(path, site="registry.load")
+            kernels = unpack_kernels(checked_read(path, site="registry.load"))
         except FileNotFoundError:
-            # manifest without model: a crash between the two save
-            # writes cannot produce this (model is written first), so
+            # manifest without kernels: a crash between the two save
+            # writes cannot produce this (kernels are written first), so
             # treat the orphan manifest as corrupt state
             self.misses += 1
             self._quarantine(manifest_path)
@@ -354,93 +320,18 @@ class ModelRegistry:
         except OSError:
             self.misses += 1
             raise  # transient I/O: retryable, nothing to quarantine
-        except Exception as exc:
-            self.misses += 1
-            self._quarantine(path, manifest_path)
-            raise CorruptArtifactError(
-                f"undeserializable model artifact {path} "
-                f"(quarantined): {exc}"
-            ) from exc
-        if not isinstance(predictor, CongestionPredictor):
-            self.misses += 1
-            self._quarantine(path, manifest_path)
-            raise CorruptArtifactError(
-                f"{path} does not contain a CongestionPredictor "
-                f"(quarantined)"
-            )
         self.hits += 1
-        return predictor
-
-    def load_export(
-        self,
-        model_family: str,
-        dataset_fingerprint: str,
-        *,
-        device: Device | None = None,
-    ) -> "ml_compiled.CompiledPredictor":
-        """Load the compiled-kernel export for a persisted model.
-
-        Same validation contract as :meth:`load` — registry manifest
-        checked against the running library first — but returns an
-        inference-only :class:`~repro.ml.compiled.CompiledPredictor`
-        built from flat node tables, never unpickling the training
-        stack.  This is what serving-pool workers call.  A persisted
-        model without an export (non-compilable family) raises
-        :class:`ModelRegistryError`, a plain miss.
-        """
-        device = device or xc7z020()
-        manifest = self.read_manifest(model_family, dataset_fingerprint,
-                                      device)
-        self._validate(manifest, device)
-        npz = self.export_npz_path(model_family, dataset_fingerprint, device)
-        exp_manifest = self.export_manifest_path(
-            model_family, dataset_fingerprint, device
+        return CongestionPredictor.from_kernels(
+            model_family, kernels, device=device,
+            n_training_samples=manifest.n_training_samples,
         )
-        try:
-            compiled = ml_compiled.load_export(npz, exp_manifest)
-        except FileNotFoundError:
-            self.misses += 1
-            raise ModelRegistryError(
-                f"persisted {model_family!r} model has no compiled "
-                f"export under {self.root} (family not compilable?)"
-            ) from None
-        except CorruptArtifactError as exc:
-            self.misses += 1
-            self._quarantine(npz, exp_manifest)
-            raise CorruptArtifactError(
-                f"corrupt compiled export {npz} (quarantined): {exc}"
-            ) from exc
-        # the export must describe the same model the manifest publishes
-        expected = {
-            "model_family": manifest.model_family,
-            "feature_registry_hash": manifest.feature_registry_hash,
-            "dataset_fingerprint": manifest.dataset_fingerprint,
-            "device_fingerprint": json.dumps(
-                manifest.device_fingerprint, default=list
-            ),
-        }
-        got = {
-            key: (json.dumps(compiled.manifest.get(key), default=list)
-                  if key == "device_fingerprint"
-                  else compiled.manifest.get(key))
-            for key in expected
-        }
-        if expected != got:
-            self.misses += 1
-            self._quarantine(npz, exp_manifest)
-            raise CorruptArtifactError(
-                f"compiled export {npz} does not match registry manifest "
-                f"(quarantined): expected {expected}, got {got}"
-            )
-        self.hits += 1
-        return compiled
 
     # ------------------------------------------------------------------
     def entries(self) -> list[ModelManifest]:
         """All readable manifests under the registry root."""
         out = []
         for name in sorted(os.listdir(self.root)):
-            if not name.endswith(".manifest.json"):
+            if not name.endswith(".model.json"):
                 continue
             try:
                 with open(os.path.join(self.root, name)) as fh:
@@ -453,7 +344,7 @@ class ModelRegistry:
         try:
             entries = sum(
                 1 for n in os.listdir(self.root)
-                if n.endswith(".manifest.json")
+                if n.endswith(".model.json")
             )
         except OSError:  # registry root removed out from under us
             entries = 0

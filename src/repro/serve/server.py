@@ -310,10 +310,12 @@ class ResilientCongestionServer:
                 with self._workers_lock:
                     if self._workers[i].is_alive():
                         continue  # already replaced
+                    # counted before the spawn: whatever the replacement
+                    # answers, stats() already shows its restart
+                    restarts.append(time.monotonic())
+                    with self._stats_lock:
+                        self._stats["worker_restarts"] += 1
                     self._workers[i] = self._spawn_worker()
-                restarts.append(time.monotonic())
-                with self._stats_lock:
-                    self._stats["worker_restarts"] += 1
 
     def _gave_up(self) -> bool:
         with self._stats_lock:

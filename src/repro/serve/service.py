@@ -7,6 +7,9 @@
   slot, then from the :class:`~repro.serve.registry.ModelRegistry`
   (second processes never retrain), and only then by building the
   training dataset and fitting from scratch (saving the result);
+* whichever way it came, the model is one flat NumPy kernel per
+  direction: a registry load decodes the persisted arrays and serves
+  them as they are, with no unpickling and no first-use compile;
 * requests run only the **HLS prefix** of the flow pipeline
   (``FlowPipeline.default().subset(["graph"])`` — no packing, placement
   or routing ever executes on the serving path).  The graph stage
@@ -548,8 +551,16 @@ def measure_serving(
     and the perf harness (``run_bench.py --serve``) so the two can
     never drift: prime the feature cache first (both modes measure
     prediction cost, not first-touch synthesis), then time a
-    per-request loop and one batched call.
+    per-request loop and one batched call.  The service must not reuse
+    answers (``prediction_cache=False``): otherwise every timed request
+    is a dict lookup and the numbers say nothing about the model.
     """
+    if service.prediction_cache:
+        raise ServeError(
+            "measure_serving needs a service built with "
+            "prediction_cache=False; with answer reuse on it would time "
+            "cache hits"
+        )
     service.predict_batch(requests)
     latencies = []
     start = time.perf_counter()

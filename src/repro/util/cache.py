@@ -270,12 +270,8 @@ def checked_read(path: str, *, site: str = "artifact.read") -> bytes:
 def deep_pickle_dump(path: str, value, *,
                      site: str = "artifact.write") -> None:
     """Atomically pickle ``value`` to ``path`` (deep-stack pickling,
-    checksummed container).
-
-    Unlike :meth:`DiskCache.put` this is *not* best-effort: failures
-    propagate (the model registry must never report a save that did not
-    happen).
-    """
+    checksummed container); failures propagate, and
+    :meth:`DiskCache.put` decides to treat them as best-effort."""
     payload = _run_with_deep_stack(
         lambda: pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
     )

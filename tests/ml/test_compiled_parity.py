@@ -1,13 +1,16 @@
-"""Bit-parity of the compiled inference kernel with the object walk.
+"""Bit-parity of the compiled inference kernels with the estimators.
 
-The compiled kernel (:mod:`repro.ml.compiled`) replaces the per-sample
-``_Node`` walk on every predict path; these tests pin the contract that
-made that safe: predictions agree with the pinned ``predict_reference``
-to 1e-9 (only tree summation order differs), batch and single-row
-prediction are bit-identical, and the portable export round-trips —
-including into a fresh process that never imports the training stack.
+The compiled tree kernel (:mod:`repro.ml.compiled`) replaces the
+per-sample ``_Node`` walk on every predict path; these tests pin the
+contract that made that safe: predictions agree with the pinned
+``predict_reference`` to 1e-9 (only tree summation order differs),
+batch and single-row prediction are bit-identical, the dense Lasso/MLP
+kernels repeat ``ScaledModel.predict`` bit for bit, and packed kernels
+round-trip — including into a fresh process that never imports the
+training stack.
 """
 
+import io
 import json
 import subprocess
 import sys
@@ -21,16 +24,21 @@ from repro.ml import (
     FeatureBinner,
     GradientBoostingRegressor,
     GridSearchCV,
+    LassoRegression,
+    MLPRegressor,
     RandomForestRegressor,
 )
 from repro.ml.compiled import (
-    EXPORT_FORMAT_VERSION,
-    CompiledPredictor,
+    LinearKernel,
+    MLPKernel,
     compile_ensemble,
-    load_export,
-    save_export,
+    compile_model,
+    pack_kernels,
     shared_binning,
+    unpack_kernels,
 )
+from repro.predict import CongestionPredictor
+from repro.predict.evaluate import ScaledModel
 
 PARITY = 1e-9
 
@@ -143,18 +151,6 @@ def test_grid_search_predict_uses_compiled_kernel():
     ) <= PARITY
 
 
-def test_compiled_cache_dropped_from_pickles_and_rebuilt():
-    import pickle
-
-    X, y = friedman(200)
-    gbrt = GradientBoostingRegressor(n_estimators=20).fit(X, y)
-    expected = gbrt.predict(X)
-    assert gbrt._compiled is not None
-    clone = pickle.loads(pickle.dumps(gbrt))
-    assert clone.__dict__.get("_compiled") is None  # derived state shed
-    assert np.array_equal(clone.predict(X), expected)
-
-
 def test_compile_rejects_unfitted_and_foreign_estimators():
     with pytest.raises(MLError, match="fit"):
         GradientBoostingRegressor().compile_kernel()
@@ -178,8 +174,32 @@ def test_parity_on_paper_dataset(small_dataset):
         ) <= PARITY
 
 
+@pytest.mark.parametrize("estimator", [
+    LassoRegression(alpha=0.05, max_iter=300),
+    MLPRegressor(hidden_layer_sizes=(16, 8), max_epochs=30),
+    MLPRegressor(hidden_layer_sizes=(12,), activation="tanh",
+                 max_epochs=30),
+], ids=["lasso", "mlp-relu", "mlp-tanh"])
+def test_dense_kernels_repeat_scaled_model_bit_for_bit(estimator):
+    """The linear and ann families serve through dense kernels that
+    repeat ScaledModel.predict op for op: equal bits at every batch
+    shape, before and after a pack round trip."""
+    X, y = friedman(300)
+    model = ScaledModel(estimator).fit(X, y)
+    kernel = compile_model(model)
+    assert isinstance(kernel, (LinearKernel, MLPKernel))
+    unpacked = unpack_kernels(pack_kernels(
+        {"vertical": kernel, "horizontal": kernel}
+    ))["vertical"]
+    for rows in (X, X[:1], X[:65]):
+        assert np.array_equal(kernel.predict(rows), model.predict(rows))
+        assert np.array_equal(unpacked.predict(rows), model.predict(rows))
+    with pytest.raises(MLError, match="features"):
+        kernel.predict(X[:, :3])
+
+
 # ----------------------------------------------------------------------
-# portable export
+# packed kernels: the one persisted and shipped model format
 # ----------------------------------------------------------------------
 def _fitted_pair(n=300):
     X, _ = friedman(n)
@@ -190,58 +210,55 @@ def _fitted_pair(n=300):
     return X, gv, gh
 
 
-def test_export_round_trip_is_bit_identical(tmp_path):
+def test_export_round_trip_is_bit_identical():
     X, gv, gh = _fitted_pair()
-    ensembles = {"vertical": gv.compile_kernel(),
-                 "horizontal": gh.compile_kernel()}
-    npz = str(tmp_path / "m.npz")
-    manifest_path = str(tmp_path / "m.json")
-    manifest = save_export(npz, manifest_path, ensembles,
-                           meta={"model_family": "gbrt"})
-    assert manifest["export_format_version"] == EXPORT_FORMAT_VERSION
-    assert manifest["directions"]["vertical"]["n_trees"] == 25
-
-    loaded = load_export(npz, manifest_path)
-    assert isinstance(loaded, CompiledPredictor)
-    v, h = loaded.predict_matrix(X)
-    assert np.array_equal(v, gv.predict(X))
-    assert np.array_equal(h, gh.predict(X))
+    payload = pack_kernels({"vertical": gv.compile_kernel(),
+                            "horizontal": gh.compile_kernel()})
+    kernels = unpack_kernels(payload)
+    assert kernels["vertical"].n_trees == 25
+    assert np.array_equal(kernels["vertical"].predict(X), gv.predict(X))
+    assert np.array_equal(kernels["horizontal"].predict(X), gh.predict(X))
+    assert pack_kernels(kernels) == payload  # decoding loses nothing
 
 
-def test_export_rejects_version_and_corruption(tmp_path):
+def test_export_rejects_version_and_corruption():
+    """Damaged or foreign payloads raise CorruptArtifactError, never a
+    raw zip/NumPy error; the format version lives in the registry's
+    manifest, whose mismatch tests/serve/test_serve.py covers."""
     _, gv, gh = _fitted_pair(120)
-    ensembles = {"vertical": gv.compile_kernel(),
-                 "horizontal": gh.compile_kernel()}
-    npz = str(tmp_path / "m.npz")
-    manifest_path = str(tmp_path / "m.json")
-    save_export(npz, manifest_path, ensembles)
+    kernels = {"vertical": gv.compile_kernel(),
+               "horizontal": gh.compile_kernel()}
+    payload = pack_kernels(kernels)
+    with pytest.raises(CorruptArtifactError, match="undecodable"):
+        unpack_kernels(payload[:100])  # truncated
+    with pytest.raises(CorruptArtifactError, match="undecodable"):
+        unpack_kernels(b"not a payload")
+    with pytest.raises(CorruptArtifactError, match="cover"):
+        unpack_kernels(pack_kernels({"vertical": kernels["vertical"]}))
 
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    manifest["export_format_version"] = EXPORT_FORMAT_VERSION + 1
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh)
-    with pytest.raises(CorruptArtifactError, match="format version"):
-        load_export(npz, manifest_path)
-    manifest["export_format_version"] = EXPORT_FORMAT_VERSION
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh)
+    arrays = {f"vertical__{k}": v
+              for k, v in kernels["vertical"].to_arrays().items()}
+    arrays["vertical__kind"] = np.array("trees-v0")  # unknown kind
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    with pytest.raises(CorruptArtifactError, match="undecodable"):
+        unpack_kernels(buffer.getvalue())
 
-    with open(npz, "r+b") as fh:  # truncate the weights
-        fh.truncate(100)
-    with pytest.raises(CorruptArtifactError, match="unreadable"):
-        load_export(npz, manifest_path)
-
-    with pytest.raises(FileNotFoundError):
-        load_export(str(tmp_path / "absent.npz"),
-                    str(tmp_path / "absent.json"))
+    # an object array needs pickle to load: refused, never unpickled
+    buffer = io.BytesIO()
+    np.savez(buffer, vertical__kind=np.array([object()], dtype=object))
+    with pytest.raises(CorruptArtifactError, match="undecodable"):
+        unpack_kernels(buffer.getvalue())
 
 
 def test_shared_binning_detected_for_same_fit_matrix():
     X, gv, gh = _fitted_pair(150)
     kv, kh = gv.compile_kernel(), gh.compile_kernel()
     assert shared_binning(kv, kh)
-    predictor = CompiledPredictor({"vertical": kv, "horizontal": kh})
+    predictor = CongestionPredictor.from_kernels(
+        "gbrt", {"vertical": kv, "horizontal": kh}
+    )
+    assert predictor._shared_bins
     v, h = predictor.predict_matrix(X)
     assert np.array_equal(v, gv.predict(X))
     assert np.array_equal(h, gh.predict(X))
@@ -250,35 +267,56 @@ def test_shared_binning_detected_for_same_fit_matrix():
 LOADER = """
 import json, sys
 import numpy as np
-from repro.ml.compiled import load_export
+from repro.ml.compiled import unpack_kernels
 
-predictor = load_export(sys.argv[1], sys.argv[2])
-v, h = predictor.predict_matrix(np.load(sys.argv[3]))
+X = np.load(sys.argv[1])
+answers = {}
+for path in sys.argv[2:]:
+    with open(path, "rb") as fh:
+        kernels = unpack_kernels(fh.read())
+    answers[path] = {d: k.predict(X).tolist() for d, k in kernels.items()}
 banned = [m for m in sys.modules
           if m in ("repro.ml.tree", "repro.ml.gbrt", "repro.ml.base",
                    "repro.predict", "repro.flow", "repro.dataset")
           or m.startswith("repro.hls")]
-print(json.dumps({"v": v.tolist(), "h": h.tolist(), "banned": banned}))
+print(json.dumps({"answers": answers, "banned": banned}))
 """
 
 
 def test_export_loads_without_training_stack(tmp_path):
-    """A fresh process serves from the export alone: no tree/GBRT
-    modules, no flow stack, not even pickle."""
+    """A fresh process decodes packed kernels of every family with
+    repro.ml.compiled alone — no tree/GBRT modules, no flow stack, no
+    unpickling — and reproduces the fitted models' answers."""
     X, gv, gh = _fitted_pair(80)
-    ensembles = {"vertical": gv.compile_kernel(),
-                 "horizontal": gh.compile_kernel()}
-    npz = str(tmp_path / "m.npz")
-    manifest_path = str(tmp_path / "m.json")
-    save_export(npz, manifest_path, ensembles)
+    linear = ScaledModel(LassoRegression(alpha=0.05)).fit(X, X[:, 0])
+    mlp = ScaledModel(MLPRegressor(hidden_layer_sizes=(8,),
+                                   max_epochs=10)).fit(X, X[:, 1])
+    families = {
+        "gbrt": {"vertical": gv, "horizontal": gh},
+        "linear": {"vertical": linear, "horizontal": linear},
+        "ann": {"vertical": mlp, "horizontal": mlp},
+    }
+    paths = []
+    for family, models in families.items():
+        kernels = {
+            d: (m.compile_kernel() if family == "gbrt" else compile_model(m))
+            for d, m in models.items()
+        }
+        path = tmp_path / f"{family}.kernels"
+        path.write_bytes(pack_kernels(kernels))
+        paths.append(str(path))
     x_path = str(tmp_path / "x.npy")
     np.save(x_path, X[:16])
 
     out = subprocess.run(
-        [sys.executable, "-c", LOADER, npz, manifest_path, x_path],
+        [sys.executable, "-c", LOADER, x_path, *paths],
         capture_output=True, text=True, check=True,
     )
     payload = json.loads(out.stdout)
     assert payload["banned"] == []
-    assert np.array_equal(np.asarray(payload["v"]), gv.predict(X[:16]))
-    assert np.array_equal(np.asarray(payload["h"]), gh.predict(X[:16]))
+    for path, (family, models) in zip(paths, families.items()):
+        for direction, model in models.items():
+            assert np.array_equal(
+                np.asarray(payload["answers"][path][direction]),
+                model.predict(X[:16]),
+            ), (family, direction)

@@ -6,9 +6,10 @@ blocks, no ``atexit``, the closest a test can get to ``kill -9`` — then
 verifies from the parent that the store is still *loadable*: the torn
 entry is absent or quarantined, never adopted as truth.
 
-The predictor persisted here is a minimally-marked (unfitted) one:
-crash safety is a property of the artifact container, not of model
-quality, and this keeps the child processes fast.
+The predictor persisted here is a tiny linear one, fitted on a few
+random rows: crash safety is a property of the artifact container, not
+of model quality, and this keeps the child processes fast.  (An
+unfitted predictor has no kernels, and the registry refuses to save it.)
 """
 
 import os
@@ -39,18 +40,29 @@ def _run_child(body: str, fault_plan: str) -> subprocess.CompletedProcess:
     )
 
 
-def _marked_predictor() -> CongestionPredictor:
-    predictor = CongestionPredictor("linear")
-    predictor.n_training_samples_ = 3
-    return predictor
-
-
-_SAVE_PREDICTOR = """
+#: fits the tiny linear predictor; run by the test and by its children
+_TINY_PREDICTOR = """
+import numpy as np
+from repro.dataset.build import CongestionDataset, SampleMeta
 from repro.predict import CongestionPredictor
+
+X = np.random.default_rng(0).uniform(size=(16, 302))
+meta = [SampleMeta("tiny", i, "top", "top", "add", "tiny.c", i, None, 0,
+                   False) for i in range(16)]
+predictor = CongestionPredictor("linear").fit(
+    CongestionDataset(X, X[:, 0], X[:, 1], meta))
+"""
+
+
+def _tiny_predictor() -> CongestionPredictor:
+    namespace: dict = {}
+    exec(_TINY_PREDICTOR, namespace)
+    return namespace["predictor"]
+
+
+_SAVE_PREDICTOR = _TINY_PREDICTOR + """
 from repro.serve import ModelRegistry
 
-predictor = CongestionPredictor("linear")
-predictor.n_training_samples_ = 3
 ModelRegistry({root!r}).save(
     predictor, dataset_fingerprint={fingerprint!r}
 )
@@ -91,15 +103,15 @@ def test_crash_mid_model_write_is_a_plain_miss(tmp_path):
     assert out.returncode == CRASH_EXIT_CODE, out.stderr
     assert "save returned" not in out.stdout
 
-    # neither half of the (model, manifest) pair was published
+    # neither half of the (kernels, manifest) pair was published
     names = os.listdir(root)
-    assert [n for n in names if n.endswith(".model.pkl")] == []
-    assert [n for n in names if n.endswith(".manifest.json")] == []
+    assert [n for n in names if n.endswith(".kernels")] == []
+    assert [n for n in names if n.endswith(".model.json")] == []
     registry = ModelRegistry(root)
     with pytest.raises(ModelRegistryError, match="no persisted"):
         registry.load("linear", FINGERPRINT)
     # the slot is reusable: a clean save round-trips
-    registry.save(_marked_predictor(), dataset_fingerprint=FINGERPRINT)
+    registry.save(_tiny_predictor(), dataset_fingerprint=FINGERPRINT)
     assert isinstance(
         ModelRegistry(root).load("linear", FINGERPRINT),
         CongestionPredictor,
@@ -107,8 +119,8 @@ def test_crash_mid_model_write_is_a_plain_miss(tmp_path):
 
 
 def test_crash_between_model_and_manifest_is_a_plain_miss(tmp_path):
-    """The model is written first; a crash before the manifest leaves an
-    orphan model that load treats as 'nothing persisted' (the manifest
+    """The kernels are written first; a crash before the manifest leaves
+    orphan kernels that load treats as 'nothing persisted' (the manifest
     is the commit record)."""
     root = str(tmp_path)
     out = _run_child(
@@ -118,13 +130,13 @@ def test_crash_between_model_and_manifest_is_a_plain_miss(tmp_path):
     assert out.returncode == CRASH_EXIT_CODE, out.stderr
 
     names = os.listdir(root)
-    assert [n for n in names if n.endswith(".model.pkl")] != []
-    assert [n for n in names if n.endswith(".manifest.json")] == []
+    assert [n for n in names if n.endswith(".kernels")] != []
+    assert [n for n in names if n.endswith(".model.json")] == []
     registry = ModelRegistry(root)
     with pytest.raises(ModelRegistryError, match="no persisted"):
         registry.load("linear", FINGERPRINT)
     # re-saving overwrites the orphan atomically and completes the pair
-    registry.save(_marked_predictor(), dataset_fingerprint=FINGERPRINT)
+    registry.save(_tiny_predictor(), dataset_fingerprint=FINGERPRINT)
     ModelRegistry(root).load("linear", FINGERPRINT)
 
 
@@ -134,8 +146,8 @@ def test_truncated_model_artifact_is_quarantined_not_adopted(tmp_path):
     is quarantined, never deserialized."""
     root = str(tmp_path)
     registry = ModelRegistry(root)
-    registry.save(_marked_predictor(), dataset_fingerprint=FINGERPRINT)
-    path = registry.model_path("linear", FINGERPRINT)
+    registry.save(_tiny_predictor(), dataset_fingerprint=FINGERPRINT)
+    path = registry.kernels_path("linear", FINGERPRINT)
     with open(path, "rb") as fh:
         blob = fh.read()
     with open(path, "wb") as fh:
@@ -145,6 +157,6 @@ def test_truncated_model_artifact_is_quarantined_not_adopted(tmp_path):
         registry.load("linear", FINGERPRINT)
     assert not os.path.exists(path)
     assert os.path.exists(path + ".quarantined")
-    assert registry.stats()["quarantined"] == 2  # model + manifest pair
+    assert registry.stats()["quarantined"] == 2  # kernels + manifest pair
     with pytest.raises(ModelRegistryError, match="no persisted"):
         ModelRegistry(root).load("linear", FINGERPRINT)

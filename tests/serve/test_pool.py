@@ -1,6 +1,6 @@
 """The sharded multi-process serving pool (repro.serve.pool).
 
-Worker processes adopt the parent's model as compiled kernels; the
+Worker processes adopt the parent's model as its packed kernels; the
 parent shards, supervises and — when the pool cannot answer — falls
 back to inline serving with ``degraded=True``.  Everything here runs at
 tiny scale against one combo; the module-scoped fixture trains and
@@ -38,15 +38,15 @@ def _options() -> FlowOptions:
 
 @pytest.fixture(scope="module")
 def pool_env(tmp_path_factory):
-    """A cache root with a trained gbrt model + compiled export, shared
-    by every pool in this module (workers inherit it via the env)."""
+    """A cache root with a trained, published gbrt model, shared by
+    every pool in this module (workers inherit it via the env)."""
     root = tmp_path_factory.mktemp("pool-cache")
     previous = os.environ.get("REPRO_CACHE_DIR")
     os.environ["REPRO_CACHE_DIR"] = str(root)
     service = CongestionService(
         "gbrt", options=_options(), combos=COMBOS,
     )
-    service.warm()  # trains once, persists model + export
+    service.warm()  # trains once, publishes kernels + manifest
     # the in-process answers every pool must reproduce
     baseline = service.predict_batch(
         [PredictRequest(d) for d in DESIGNS]
@@ -62,19 +62,27 @@ def pool_env(tmp_path_factory):
         os.environ["REPRO_CACHE_DIR"] = previous
 
 
-def _pool(**kwargs) -> PoolServer:
+def _pool(model: str = "gbrt", **kwargs) -> PoolServer:
     pool = kwargs.pop("pool", PoolConfig(workers=2))
     return PoolServer(
-        "gbrt", options=_options(), combos=COMBOS, pool=pool, **kwargs
+        model, options=_options(), combos=COMBOS, pool=pool, **kwargs
     )
 
 
 def test_export_exists_after_warm(pool_env):
+    """The published slot is exactly two files: the packed kernels and
+    the manifest — no pickle, no second export."""
     registry: ModelRegistry = pool_env["registry"]
     service: CongestionService = pool_env["service"]
-    compiled = registry.load_export("gbrt", service.dataset_fingerprint)
-    assert compiled.n_features == 302
-    assert compiled.manifest["model_family"] == "gbrt"
+    manifest = registry.manifest_path("gbrt", service.dataset_fingerprint)
+    key = os.path.basename(manifest).removesuffix(".model.json")
+    assert sorted(n for n in os.listdir(registry.root)
+                  if n.startswith(key)) == [f"{key}.kernels",
+                                            f"{key}.model.json"]
+    assert not [n for n in os.listdir(registry.root)
+                if n.endswith((".pkl", ".npz"))]
+    loaded = registry.load("gbrt", service.dataset_fingerprint)
+    assert loaded.kernels["vertical"].n_features == 302
 
 
 def test_pool_matches_in_process_service(pool_env):
@@ -96,6 +104,25 @@ def test_pool_matches_in_process_service(pool_env):
             (r.source_file, r.source_line, r.vertical, r.horizontal)
             for r in base.regions
         ]
+
+
+def test_pool_serves_linear_kernels_bit_identically(pool_env, tmp_path):
+    """The dense kernels ship to workers the same way as the trees: a
+    linear pool answers exactly like the in-process linear service."""
+    registry = ModelRegistry(str(tmp_path))
+    in_process = CongestionService(
+        "linear", options=_options(), combos=COMBOS, registry=registry,
+    )
+    requests = [PredictRequest(d) for d in DESIGNS]
+    expected = _answers(in_process.predict_batch(requests))
+    with _pool("linear", registry=registry,
+               pool=PoolConfig(workers=1)) as pool:
+        responses = pool.predict_batch(requests)
+        stats = pool.stats()["pool"]
+    assert stats["inline_fallbacks"] == 0
+    assert all(r.model_source == "export" and not r.degraded
+               for r in responses)
+    assert _answers(responses) == expected
 
 
 def test_sharding_is_deterministic_and_in_range(pool_env):

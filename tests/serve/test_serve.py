@@ -1,7 +1,9 @@
 """Model registry persistence and the prediction service."""
 
+import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -20,8 +22,9 @@ from repro.errors import (
 from repro.explore import DirectiveSpace
 from repro.explore.session import build_design_for
 from repro.features import FeatureExtractor
+from repro.features.registry import registry_hash
 from repro.flow import FlowOptions
-from repro.fpga.device import small_test_device
+from repro.fpga.device import device_fingerprint, small_test_device, xc7z020
 from repro.impl.routing import RoutingOptions
 from repro.kernels.combos import PAPER_COMBINATIONS, build_kernel
 from repro.predict import CongestionPredictor
@@ -37,7 +40,8 @@ from repro.serve import (
     dataset_spec_fingerprint,
     start_net_server,
 )
-from repro.util.cache import disk_cache_from_env
+from repro.serve.service import measure_serving
+from repro.util.cache import checksummed_pack, disk_cache_from_env
 
 SCALE = 0.18
 COMBOS = ("face_detection",)
@@ -64,20 +68,96 @@ def trained_gbrt(trained):
     return CongestionPredictor("gbrt").fit(dataset)
 
 
+@pytest.fixture(scope="module")
+def trained_ann(trained):
+    """An ann predictor on the same dataset (the MLP kernel's family)."""
+    _, dataset, _ = trained
+    return CongestionPredictor("ann").fit(dataset)
+
+
 # ----------------------------------------------------------------------
 # registry persistence
 # ----------------------------------------------------------------------
-def test_round_trip_predicts_bit_identically(tmp_path, trained):
-    predictor, dataset, fingerprint = trained
+@pytest.mark.parametrize("family", ["linear", "ann", "gbrt"])
+def test_round_trip_predicts_bit_identically(tmp_path, request, trained,
+                                             family):
+    """Every family persists as one slot of exactly two files — the
+    packed kernels and the manifest — and loads back bit-identical."""
+    _, dataset, fingerprint = trained
+    predictor = trained[0] if family == "linear" \
+        else request.getfixturevalue(f"trained_{family}")
     registry = ModelRegistry(str(tmp_path))
     manifest = registry.save(predictor, dataset_fingerprint=fingerprint)
     assert manifest.n_training_samples > 0
+    assert manifest.format_version == 3
+    key = os.path.basename(registry.manifest_path(family, fingerprint))
+    key = key.removesuffix(".model.json")
+    assert sorted(os.listdir(tmp_path)) == [f"{key}.kernels",
+                                            f"{key}.model.json"]
 
-    loaded = registry.load("linear", fingerprint)
+    loaded = registry.load(family, fingerprint)
+    assert loaded.n_training_samples_ == manifest.n_training_samples
     v0, h0 = predictor.predict_matrix(dataset.X)
     v1, h1 = loaded.predict_matrix(dataset.X)
     assert np.array_equal(v0, v1)
     assert np.array_equal(h0, h1)
+
+
+def test_registry_rejects_format_version_mismatch(tmp_path, trained):
+    predictor, _, fingerprint = trained
+    registry = ModelRegistry(str(tmp_path))
+    registry.save(predictor, dataset_fingerprint=fingerprint)
+    path = registry.manifest_path("linear", fingerprint)
+    with open(path) as fh:
+        manifest = json.load(fh)
+    manifest["format_version"] = 2
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+    with pytest.raises(StaleModelError, match="format_version"):
+        registry.load("linear", fingerprint)
+
+
+def test_previous_format_root_is_a_plain_miss_and_retrains_once(
+        tmp_path, trained):
+    """A root holding only a slot of the previous format (a pickled
+    predictor next to a format-2 manifest) is never read: it lists no
+    entries, a load is a plain miss, and the first service trains once
+    and publishes the current pair, which the next service loads."""
+    _, _, fingerprint = trained
+    root = tmp_path / "models"
+    root.mkdir()
+    device = repr(device_fingerprint(xc7z020()))
+    key = hashlib.sha256(
+        f"model:v2:linear:{fingerprint}:{device}".encode()
+    ).hexdigest()[:32]
+    previous_manifest = {
+        "model_family": "linear", "feature_registry_hash": registry_hash(),
+        "dataset_fingerprint": fingerprint,
+        "device_fingerprint": list(device_fingerprint(xc7z020())),
+        "n_features": 302, "n_training_samples": 10,
+        "created_at": "2026-10-01T00:00:00", "format_version": 2,
+    }
+    old_files = {f"{key}.manifest.json", f"{key}.model.pkl"}
+    (root / f"{key}.manifest.json").write_text(json.dumps(previous_manifest))
+    (root / f"{key}.model.pkl").write_bytes(
+        checksummed_pack(pickle.dumps({"model": "previous format"})))
+
+    registry = ModelRegistry(str(root))
+    assert registry.entries() == []
+    with pytest.raises(ModelRegistryError, match="no persisted") as exc:
+        registry.load("linear", fingerprint)
+    assert type(exc.value) is ModelRegistryError
+
+    def service():
+        return CongestionService("linear", options=_options(),
+                                 combos=COMBOS, registry=str(root))
+
+    assert service().warm() == "trained"
+    assert service().warm() == "registry"
+    assert set(os.listdir(root)) == old_files | {
+        os.path.basename(registry.kernels_path("linear", fingerprint)),
+        os.path.basename(registry.manifest_path("linear", fingerprint)),
+    }
 
 
 def test_registry_rejects_device_fingerprint_mismatch(tmp_path, trained):
@@ -142,12 +222,12 @@ def test_registry_malformed_manifest_is_typed_and_quarantined(
 ):
     """A truncated/garbled manifest surfaces as a typed
     CorruptArtifactError naming the offending path — never a raw
-    JSONDecodeError — and the (manifest, model) pair is quarantined."""
+    JSONDecodeError — and the (manifest, kernels) pair is quarantined."""
     predictor, _, fingerprint = trained
     registry = ModelRegistry(str(tmp_path))
     registry.save(predictor, dataset_fingerprint=fingerprint)
     manifest_path = registry.manifest_path("linear", fingerprint)
-    model_path = registry.model_path("linear", fingerprint)
+    kernels_path = registry.kernels_path("linear", fingerprint)
     with open(manifest_path) as fh:
         text = fh.read()
     with open(manifest_path, "w") as fh:
@@ -159,7 +239,7 @@ def test_registry_malformed_manifest_is_typed_and_quarantined(
     assert manifest_path in str(exc_info.value)
     assert not isinstance(exc_info.value, json.JSONDecodeError)
     assert os.path.exists(manifest_path + ".quarantined")
-    assert os.path.exists(model_path + ".quarantined")
+    assert os.path.exists(kernels_path + ".quarantined")
     assert registry.stats()["quarantined"] == 2
     # the slot degraded to a plain miss, not a poisoned load
     with pytest.raises(ModelRegistryError, match="no persisted"):
@@ -173,7 +253,7 @@ def test_service_degrades_after_corrupt_artifact(tmp_path, trained):
     predictor, _, fingerprint = trained
     registry = ModelRegistry(str(tmp_path))
     registry.save(predictor, dataset_fingerprint=fingerprint)
-    path = registry.model_path("linear", fingerprint)
+    path = registry.kernels_path("linear", fingerprint)
     with open(path, "rb") as fh:
         blob = bytearray(fh.read())
     blob[-1] ^= 0xFF  # flip one payload byte: checksum must catch it
@@ -410,6 +490,16 @@ def test_service_empty_batch():
         "linear", options=_options(), combos=COMBOS, registry=None
     )
     assert service.predict_batch([]) == []
+
+
+def test_measure_serving_refuses_a_service_that_reuses_answers():
+    """With answer reuse on, every timed request would be a dict hit."""
+    service = CongestionService(
+        "linear", options=_options(), combos=COMBOS, registry=None
+    )
+    with pytest.raises(ServeError, match="prediction_cache=False"):
+        measure_serving(service, [PredictRequest("face_detection")])
+    assert service.stats()["predictions"] == 0  # refused before any work
 
 
 def _service_serving(predictor) -> CongestionService:
