@@ -1,22 +1,12 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify test lint bench bench-serve bench-features \
-	bench-resilience bench-explore bench-place bench-net \
-	bench-predict help
+.PHONY: verify test lint help
 
 help:
 	@echo "make verify         - tier-1 gate: full test + benchmark suite (-x -q)"
 	@echo "make test           - fast tier: unit/integration tests only"
 	@echo "make lint           - ruff check (syntax + pyflakes rules)"
-	@echo "make bench          - time flow stages, write benchmarks/out/BENCH_flow.json"
-	@echo "make bench-serve    - serving bench, write benchmarks/out/BENCH_serve.json"
-	@echo "make bench-features - feature-extraction bench, write benchmarks/out/BENCH_features.json"
-	@echo "make bench-resilience - resilient-serving load bench (clean vs faulted), write benchmarks/out/BENCH_resilience.json"
-	@echo "make bench-explore  - what-if sweep + autotuner bench, write benchmarks/out/BENCH_explore.json"
-	@echo "make bench-place    - placer bench (center vs analytic vs loop reference), write benchmarks/out/BENCH_place.json"
-	@echo "make bench-net      - TCP serving-edge bench (clean / wire faults / hot-swap / drain), write benchmarks/out/BENCH_net.json"
-	@echo "make bench-predict  - compiled-kernel vs object-walk + pool throughput bench, write benchmarks/out/BENCH_predict.json"
 
 verify:
 	$(PYTHON) -m pytest -x -q
@@ -30,27 +20,3 @@ lint:
 	else \
 		echo "ruff not installed — skipping (pip install ruff)"; \
 	fi
-
-bench:
-	$(PYTHON) benchmarks/perf/run_bench.py
-
-bench-serve:
-	$(PYTHON) benchmarks/perf/run_bench.py --serve
-
-bench-features:
-	$(PYTHON) benchmarks/perf/run_bench.py --features --repeat 3
-
-bench-resilience:
-	$(PYTHON) benchmarks/perf/run_bench.py --resilience
-
-bench-explore:
-	$(PYTHON) benchmarks/perf/run_bench.py --explore
-
-bench-place:
-	$(PYTHON) benchmarks/perf/run_bench.py --place --repeat 3
-
-bench-net:
-	$(PYTHON) benchmarks/perf/run_bench.py --net
-
-bench-predict:
-	$(PYTHON) benchmarks/perf/run_bench.py --predict --repeat 3 --requests 240

@@ -75,11 +75,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--effort", default="fast",
                         choices=("fast", "normal", "high"),
                         help="placement effort")
-    parser.add_argument("--place-init", default="center",
-                        choices=("center", "analytic"),
-                        help="initial placement: 'analytic' seeds the "
-                             "annealer with a net-weighted relaxation "
-                             "and a shorter schedule")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for dataset builds")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -89,8 +84,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _options(args) -> FlowOptions:
     return FlowOptions(scale=args.scale, seed=args.seed,
-                       placement_effort=args.effort,
-                       placement_init=args.place_init)
+                       placement_effort=args.effort)
 
 
 def cmd_flow(args) -> int:

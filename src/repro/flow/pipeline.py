@@ -62,9 +62,6 @@ class FlowOptions:
     scale: float = 1.0
     seed: int = 0
     placement_effort: str = "fast"
-    #: initial placement strategy ("center" | "analytic"); "analytic"
-    #: anneals a net-weighted relaxed start on a ~3x shorter schedule
-    placement_init: str = "center"
     clock_period_ns: float = 10.0
     clock_uncertainty_ns: float = 1.25
     merge_shared: bool = True
@@ -72,14 +69,8 @@ class FlowOptions:
     routing: RoutingOptions = field(default_factory=RoutingOptions)
 
     def cache_key(self, name: str, variant: str) -> tuple:
-        # placement_init joins the key only off-default so every key
-        # minted before the knob existed keeps its historic shape
-        init = (
-            (self.placement_init,) if self.placement_init != "center" else ()
-        )
         return (
             name, variant, self.scale, self.seed, self.placement_effort,
-            *init,
             self.clock_period_ns, self.clock_uncertainty_ns,
             self.merge_shared, self.allow_sharing,
             *self.routing.cache_key(),
@@ -198,8 +189,7 @@ class PlaceStage(Stage):
         return place_netlist(
             ctx.require("netlist"), ctx.require("packing"), ctx.device,
             PlacementOptions(effort=ctx.options.placement_effort,
-                             seed=ctx.options.seed,
-                             init=ctx.options.placement_init),
+                             seed=ctx.options.seed),
         )
 
 

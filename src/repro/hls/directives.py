@@ -113,20 +113,6 @@ class DirectiveSet:
         return (len(self.inlines) + len(self.unrolls)
                 + len(self.pipelines) + len(self.partitions))
 
-    def without_inlines(self, name: str | None = None) -> "DirectiveSet":
-        """Copy of this set with all inline directives dropped.
-
-        This is the paper's first congestion-resolution step ("Not Inline",
-        Table VI).
-        """
-        return DirectiveSet(
-            name=name or f"{self.name}-no-inline",
-            inlines=[],
-            unrolls=list(self.unrolls),
-            pipelines=list(self.pipelines),
-            partitions=list(self.partitions),
-        )
-
     # ------------------------------------------------------------------
     # canonical serialized form
     # ------------------------------------------------------------------

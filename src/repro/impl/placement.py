@@ -2,18 +2,10 @@
 
 Places every cluster on a device site of its kind, minimizing wire-length
 weighted by net width (wires), which is exactly the demand the router
-turns into congestion.  Two initial placements are available
-(``PlacementOptions.init``):
-
-* ``"center"`` (default) — fill CLB sites from the die center outward in
-  elaboration order; related logic starts clustered, and the congestion
-  "hot middle / cool margin" distribution of the paper's Fig. 5 emerges
-  from center-packed placements.
-* ``"analytic"`` — net-weighted coordinate relaxation (a quadratic-style
-  Jacobi iteration pulling each cluster toward the weighted centroid of
-  its nets, I/O ports as fixed anchors) snapped to legal sites along a
-  Morton space-filling curve.  Annealing then starts near a basin, so
-  the schedule runs colder and shorter at seed-comparable quality.
+turns into congestion.  The initial placement fills CLB sites from the
+die center outward in elaboration order: related logic starts clustered,
+and the congestion "hot middle / cool margin" distribution of the
+paper's Fig. 5 emerges from center-packed placements.
 
 The annealer is vectorized: cluster positions, per-net pin indices and
 per-net bounding-box costs live in NumPy arrays, and each temperature
@@ -43,30 +35,6 @@ from repro.util.rng import ensure_rng
 #: Nets with more pins than this are sampled down for cost evaluation.
 _MAX_COST_PINS = 48
 
-#: Initial acceptance probability used when annealing an analytic
-#: placement: the relaxation already found a basin, so the schedule
-#: starts cooler than the default 0.8 and must not scramble it back to
-#: random — but not so cold that the short schedule degenerates into
-#: pure greedy descent, which over-optimizes wirelength and washes out
-#: the congestion hotspots the paper's tables assert.
-_ANALYTIC_ACCEPT_PROB = 0.4
-
-#: Jacobi relaxation sweeps of the analytic initial placement.
-_ANALYTIC_ITERATIONS = 8
-
-#: Quality governor of the analytic initial placement: it blends the
-#: order in which the compact site pool is consumed between the
-#: center-distance rings of the default fill (0.0) and the Morton curve
-#: (1.0).  Pure curve order realizes the relaxation's neighborhoods so
-#: faithfully that wirelength lands ~2x below the annealed center fill —
-#: which *washes out* the congestion hotspots every paper table asserts.
-#: The default is tuned so an analytic-init anneal lands in the same
-#: final-cost and congestion-regime band as the default center-init
-#: schedule, just in a third of the sweeps.
-_ANALYTIC_BLEND = 0.25
-
-_INIT_MODES = ("center", "analytic")
-
 
 @dataclass
 class PlacementOptions:
@@ -78,19 +46,10 @@ class PlacementOptions:
     moves_per_cluster: float = 1.0
     initial_accept_prob: float = 0.8
     cooling: float = 0.92
-    #: initial placement: "center" (historic center-out fill) or
-    #: "analytic" (net-weighted relaxation + legalization)
-    init: str = "center"
 
     @property
     def n_sweeps(self) -> int:
-        n = {"fast": 18, "normal": 36, "high": 72}.get(self.effort, 36)
-        if self.init == "analytic":
-            # starting near a basin, a third of the schedule reaches
-            # the same quality band as a full cooling from the
-            # center-fill start
-            n = max(4, n // 3)
-        return n
+        return {"fast": 18, "normal": 36, "high": 72}.get(self.effort, 36)
 
 
 @dataclass
@@ -150,15 +109,6 @@ class Placement:
         return xs, ys
 
 
-def _morton_codes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Interleaved-bit (Z-order) codes of integer coordinates < 2^16."""
-    code = np.zeros(x.shape, dtype=np.int64)
-    for b in range(16):
-        code |= ((x >> b) & 1) << (2 * b + 1)
-        code |= ((y >> b) & 1) << (2 * b)
-    return code
-
-
 class Annealer:
     """Swap simulated annealing over tile sites, batched per sweep.
 
@@ -171,9 +121,7 @@ class Annealer:
     congestion distributions every paper table is calibrated against),
     not maximal quality: the result is the best state the cooling
     schedule visits.  A markedly better placer would erase the very
-    hotspots the paper predicts.  The analytic init rides the same
-    discipline: its schedule is tuned to land in the reference's quality
-    band, not far below it.
+    hotspots the paper predicts.
     """
 
     sweep_chunks: int = 10
@@ -191,11 +139,6 @@ class Annealer:
         self.packing = packing
         self.device = device
         self.options = options or PlacementOptions()
-        if self.options.init not in _INIT_MODES:
-            raise PlacementError(
-                f"unknown initial placement {self.options.init!r}; "
-                f"expected one of {_INIT_MODES}"
-            )
         self.rng = ensure_rng(self.options.seed)
 
         # Net pins in cluster space (deduplicated, possibly sampled).
@@ -270,25 +213,8 @@ class Annealer:
         return placement
 
     # ------------------------------------------------------------------
-    def _place_ports(self, placement: Placement) -> None:
-        """Fixed I/O ports along the left edge, spread vertically."""
-        device = self.device
-        port_clusters = sorted(self._fixed)
-        for i, cid in enumerate(port_clusters):
-            y = int((i + 1) * device.n_rows / (len(port_clusters) + 1))
-            placement.positions[cid] = (0, min(device.n_rows - 1, y))
-
     def _initial_placement(self) -> Placement:
-        if self.options.init == "analytic":
-            placement = self._initial_placement_analytic()
-        else:
-            placement = self._initial_placement_center()
-        xs, ys = placement.coordinate_arrays()
-        placement.cost = float(self._net_costs(xs, ys).sum())
-        placement.initial_cost = placement.cost
-        return placement
-
-    def _initial_placement_center(self) -> Placement:
+        """Center-out fill of each kind's sites in elaboration order."""
         device = self.device
         placement = Placement(device=device, n_clusters=self._n_clusters)
 
@@ -309,7 +235,11 @@ class Annealer:
         # BRAM tiles host two RAMB18 each.
         bram_slots: dict[tuple[int, int], int] = {}
 
-        self._place_ports(placement)
+        # Fixed I/O ports along the left edge, spread vertically.
+        port_clusters = sorted(self._fixed)
+        for i, cid in enumerate(port_clusters):
+            y = int((i + 1) * device.n_rows / (len(port_clusters) + 1))
+            placement.positions[cid] = (0, min(device.n_rows - 1, y))
 
         for cluster in self.packing.clusters:
             if cluster.cluster_id in self._fixed:
@@ -337,117 +267,9 @@ class Annealer:
                 )
             placement.positions[cluster.cluster_id] = pool[cursor]
             cursors[cluster.kind] = cursor + 1
-        return placement
-
-    # ------------------------------------------------------------------
-    def _initial_placement_analytic(self) -> Placement:
-        """Net-weighted coordinate relaxation snapped to legal sites.
-
-        A quadratic-style Jacobi iteration: every net pulls its member
-        clusters toward the net centroid (weight = net width), the fixed
-        I/O port anchors keep the system from collapsing to a point, and
-        the converged fractional coordinates are legalized per site kind
-        by matching clusters to sites along a Morton (Z-order)
-        space-filling curve — a vectorized stand-in for nearest-free-site
-        assignment.
-        """
-        device = self.device
-        placement = Placement(device=device, n_clusters=self._n_clusters)
-        self._place_ports(placement)
-
-        n = self._n_clusters
-        fx = np.full(n, device.n_cols / 2.0)
-        fy = np.full(n, device.n_rows / 2.0)
-        fixed_ids = np.asarray(sorted(self._fixed), dtype=np.int64)
-        if fixed_ids.size:
-            fx[fixed_ids] = [placement.positions[int(c)][0]
-                             for c in fixed_ids]
-            fy[fixed_ids] = [placement.positions[int(c)][1]
-                             for c in fixed_ids]
-
-        if self._n_nets:
-            pf = self._pins_flat
-            seg = self._pin_net
-            lens = self._net_len.astype(np.float64)
-            w_pin = self._net_width_arr[seg]
-            den = np.bincount(pf, weights=w_pin, minlength=n)
-            connected = den > 0
-            # break the initial all-at-center symmetry deterministically
-            jitter = ensure_rng(self.options.seed)
-            fx += jitter.random(n) * 1e-3
-            fy += jitter.random(n) * 1e-3
-            for _ in range(_ANALYTIC_ITERATIONS):
-                cx = np.bincount(seg, weights=fx[pf],
-                                 minlength=self._n_nets) / lens
-                cy = np.bincount(seg, weights=fy[pf],
-                                 minlength=self._n_nets) / lens
-                tx = np.bincount(pf, weights=w_pin * cx[seg], minlength=n)
-                ty = np.bincount(pf, weights=w_pin * cy[seg], minlength=n)
-                fx = np.where(connected, tx / np.maximum(den, 1e-12), fx)
-                fy = np.where(connected, ty / np.maximum(den, 1e-12), fy)
-                if fixed_ids.size:
-                    fx[fixed_ids] = [placement.positions[int(c)][0]
-                                     for c in fixed_ids]
-                    fy[fixed_ids] = [placement.positions[int(c)][1]
-                                     for c in fixed_ids]
-
-        # -- legalization: compact-pool Morton matching ----------------
-        # Restrict each kind to the N sites closest to the die center
-        # (the same compact footprint the center fill occupies), then
-        # match clusters to sites along a Morton (Z-order) curve: the
-        # k-th cluster in curve order takes the k-th pool site in curve
-        # order.  The compact pool is the quality governor — it keeps
-        # occupied density (and therefore the paper's hot-middle
-        # congestion structure) comparable to the default flow, while
-        # the curve matching realizes the relaxation's neighborhood
-        # structure inside that footprint.
-        by_kind: dict[str, list[int]] = {}
-        for cluster in self.packing.clusters:
-            if cluster.cluster_id in self._fixed:
-                continue
-            by_kind.setdefault(cluster.kind, []).append(cluster.cluster_id)
-        center = (device.n_cols / 2.0, device.n_rows / 2.0)
-
-        def center_order(sites):
-            return sorted(
-                sites,
-                key=lambda s: (s[0] - center[0]) ** 2 + (s[1] - center[1]) ** 2,
-            )
-
-        site_pools = {
-            "clb": center_order(device.clb_sites()),
-            "dsp": center_order(device.dsp_sites()),
-            # BRAM tiles host two RAMB18 each: duplicate every site
-            "bram": [s for s in center_order(device.bram_sites())
-                     for _ in range(2)],
-        }
-        for kind, members in by_kind.items():
-            sites = site_pools[kind][:len(members)]
-            if len(members) > len(sites):
-                raise PlacementError(
-                    f"out of {kind} sites during placement"
-                )
-            cids = np.asarray(members, dtype=np.int64)
-            sx = np.asarray([s[0] for s in sites], dtype=np.int64)
-            sy = np.asarray([s[1] for s in sites], dtype=np.int64)
-            # site-order blend (the _ANALYTIC_BLEND governor): the pool
-            # arrives ordered by center distance (rank = position), the
-            # Morton curve reorders it; mix the two ranks
-            center_rank = np.arange(cids.size, dtype=np.float64)
-            morton_rank = np.empty(cids.size, dtype=np.float64)
-            morton_rank[np.argsort(_morton_codes(sx, sy), kind="stable")] = (
-                np.arange(cids.size, dtype=np.float64)
-            )
-            site_key = (_ANALYTIC_BLEND * morton_rank
-                        + (1.0 - _ANALYTIC_BLEND) * center_rank)
-            site_order = np.argsort(site_key, kind="stable")
-            dx = np.clip(np.rint(fx[cids]), 0, device.n_cols - 1)
-            dy = np.clip(np.rint(fy[cids]), 0, device.n_rows - 1)
-            want = _morton_codes(dx.astype(np.int64), dy.astype(np.int64))
-            cl_order = np.argsort(want, kind="stable")
-            chosen = site_order  # bijection: pool size == member count
-            for cid, s in zip(cids[cl_order].tolist(), chosen.tolist()):
-                placement.positions[cid] = (int(sx[s]), int(sy[s]))
+        xs, ys = placement.coordinate_arrays()
+        placement.cost = float(self._net_costs(xs, ys).sum())
+        placement.initial_cost = placement.cost
         return placement
 
     # ------------------------------------------------------------------
@@ -631,14 +453,9 @@ class Annealer:
         a0, b0 = propose(min(self.temp_probe, len(movable)))
         d0 = np.abs(self._batch_swap_deltas(a0, b0, xs, ys, net_cost)[0])
         mean_delta = float(d0.mean()) if d0.size else 1.0
-        accept_prob = options.initial_accept_prob
-        if options.init == "analytic":
-            # the analytic start is already in a basin: a hot schedule
-            # would scramble it back to random before re-converging
-            accept_prob = min(accept_prob, _ANALYTIC_ACCEPT_PROB)
         temp = max(
             1e-6,
-            -mean_delta / math.log(max(1e-9, accept_prob)),
+            -mean_delta / math.log(max(1e-9, options.initial_accept_prob)),
         )
 
         best_cost = cost

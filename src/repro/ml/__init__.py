@@ -23,9 +23,6 @@ _EXPORTS = {
     "StandardScaler": "repro.ml.preprocessing",
     "train_test_split": "repro.ml.model_selection",
     "KFold": "repro.ml.model_selection",
-    "cross_val_score": "repro.ml.model_selection",
-    "GridSearchCV": "repro.ml.model_selection",
-    "GridSearchResult": "repro.ml.model_selection",
     "LinearRegression": "repro.ml.linear",
     "LassoRegression": "repro.ml.linear",
     "MLPRegressor": "repro.ml.mlp",

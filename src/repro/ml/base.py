@@ -3,8 +3,8 @@
 The paper trains its models "with the scikit-learn machine learning
 library"; that library is not available in this environment, so
 :mod:`repro.ml` reimplements the needed estimators on NumPy with the same
-fit/predict/get_params surface, which keeps grid search and
-cross-validation generic.
+fit/predict/get_params surface, which keeps the Table IV grid search
+and cross-validation generic.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ class BaseEstimator:
     """Parameter introspection shared by all estimators.
 
     Constructor arguments are the hyperparameters; ``get_params`` /
-    ``set_params`` / ``clone_unfitted`` make estimators compatible with
-    the generic grid search in :mod:`repro.ml.model_selection`.
+    ``set_params`` / ``clone_unfitted`` let the Table IV grid search in
+    :mod:`repro.predict.evaluate` clone and re-parameterize any
+    estimator.
     """
 
     @classmethod

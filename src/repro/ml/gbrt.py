@@ -133,23 +133,6 @@ class GradientBoostingRegressor(BaseEstimator, RegressorMixin):
             )
         return prediction
 
-    def staged_predict(self, X):
-        """Predictions after each boosting stage (tests/diagnostics).
-
-        Routed through the compiled kernel: one leaf-value gather for
-        all stages, then a cumulative sum over the tree axis — no
-        per-stage object walk even in evaluation code.
-        """
-        self.check_fitted()
-        X = check_array(X)
-        codes = self._binner.transform(X)
-        kernel = self.compile_kernel()
-        stages = self.init_ + self.learning_rate * np.cumsum(
-            kernel.leaf_values(codes), axis=1
-        )
-        for t in range(stages.shape[1]):
-            yield np.ascontiguousarray(stages[:, t])
-
     # ------------------------------------------------------------------
     @property
     def feature_importances_(self) -> np.ndarray:

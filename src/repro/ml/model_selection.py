@@ -1,21 +1,19 @@
-"""Train/test splitting, k-fold cross-validation and grid search.
+"""Train/test splitting and k-fold cross-validation.
 
 The paper's protocol (Section IV-A): "We randomly select 80% samples from
 our dataset for training and the rest 20% for testing.  We employ a
 10-fold cross-validation on the training set and grid search is applied
-to find the best hyperparameters of each model."
+to find the best hyperparameters of each model."  The grid search over
+these folds lives in :mod:`repro.predict.evaluate`.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import MLError
-from repro.ml.base import BaseEstimator
 from repro.util.rng import ensure_rng
 
 
@@ -83,103 +81,3 @@ class KFold:
             )
             current += size
             yield train, test
-
-
-def cross_val_score(
-    estimator: BaseEstimator,
-    X,
-    y,
-    *,
-    cv: KFold | int = 5,
-    scoring: Callable | None = None,
-) -> np.ndarray:
-    """Scores of ``estimator`` over cross-validation folds.
-
-    ``scoring(y_true, y_pred)`` defaults to negative MAE so that greater
-    is always better (grid search maximizes).
-    """
-    from repro.ml.metrics import mean_absolute_error
-
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if isinstance(cv, int):
-        cv = KFold(cv, shuffle=True, random_state=0)
-    if scoring is None:
-        def scoring(y_true, y_pred):
-            return -mean_absolute_error(y_true, y_pred)
-    scores = []
-    for train_idx, test_idx in cv.split(X):
-        model = estimator.clone_unfitted()
-        model.fit(X[train_idx], y[train_idx])
-        scores.append(scoring(y[test_idx], model.predict(X[test_idx])))
-    return np.asarray(scores, dtype=np.float64)
-
-
-@dataclass
-class GridSearchResult:
-    """One parameter combination's cross-validation outcome."""
-
-    params: dict
-    mean_score: float
-    std_score: float
-    fold_scores: list[float] = field(default_factory=list)
-
-
-class GridSearchCV:
-    """Exhaustive hyperparameter search with k-fold cross-validation."""
-
-    def __init__(
-        self,
-        estimator: BaseEstimator,
-        param_grid: dict[str, Sequence],
-        *,
-        cv: KFold | int = 10,
-        scoring: Callable | None = None,
-        refit: bool = True,
-    ) -> None:
-        if not param_grid:
-            raise MLError("param_grid must contain at least one parameter")
-        self.estimator = estimator
-        self.param_grid = param_grid
-        self.cv = cv
-        self.scoring = scoring
-        self.refit = refit
-
-    def _combinations(self) -> Iterator[dict]:
-        keys = sorted(self.param_grid)
-        for values in itertools.product(*(self.param_grid[k] for k in keys)):
-            yield dict(zip(keys, values))
-
-    def fit(self, X, y) -> "GridSearchCV":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        self.results_: list[GridSearchResult] = []
-        best: GridSearchResult | None = None
-        for params in self._combinations():
-            candidate = self.estimator.clone_unfitted().set_params(**params)
-            scores = cross_val_score(
-                candidate, X, y, cv=self.cv, scoring=self.scoring
-            )
-            result = GridSearchResult(
-                params=params,
-                mean_score=float(scores.mean()),
-                std_score=float(scores.std()),
-                fold_scores=[float(s) for s in scores],
-            )
-            self.results_.append(result)
-            if best is None or result.mean_score > best.mean_score:
-                best = result
-        assert best is not None
-        self.best_params_ = best.params
-        self.best_score_ = best.mean_score
-        if self.refit:
-            self.best_estimator_ = (
-                self.estimator.clone_unfitted().set_params(**best.params)
-            )
-            self.best_estimator_.fit(X, y)
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        if not hasattr(self, "best_estimator_"):
-            raise MLError("GridSearchCV must be fitted (with refit=True)")
-        return self.best_estimator_.predict(X)

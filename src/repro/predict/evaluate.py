@@ -188,10 +188,6 @@ def evaluate_models(
                 )
                 best_params: dict = {}
                 if grid_search and grids.get(model_name):
-                    grid = {
-                        f"estimator__{k}": v
-                        for k, v in grids[model_name].items()
-                    }
                     search = _NestedGridSearch(
                         base, grids[model_name],
                         cv=KFold(folds, shuffle=True, random_state=seed),

@@ -175,22 +175,3 @@ class Netlist:
             for endpoint in net.endpoints():
                 index.setdefault(endpoint, []).append(net.net_id)
         return index
-
-    def stats(self) -> dict[str, float]:
-        """Summary statistics used by flow reports and tests."""
-        total_wires = sum(n.width for n in self.nets)
-        total_pins = sum(n.n_pins for n in self.nets)
-        return {
-            "cells": len(self.cells),
-            "nets": len(self.nets),
-            "wires": total_wires,
-            "pins": total_pins,
-            "lut": sum(c.lut for c in self.cells),
-            "ff": sum(c.ff for c in self.cells),
-            "dsp": sum(c.dsp for c in self.cells),
-            "bram18": sum(c.bram18 for c in self.cells),
-            "mean_fanout": (
-                sum(len(n.sinks) for n in self.nets) / len(self.nets)
-                if self.nets else 0.0
-            ),
-        }

@@ -21,12 +21,12 @@ of rewriting the flow or predict layers.  The pieces:
   format);
 * :mod:`repro.serve.resilience` — retry / circuit-breaker / deadline
   primitives;
-* :mod:`repro.serve.loadgen` — open-loop tail-latency measurement,
-  in-process and over real sockets.
+* :mod:`repro.serve.loadgen` — open-loop tail-latency measurement
+  against the in-process server.
 """
 
 from repro.serve.client import NetClient
-from repro.serve.loadgen import LoadReport, run_open_loop, run_open_loop_net
+from repro.serve.loadgen import LoadReport, run_open_loop
 from repro.serve.net import (
     NetServer,
     NetServerConfig,
@@ -67,5 +67,5 @@ __all__ = [
     "NetServer", "NetServerConfig", "NetServerHandle", "NetClient",
     "start_net_server", "PROTOCOL_VERSION",
     "CircuitBreaker", "Deadline", "ResiliencePolicy", "RetryPolicy",
-    "LoadReport", "run_open_loop", "run_open_loop_net",
+    "LoadReport", "run_open_loop",
 ]

@@ -5,8 +5,8 @@ An *open-loop* generator schedules request arrivals on the wall clock
 answering — unlike a closed loop, a slow server cannot throttle its own
 load, which is what exposes queueing collapse, overload rejection and
 tail latency.  This is the measurement shape behind
-``make bench-resilience`` (``BENCH_resilience.json``) and the CI smoke:
-p50/p99 latency and success rate, with and without injected faults.
+``repro serve-demo --resilient`` and its CI smoke: p50/p99 latency and
+success rate, with and without injected faults.
 """
 
 from __future__ import annotations
@@ -134,104 +134,6 @@ def run_open_loop(
         finished = completed_at.get(key, time.monotonic())
         report.latencies_s.append(finished - submitted)
 
-    report.duration_s = time.monotonic() - start
-    report.offered_rate_per_s = rate_per_s
-    return report
-
-
-def run_open_loop_net(
-    host: str,
-    port: int,
-    requests: list[PredictRequest],
-    *,
-    rate_per_s: float,
-    timeout_ms: float | None = None,
-    max_workers: int = 16,
-    retries: int = 2,
-    request_timeout_s: float = 60.0,
-    collect_timeout_s: float = 120.0,
-) -> LoadReport:
-    """Open-loop load over real sockets (the network-edge counterpart
-    of :func:`run_open_loop`).
-
-    Arrivals are scheduled on the wall clock exactly like the
-    in-process generator; each request is carried by a worker thread
-    holding its own reconnecting :class:`~repro.serve.client.NetClient`
-    (one client per thread — the client is not thread-safe).  Transport
-    failures retry inside the client; what reaches the report is the
-    end-to-end outcome a real caller would see.  Latency is measured
-    from dispatch to decoded response, so it includes the wire, any
-    reconnect-and-retry, queueing and the micro-batch itself.
-    """
-    import threading
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro.serve.client import NetClient
-
-    if rate_per_s <= 0:
-        raise ValueError(f"rate_per_s must be positive, got {rate_per_s}")
-    local = threading.local()
-    clients: list[NetClient] = []
-    clients_lock = threading.Lock()
-
-    def client() -> NetClient:
-        current = getattr(local, "client", None)
-        if current is None:
-            current = NetClient(
-                host, port, retries=retries,
-                request_timeout_s=request_timeout_s,
-            )
-            local.client = current
-            with clients_lock:
-                clients.append(current)
-        return current
-
-    def one(request: PredictRequest) -> tuple[str, float]:
-        dispatched = time.monotonic()
-        try:
-            result = client().predict(
-                request.design, variant=request.variant, top=request.top,
-                timeout_ms=timeout_ms, directives=request.directives,
-            )
-        except OverloadedError:
-            return ("overload", 0.0)
-        except DeadlineExceededError:
-            return ("deadline", 0.0)
-        except (ReproError, OSError):
-            return ("failure", 0.0)
-        latency = time.monotonic() - dispatched
-        return ("degraded" if result.get("degraded") else "ok", latency)
-
-    report = LoadReport(offered=len(requests))
-    start = time.monotonic()
-    try:
-        with ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="loadgen-net"
-        ) as pool:
-            futures = []
-            for i, request in enumerate(requests):
-                target = start + i / rate_per_s
-                delay = target - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-                futures.append(pool.submit(one, request))
-            for future in futures:
-                kind, latency = future.result(timeout=collect_timeout_s)
-                if kind == "overload":
-                    report.rejected_overload += 1
-                elif kind == "deadline":
-                    report.deadline_misses += 1
-                elif kind == "failure":
-                    report.other_failures += 1
-                else:
-                    report.succeeded += 1
-                    if kind == "degraded":
-                        report.degraded += 1
-                    report.latencies_s.append(latency)
-    finally:
-        with clients_lock:
-            for c in clients:
-                c.close()
     report.duration_s = time.monotonic() - start
     report.offered_rate_per_s = rate_per_s
     return report

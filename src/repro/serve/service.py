@@ -547,11 +547,10 @@ def measure_serving(
 ) -> dict:
     """Time single-request vs batched serving of ``requests``.
 
-    One measurement protocol shared by ``python -m repro serve-demo``
-    and the perf harness (``run_bench.py --serve``) so the two can
-    never drift: prime the feature cache first (both modes measure
-    prediction cost, not first-touch synthesis), then time a
-    per-request loop and one batched call.  The service must not reuse
+    The measurement ``python -m repro serve-demo`` prints: prime the
+    feature cache first (both modes measure prediction cost, not
+    first-touch synthesis), then time a per-request loop and one
+    batched call.  The service must not reuse
     answers (``prediction_cache=False``): otherwise every timed request
     is a dict lookup and the numbers say nothing about the model.
     """

@@ -1,24 +1,12 @@
-"""Small shared utilities: RNG handling, validation, tables, caching."""
+"""Small shared utilities: RNG handling, tables, caching."""
 
 from repro.util.rng import ensure_rng, spawn_rng
-from repro.util.validation import (
-    check_positive,
-    check_non_negative,
-    check_in_range,
-    check_type,
-    check_one_of,
-)
 from repro.util.tabulate import format_table, write_csv
 from repro.util.cache import KeyedCache, cached_property_store
 
 __all__ = [
     "ensure_rng",
     "spawn_rng",
-    "check_positive",
-    "check_non_negative",
-    "check_in_range",
-    "check_type",
-    "check_one_of",
     "format_table",
     "write_csv",
     "KeyedCache",

@@ -5,7 +5,7 @@ training three model families is by far the most expensive part of the
 reproduction; several tables reuse those artifacts.  Two tiers exist:
 
 * :class:`KeyedCache` — a thread-safe process-lifetime memo keyed by
-  hashable tuples, with hit/miss/size accounting for the perf harness.
+  hashable tuples, with hit/miss/size accounting.
   Builds are serialized **per key**: concurrent ``get_or_build`` calls
   for the same key build exactly once, while builds of different keys
   proceed in parallel.
@@ -116,7 +116,7 @@ class KeyedCache:
             self.misses = 0
 
     def stats(self) -> dict[str, int]:
-        """Hit/miss/size counters (consumed by the perf harness)."""
+        """Hit/miss/size counters."""
         with self._lock:
             return {
                 "hits": self.hits,

@@ -111,7 +111,7 @@ class FaultSpec:
 
 @dataclass(frozen=True)
 class FaultEvent:
-    """One injected fault, recorded for assertions and bench reports."""
+    """One injected fault, recorded for assertions and fault statistics."""
 
     site: str
     kind: str

@@ -51,14 +51,12 @@ def test_directive_validation_errors():
         DirectiveSet().inline("top").validate(m)  # cannot inline top
 
 
-def test_directive_set_builders_and_without_inlines():
+def test_directive_set_builders():
     d = DirectiveSet("x").inline("f").unroll("f", "l", 4).pipeline("f", "l")
     d.partition("f", "a", 2)
     assert d.n_directives() == 4
-    stripped = d.without_inlines()
-    assert not stripped.inlines
-    assert stripped.n_directives() == 3
-    assert not DirectiveSet().is_empty() is False or DirectiveSet().is_empty()
+    assert not d.is_empty()
+    assert DirectiveSet().is_empty()
 
 
 def test_directive_key_round_trip():

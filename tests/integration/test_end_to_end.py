@@ -29,6 +29,8 @@ def test_prediction_correlates_with_ground_truth(small_flow_options,
         n_estimators=60, max_depth=4, max_features=0.5, random_state=0
     )
     predictor.fit(small_dataset)
+    # the shrink took effect: the test did not fit the full model
+    assert predictor.kernels["vertical"].n_trees == 60
 
     result = run_flow("face_detection", "baseline",
                       options=small_flow_options)

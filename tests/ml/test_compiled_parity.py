@@ -14,6 +14,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from repro.ml import (
     DecisionTreeRegressor,
     FeatureBinner,
     GradientBoostingRegressor,
-    GridSearchCV,
     LassoRegression,
     MLPRegressor,
     RandomForestRegressor,
@@ -37,6 +37,7 @@ from repro.ml.compiled import (
     shared_binning,
     unpack_kernels,
 )
+from repro.ml.tree import _HistogramTreeBuilder
 from repro.predict import CongestionPredictor
 from repro.predict.evaluate import ScaledModel
 
@@ -120,35 +121,39 @@ def test_binner_small_batch_path_matches_searchsorted():
         assert np.array_equal(small, bulk[lo:lo + 1])
 
 
-def test_staged_predict_routes_through_kernel():
-    X, y = friedman(300)
+def test_compiled_batch_is_five_times_the_object_walk():
+    """The compiled batch kernel serves at least 5x the rows/s of the
+    per-row ``_Node`` walk it replaced (one Python descent per tree per
+    row), best of 3 on each side, on 1,024 rows of 8 features."""
+    X, y = friedman(1024)
     gbrt = GradientBoostingRegressor(
-        n_estimators=30, max_depth=3, random_state=0
+        n_estimators=60, max_depth=3, random_state=0
     ).fit(X, y)
-    stages = list(gbrt.staged_predict(X))
-    assert len(stages) == 30
-    # stage t must equal a prefix-ensemble prediction
-    manual = np.full(X.shape[0], gbrt.init_)
-    codes = gbrt._binner.transform(X)
-    leaf = gbrt.compile_kernel().leaf_values(codes)
-    for t, stage in enumerate(stages):
-        manual = manual + gbrt.learning_rate * leaf[:, t]
-        assert np.max(np.abs(stage - manual)) <= PARITY
-    assert np.max(np.abs(stages[-1] - gbrt.predict(X))) <= PARITY
 
+    def object_walk(rows):
+        codes = gbrt._binner.transform(rows)
+        out = np.full(rows.shape[0], gbrt.init_)
+        for nodes in gbrt._trees:
+            out += gbrt.learning_rate * _HistogramTreeBuilder.predict(
+                nodes, codes
+            )
+        return out
 
-def test_grid_search_predict_uses_compiled_kernel():
-    X, y = friedman(240)
-    search = GridSearchCV(
-        GradientBoostingRegressor(n_estimators=15, random_state=0),
-        {"max_depth": [2, 3]},
-        cv=3,
-    ).fit(X, y)
-    prediction = search.predict(X)
-    assert search.best_estimator_._compiled is not None
-    assert np.max(
-        np.abs(prediction - search.best_estimator_.predict_reference(X))
-    ) <= PARITY
+    def best_of_3(predict):
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            answer = predict(X)
+            best = min(best, time.perf_counter() - start)
+        return best, answer
+
+    t_walk, walked = best_of_3(object_walk)
+    t_batch, compiled = best_of_3(gbrt.predict)
+    assert np.max(np.abs(compiled - walked)) <= PARITY
+    assert t_walk / t_batch >= 5.0, (
+        f"compiled batch kernel is only {t_walk / t_batch:.2f}x the "
+        f"object walk (>= 5x required)"
+    )
 
 
 def test_compile_rejects_unfitted_and_foreign_estimators():

@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 from repro.errors import MLError
-from repro.ml import (
-    GridSearchCV,
-    KFold,
-    LassoRegression,
-    LinearRegression,
-    cross_val_score,
-    train_test_split,
-)
+from repro.ml import KFold, LassoRegression, train_test_split
+from repro.predict.evaluate import ScaledModel, _NestedGridSearch
 
 
 def data(n=100, p=5, seed=0):
@@ -70,40 +64,19 @@ def test_kfold_validation():
         list(KFold(10).split(np.ones((5, 1))))
 
 
-def test_cross_val_score_reasonable():
-    X, y = data(120)
-    scores = cross_val_score(LinearRegression(), X, y, cv=4)
-    assert scores.shape == (4,)
-    assert np.all(scores > -1.0)  # near-perfect fit => small negative MAE
-
-
 def test_grid_search_finds_lower_alpha_for_clean_data():
+    """The grid search ``repro train --grid-search`` runs keeps the
+    best-scoring grid point and refits it on all the data."""
     X, y = data(150)
-    search = GridSearchCV(
-        LassoRegression(max_iter=200),
+    search = _NestedGridSearch(
+        ScaledModel(LassoRegression(max_iter=200)),
         {"alpha": [0.001, 5.0]},
         cv=KFold(3, random_state=0),
     )
     search.fit(X, y)
     assert search.best_params_["alpha"] == 0.001
-    assert len(search.results_) == 2
-    assert search.predict(X).shape == (150,)
-
-
-def test_grid_search_requires_grid():
-    with pytest.raises(MLError):
-        GridSearchCV(LinearRegression(), {})
-
-
-def test_grid_search_refit_false():
-    X, y = data(60)
-    search = GridSearchCV(
-        LassoRegression(max_iter=100), {"alpha": [0.01]},
-        cv=KFold(2, random_state=0), refit=False,
-    )
-    search.fit(X, y)
-    with pytest.raises(MLError):
-        search.predict(X)
+    assert search.best_estimator_.estimator.alpha == 0.001
+    assert search.best_estimator_.predict(X).shape == (150,)
 
 
 def test_estimator_clone_and_set_params():

@@ -81,16 +81,6 @@ def test_gbrt_train_loss_monotone_nonincreasing():
     assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
 
-def test_gbrt_staged_predict_improves():
-    X, y = friedman(400)
-    gbrt = GradientBoostingRegressor(n_estimators=30).fit(X, y)
-    stages = list(gbrt.staged_predict(X))
-    assert len(stages) == 30
-    first = mean_absolute_error(y, stages[0])
-    last = mean_absolute_error(y, stages[-1])
-    assert last < first
-
-
 def test_gbrt_importances_find_informative_features():
     X, y = friedman(800)
     gbrt = GradientBoostingRegressor(n_estimators=60).fit(X, y)

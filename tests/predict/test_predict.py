@@ -80,6 +80,8 @@ def test_gbrt_predictor_exposes_importances(small_dataset):
         "repro.ml", fromlist=["GradientBoostingRegressor"]
     ).GradientBoostingRegressor(n_estimators=10, max_depth=2)
     predictor.fit(small_dataset)
+    # the shrink took effect: the test did not fit the full model
+    assert predictor.kernels["vertical"].n_trees == 10
     imp = predictor.feature_importances_
     assert imp is not None and imp.shape == (302,)
 

@@ -58,8 +58,7 @@ def test_stats_and_index():
     c = nl.add_cell("c", "mux", lut=1)
     nl.add_net("n1", a.cell_id, [b.cell_id], 8)
     nl.add_net("n2", a.cell_id, [b.cell_id, c.cell_id], 4)
-    stats = nl.stats()
-    assert stats["wires"] == 12
-    assert stats["pins"] == 5
+    assert sum(n.width for n in nl.nets) == 12
+    assert sum(n.n_pins for n in nl.nets) == 5
     index = nl.nets_of_cell()
     assert sorted(index[a.cell_id]) == [0, 1]

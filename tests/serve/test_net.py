@@ -2,9 +2,10 @@
 
 Everything runs against stub services (no training, no flow) through
 :func:`start_net_server`'s background event loop and the blocking
-:class:`NetClient` — the same harness the benchmark and CI smoke use.
-The trained-model network path is covered by the bench; here each edge
-behavior is isolated and deterministic.
+:class:`NetClient`.  The trained-model network path is covered by the
+``serve_net`` workload of ``perfbench/run.py`` and the CI net smoke;
+here each edge behavior is isolated, and the tests wait on events
+instead of polling counters.
 """
 
 import socket
@@ -126,6 +127,47 @@ def served(service=None, config=None, net_config=None):
     )
 
 
+def record_admissions(server, n):
+    """Wrap ``server.submit``: ``admitted`` maps each admitted design to
+    the monotonic time its submit returned, and ``all_in`` is set at
+    the ``n``-th admission."""
+    admit = server.submit
+    admitted = {}
+    all_in = threading.Event()
+    lock = threading.Lock()
+
+    def submit(request, **kwargs):
+        future = admit(request, **kwargs)
+        with lock:
+            admitted[request.design] = time.monotonic()
+            if len(admitted) == n:
+                all_in.set()
+        return future
+
+    server.submit = submit
+    return admitted, all_in
+
+
+def signal_polls(watcher):
+    """Replace the watcher's ``poll_once`` with a wrapper that sets
+    ``swapped`` after a tick once a swap has happened and ``failed``
+    once a failure has been counted.  Both counters are updated before
+    ``poll_once`` returns, and the watcher thread keeps running."""
+    poll_once = watcher.poll_once
+    swapped, failed = threading.Event(), threading.Event()
+
+    def poll():
+        result = poll_once()
+        if watcher.swaps:
+            swapped.set()
+        if watcher.failures:
+            failed.set()
+        return result
+
+    watcher.poll_once = poll
+    return swapped, failed
+
+
 # ----------------------------------------------------------------------
 # wire mapping
 # ----------------------------------------------------------------------
@@ -222,6 +264,7 @@ def test_timeout_ms_becomes_pipeline_deadline():
     service = BlockingService()
     config = ServerConfig(batch_max=1, workers=1)
     with served(service, config) as handle:
+        admitted, both_in = record_admissions(handle.net.server, 2)
         outcome = {}
 
         def deadlined():
@@ -241,7 +284,10 @@ def test_timeout_ms_becomes_pipeline_deadline():
             assert service.started.wait(timeout=5)
             worker = threading.Thread(target=deadlined)
             worker.start()
-            time.sleep(0.3)  # well past b's 80ms deadline
+            assert both_in.wait(timeout=5)
+            # b's deadline was set inside its submit, so it has passed
+            # once 80ms have gone by since that submit returned
+            time.sleep(max(0.0, admitted["b"] + 0.08 - time.monotonic()))
             service.release.set()
             worker.join(timeout=10)
             blocked.join(timeout=10)
@@ -277,17 +323,7 @@ def test_admission_overload_reaches_the_wire_typed():
     service = BlockingService()
     config = ServerConfig(max_queue=1, batch_max=1, workers=1)
     with served(service, config) as handle:
-        server = handle.net.server
-        admit = server.submit
-        queued = threading.Event()
-
-        def submit(request, **kwargs):
-            future = admit(request, **kwargs)
-            if request.design == "b":
-                queued.set()
-            return future
-
-        server.submit = submit
+        _, queued = record_admissions(handle.net.server, 2)
         outcomes = {}
 
         def call(client, design):
@@ -320,6 +356,7 @@ def test_graceful_drain_answers_every_admitted_request():
     service = SlowService(delay_s=0.05)
     config = ServerConfig(batch_max=1, workers=1)
     with served(service, config) as handle:
+        _, all_in = record_admissions(handle.net.server, 6)
         results, failures = [], []
 
         def call(i):
@@ -334,10 +371,7 @@ def test_graceful_drain_answers_every_admitted_request():
         for t in threads:
             t.start()
         # drain only once every request is admitted (queued or in flight)
-        deadline = time.monotonic() + 10
-        while handle.net.server.stats()["submitted"] < 6:
-            assert time.monotonic() < deadline, "requests never admitted"
-            time.sleep(0.005)
+        assert all_in.wait(timeout=10), "requests never admitted"
         handle.shutdown(drain=True)
         for t in threads:
             t.join(timeout=30)
@@ -354,6 +388,8 @@ def test_wire_faults_are_survived_by_client_retry():
             FaultSpec("net.garbage", "corrupt", max_fires=1),
             FaultSpec("net.stall", "delay", delay_seconds=0.02,
                       probability=0.5, max_fires=4),
+            # a worker crashing while it holds a claimed batch
+            FaultSpec("server.worker", "error", max_fires=2),
         ]
         with injected_faults(plan, seed=7) as injector:
             with NetClient(handle.host, handle.port,
@@ -363,6 +399,7 @@ def test_wire_faults_are_survived_by_client_retry():
                     assert result["model_source"] == "stub"
             fired = injector.stats()["by_site"]
         assert fired.get("net.garbage") == 1
+        assert fired.get("server.worker") == 2
         # a corrupted frame cost a reconnect, never a failed request
         assert client.transport_retries >= 1
 
@@ -375,42 +412,38 @@ def test_registry_watcher_hot_swaps_between_batches():
     with served(service, config, net_config) as handle:
         watcher = handle.net.watcher
         assert watcher is not None
+        swapped, _ = signal_polls(watcher)
         with NetClient(handle.host, handle.port) as client:
             before = client.predict("a")["model_generation"]
             service.registry.version += 1  # "trainer republished"
-            deadline = time.monotonic() + 5
-            while watcher.swaps < 1:
-                assert time.monotonic() < deadline, "watcher never swapped"
-                time.sleep(0.01)
+            assert swapped.wait(timeout=5), "watcher never swapped"
             after = client.predict("a")["model_generation"]
             assert after == before + 1
             stats = client.stats()
             assert stats["swaps"] == 1
             assert stats["net"]["watcher"]["swaps"] == 1
             assert stats["service"]["model_generation"] == after
+            # a swap fails nothing and restarts no worker
+            assert stats["failed"] == 0
+            assert stats["worker_restarts"] == 0
 
 
 def test_registry_watcher_survives_bad_publish():
     service = fake_registry_service()
     server = ResilientCongestionServer(service, ServerConfig())
     watcher = RegistryWatcher(server, poll_s=0.01)
+    swapped, failed = signal_polls(watcher)
     try:
         watcher.start()
         service.registry.load_error = OSError("half-written artifact")
         service.registry.version += 1
-        deadline = time.monotonic() + 5
-        while watcher.failures < 1:
-            assert time.monotonic() < deadline, "failure never recorded"
-            time.sleep(0.01)
+        assert failed.wait(timeout=5), "failure never recorded"
         assert watcher.swaps == 0
         assert "half-written" in watcher.last_error
         # the next good publish still lands
         service.registry.load_error = None
         service.registry.version += 1
-        deadline = time.monotonic() + 5
-        while watcher.swaps < 1:
-            assert time.monotonic() < deadline, "recovery swap never came"
-            time.sleep(0.01)
+        assert swapped.wait(timeout=5), "recovery swap never came"
     finally:
         watcher.stop()
         server.close(drain=False)

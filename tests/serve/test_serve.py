@@ -355,7 +355,8 @@ def test_service_scores_distinct_rows_bit_identically(monkeypatch,
     """A cache entry keeps its group's distinct feature rows and each
     operation's index into them; scattered back, the answers of one
     stacked batch equal the single requests and predict_design, bit for
-    bit."""
+    bit.  The batch calls the model once, on exactly the union of its
+    groups' distinct rows."""
     design = build_kernel("face_detection", scale=SCALE)
     space = DirectiveSpace.around(design)
     stock = design.directives.to_key()
@@ -380,11 +381,23 @@ def test_service_scores_distinct_rows_bit_identically(monkeypatch,
         matrices.append(X)
         return nodes, X
 
+    scored = []
+    predict_matrix = CongestionPredictor.predict_matrix
+
+    def scoring(self, X):
+        scored.append(X)
+        return predict_matrix(self, X)
+
     service = _service_serving(trained_gbrt)
     monkeypatch.setattr(FeatureExtractor, "extract_all", recorded)
+    monkeypatch.setattr(CongestionPredictor, "predict_matrix", scoring)
     batch = service.predict_batch(requests)
     monkeypatch.undo()
     assert len(matrices) == len(requests)
+    assert len(scored) == 1
+    assert np.array_equal(scored[0], np.vstack([
+        service._feature_cache[r.group_key].rows for r in requests
+    ]))
 
     for request, single, batched, X in zip(requests, singles, batch,
                                            matrices):

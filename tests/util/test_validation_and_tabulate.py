@@ -3,43 +3,7 @@ import os
 import pytest
 
 from repro.util.tabulate import format_table, write_csv
-from repro.util.validation import (
-    check_in_range,
-    check_non_negative,
-    check_one_of,
-    check_positive,
-    check_type,
-)
 from repro.util.cache import KeyedCache, cached_property_store
-
-
-def test_check_positive_accepts_and_rejects():
-    assert check_positive(3, "x") == 3
-    with pytest.raises(ValueError, match="x must be positive"):
-        check_positive(0, "x")
-
-
-def test_check_non_negative():
-    assert check_non_negative(0, "x") == 0
-    with pytest.raises(ValueError):
-        check_non_negative(-1, "x")
-
-
-def test_check_in_range_inclusive_and_exclusive():
-    assert check_in_range(5, 0, 5, "x") == 5
-    with pytest.raises(ValueError):
-        check_in_range(5, 0, 5, "x", inclusive=False)
-
-
-def test_check_type_message_names_expected():
-    with pytest.raises(TypeError, match="int"):
-        check_type("s", int, "x")
-
-
-def test_check_one_of():
-    assert check_one_of("a", ("a", "b"), "x") == "a"
-    with pytest.raises(ValueError):
-        check_one_of("c", ("a", "b"), "x")
 
 
 def test_format_table_aligns_and_floats():
