@@ -62,6 +62,7 @@ from repro.serve import (
     ServerConfig,
     run_open_loop,
 )
+from repro.serve.loadgen import percentile
 from repro.serve.service import measure_serving
 from repro.util import faults
 from repro.util.cache import CACHE_DIR_ENV
@@ -264,15 +265,6 @@ def cmd_explore(args) -> int:
     return 0
 
 
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile (no numpy needed for a demo printout)."""
-    if not sorted_values:
-        return 0.0
-    rank = max(0, min(len(sorted_values) - 1,
-                      round(q / 100 * (len(sorted_values) - 1))))
-    return sorted_values[rank]
-
-
 def _cmd_serve_resilient(args, service) -> int:
     """The ``serve-demo --resilient`` path: open-loop load through the
     fault-tolerant front-end, with optional injected faults."""
@@ -377,9 +369,9 @@ def cmd_serve_demo(args) -> int:
         print(f"\n{n} requests over {len(designs)} designs:")
         print(f"  single : {timing['single_seconds']:.3f}s total "
               f"({n / timing['single_seconds']:.1f} req/s)  "
-              f"p50 {1e3 * _percentile(latencies, 50):.1f}ms  "
-              f"p90 {1e3 * _percentile(latencies, 90):.1f}ms  "
-              f"p99 {1e3 * _percentile(latencies, 99):.1f}ms")
+              f"p50 {1e3 * percentile(latencies, 50):.1f}ms  "
+              f"p90 {1e3 * percentile(latencies, 90):.1f}ms  "
+              f"p99 {1e3 * percentile(latencies, 99):.1f}ms")
         print(f"  batched: {timing['batch_seconds']:.3f}s total "
               f"({n / timing['batch_seconds']:.1f} req/s, "
               f"one model invocation)")

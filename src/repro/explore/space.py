@@ -188,10 +188,6 @@ class DirectiveConfig:
                  if not k.is_off(v)]
         return " ".join(parts) if parts else "(all off)"
 
-    def describe_full(self) -> str:
-        return " ".join(k.describe(v)
-                        for k, v in zip(self.space.knobs, self.values))
-
 
 class DirectiveSpace:
     """Declared knobs over one design's directive surface."""

@@ -75,9 +75,6 @@ class MemoryMap:
     def total_ff(self) -> int:
         return sum(b.ff for b in self.banks)
 
-    def banks_of(self, array: str) -> list[MemoryBank]:
-        return [b for b in self.banks if b.array == array]
-
 
 def map_array(decl: ArrayDecl) -> list[MemoryBank]:
     """Map one array declaration to its physical banks."""

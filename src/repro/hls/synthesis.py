@@ -60,10 +60,6 @@ class HLSResult:
     def latency_cycles(self) -> int:
         return self.top_report.latency_cycles
 
-    def report_for_op(self, op) -> FunctionReport:
-        """Report of the function an operation lives in."""
-        return self.reports[op.parent.name]
-
     def total_muxes(self) -> int:
         return sum(r.muxes.count for r in self.reports.values())
 

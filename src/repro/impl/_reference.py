@@ -9,11 +9,15 @@ executable specification:
   (dict positions, full net-cost rescans per swap).
 * :func:`reference_route` — the pre-vectorization router (O(n^2) Python
   Prim, per-edge slice accumulation, O(r^2) roll-based smear).
+* :class:`ReferenceTimingAnalyzer` — the original STA, which scores
+  every net's bounding box in one Python loop.
 
 The seeded-equivalence tests assert that the vectorized router matches
-:func:`reference_route` numerically and that the vectorized placer
-reaches a final cost no worse than :class:`ReferenceAnnealer` under the
-same seed.  Keep this module loop-based on purpose; do not "optimize" it.
+:func:`reference_route` numerically, that the vectorized placer reaches
+a final cost no worse than :class:`ReferenceAnnealer` under the same
+seed, and that :class:`~repro.impl.timing.TimingAnalyzer` reports
+exactly what :class:`ReferenceTimingAnalyzer` does.  Keep this module
+loop-based on purpose; do not "optimize" it.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from repro.fpga.device import Device
 from repro.impl.packing import Packing
 from repro.impl.placement import Annealer, Placement
 from repro.impl.routing import CongestionMap, GlobalRouter, RoutingOptions
+from repro.impl.timing import TimingAnalyzer, TimingReport
 from repro.rtl.netlist import Netlist
 
 
@@ -33,6 +38,13 @@ class ReferenceAnnealer(Annealer):
     """The original swap/relocate annealer, one Python-evaluated move at
     a time.  Shares net extraction and the initial placement with the
     vectorized :class:`~repro.impl.placement.Annealer`."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._nets_of_cluster: dict[int, list[int]] = {}
+        for net_id, pins in enumerate(self._net_pins):
+            for cid in pins:
+                self._nets_of_cluster.setdefault(cid, []).append(net_id)
 
     def place(self) -> Placement:
         placement = self._initial_placement()
@@ -236,3 +248,59 @@ def reference_route(
         h_demand = _reference_box_smear(h_demand, options.smear)
 
     return CongestionMap(device, v_demand, h_demand)
+
+
+# ---------------------------------------------------------------------------
+# timing
+# ---------------------------------------------------------------------------
+class ReferenceTimingAnalyzer(TimingAnalyzer):
+    """The original STA: every net's bounding box, one net at a time."""
+
+    def analyze(
+        self,
+        netlist: Netlist,
+        packing: Packing,
+        placement: Placement,
+        congestion: CongestionMap,
+        *,
+        logic_delay_ns: float,
+        target_period_ns: float,
+        uncertainty_ns: float,
+    ) -> TimingReport:
+        worst_wire = 0.0
+        avg_cong = 0.5 * (congestion.vertical + congestion.horizontal)
+        for net in netlist.nets:
+            pins = []
+            seen = set()
+            for cell_id in net.endpoints():
+                cid = packing.primary_cluster.get(cell_id)
+                if cid is None:
+                    continue
+                pos = placement.positions.get(cid)
+                if pos is not None and pos not in seen:
+                    seen.add(pos)
+                    pins.append(pos)
+            if len(pins) < 2:
+                continue
+            xs = [p[0] for p in pins]
+            ys = [p[1] for p in pins]
+            x1, x2 = min(xs), max(xs)
+            y1, y2 = min(ys), max(ys)
+            dist = (x2 - x1) + (y2 - y1)
+            if dist == 0:
+                continue
+            region = avg_cong[y1:y2 + 1, x1:x2 + 1]
+            cong = 0.6 * float(region.max()) + 0.4 * float(region.mean())
+            delay = self.wire_delay(dist, cong)
+            if delay > worst_wire:
+                worst_wire = delay
+
+        achieved = logic_delay_ns + worst_wire + uncertainty_ns
+        achieved = max(achieved, 1e-3)
+        return TimingReport(
+            target_period_ns=target_period_ns,
+            achieved_period_ns=achieved,
+            logic_delay_ns=logic_delay_ns,
+            worst_wire_delay_ns=worst_wire,
+            uncertainty_ns=uncertainty_ns,
+        )

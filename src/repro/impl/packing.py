@@ -52,9 +52,6 @@ class Packing:
     def n_clusters(self) -> int:
         return len(self.clusters)
 
-    def of_kind(self, kind: str) -> list[Cluster]:
-        return [c for c in self.clusters if c.kind == kind]
-
     def demand_summary(self) -> dict[str, int]:
         return {
             "clb": sum(1 for c in self.clusters if c.kind == "clb"),

@@ -10,17 +10,21 @@ paper's Fig. 5 emerges from center-packed placements.
 The annealer is vectorized: cluster positions, per-net pin indices and
 per-net bounding-box costs live in NumPy arrays, and each temperature
 sweep proposes and evaluates its whole move batch in bulk before a
-sequential conflict-free acceptance pass.  A proposal's cost delta
-substitutes the swapped endpoints of its 2-pin nets directly and
-re-evaluates its multi-pin nets' bounding boxes with one ragged
-``reduceat`` pass over their pin lists.  The original one-move-at-a-time
-loop survives as :class:`repro.impl._reference.ReferenceAnnealer` and
-the equivalence tests assert this implementation places at least as
-well under the same seed.
+sequential conflict-free acceptance pass.  A proposal's cost delta reads
+arrays precomputed per (cluster, net) incidence: a 2-pin net's cost
+after the swap is the distance from the partner's position to the net's
+other endpoint, and a multi-pin net's is the bounding box of its padded
+pin row with the swapped ids substituted.  Costs are integer-valued, so
+the batched sums equal the one-at-a-time ones exactly.  The original
+one-move-at-a-time loop survives as
+:class:`repro.impl._reference.ReferenceAnnealer` and the equivalence
+tests assert this implementation places at least as well under the same
+seed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -66,9 +70,6 @@ class Placement:
     #: dense cluster-id domain (``packing.n_clusters()``); ``None`` for
     #: hand-built placements that never went through the annealer
     n_clusters: int | None = None
-
-    def position_of(self, cluster_id: int) -> tuple[int, int]:
-        return self.positions[cluster_id]
 
     def tiles_of_cell(self, packing: Packing, cell_id: int) -> list[tuple[int, int]]:
         """Every tile holding a piece of ``cell_id``."""
@@ -122,6 +123,11 @@ class Annealer:
     not maximal quality: the result is the best state the cooling
     schedule visits.  A markedly better placer would erase the very
     hotspots the paper predicts.
+
+    Connectivity is precomputed once: a cluster -> incident-nets CSR
+    list, the other endpoint of every (cluster, 2-pin net) incidence, and
+    the multi-pin nets' pins as a matrix of rows padded by repeating
+    each row's first pin (which leaves its bounding box unchanged).
     """
 
     sweep_chunks: int = 10
@@ -166,44 +172,51 @@ class Annealer:
                     self._net_pins.append([a, b])
                     self._net_width.append(4)
 
-        self._nets_of_cluster: dict[int, list[int]] = {}
-        for net_id, pins in enumerate(self._net_pins):
-            for cid in pins:
-                self._nets_of_cluster.setdefault(cid, []).append(net_id)
-
         self._fixed: set[int] = set(packing.port_cluster.values())
 
         # -- dense array views of the same connectivity ----------------
         self._n_clusters = packing.n_clusters()
         self._n_nets = len(self._net_pins)
-        lens = np.array([len(p) for p in self._net_pins], dtype=np.int64)
-        self._net_len = lens
+        lens = np.fromiter(map(len, self._net_pins), dtype=np.int64,
+                           count=self._n_nets)
         self._net_ptr = np.zeros(self._n_nets + 1, dtype=np.int64)
         np.cumsum(lens, out=self._net_ptr[1:])
-        self._pins_flat = (
-            np.concatenate([np.asarray(p, dtype=np.int64)
-                            for p in self._net_pins])
-            if self._net_pins else np.zeros(0, dtype=np.int64)
+        self._pins_flat = np.fromiter(
+            itertools.chain.from_iterable(self._net_pins), dtype=np.int64,
+            count=int(self._net_ptr[-1]),
         )
         self._net_width_arr = np.asarray(self._net_width, dtype=np.float64)
-        # flat pin -> owning net (segment ids of the CSR pin list)
-        self._pin_net = np.repeat(np.arange(self._n_nets, dtype=np.int64),
-                                  lens)
-        # cluster -> incident nets in CSR form
-        self._cl_deg = np.bincount(
-            self._pins_flat, minlength=self._n_clusters
-        ).astype(np.int64)
+        starts = self._net_ptr[:-1]
+        # every net has at least two pins, so these reads are valid
+        self._net_p0 = self._pins_flat[starts]
+        self._net_p1 = self._pins_flat[starts + 1]
+        # cluster -> incident nets in CSR form (an incidence is one
+        # (cluster, net) pair, in net order per cluster)
+        self._cl_deg = np.bincount(self._pins_flat,
+                                   minlength=self._n_clusters)
         self._cl_ptr = np.zeros(self._n_clusters + 1, dtype=np.int64)
         np.cumsum(self._cl_deg, out=self._cl_ptr[1:])
         order = np.argsort(self._pins_flat, kind="stable")
-        self._cl_nets = self._pin_net[order]
-        # Endpoint shortcut for the dominant 2-pin nets (every net has
-        # at least two pins, so these reads are valid for all nets).
-        starts = self._net_ptr[:-1]
-        self._net_p0 = (self._pins_flat[starts]
-                        if self._n_nets else np.zeros(0, dtype=np.int64))
-        self._net_p1 = (self._pins_flat[starts + 1]
-                        if self._n_nets else np.zeros(0, dtype=np.int64))
+        pin_net = np.repeat(np.arange(self._n_nets, dtype=np.int64), lens)
+        self._cl_nets = pin_net[order]
+        # per incidence: the other endpoint of a 2-pin net (the cluster
+        # itself for a multi-pin net, whose cost comes from its row)
+        pin_other = np.where(
+            lens[pin_net] == 2,
+            self._net_p0[pin_net] + self._net_p1[pin_net] - self._pins_flat,
+            self._pins_flat,
+        )
+        self._inc_other = pin_other[order]
+        # multi-pin nets: net -> row of a pin matrix padded with each
+        # row's first pin; -1 marks a 2-pin net
+        multi = np.flatnonzero(lens > 2)
+        self._net_row = np.full(self._n_nets, -1, dtype=np.int64)
+        self._net_row[multi] = np.arange(multi.size)
+        cols = np.arange(int(lens[multi].max()) if multi.size else 0)
+        self._multi_pins = self._pins_flat[
+            starts[multi, None]
+            + np.where(cols < lens[multi, None], cols, 0)
+        ]
 
     # ------------------------------------------------------------------
     def place(self) -> Placement:
@@ -218,13 +231,14 @@ class Annealer:
         device = self.device
         placement = Placement(device=device, n_clusters=self._n_clusters)
 
-        center = (device.n_cols / 2.0, device.n_rows / 2.0)
+        center = np.array([device.n_cols / 2.0, device.n_rows / 2.0])
 
         def center_order(sites):
-            return sorted(
-                sites,
-                key=lambda s: (s[0] - center[0]) ** 2 + (s[1] - center[1]) ** 2,
-            )
+            """``sites`` by squared distance from the die center, ties in
+            enumeration order (a stable sort)."""
+            offset = np.array(sites, dtype=np.float64).reshape(-1, 2) - center
+            key = offset[:, 0] ** 2 + offset[:, 1] ** 2
+            return [sites[i] for i in np.argsort(key, kind="stable").tolist()]
 
         site_pools = {
             "clb": center_order(device.clb_sites()),
@@ -275,8 +289,6 @@ class Annealer:
     # ------------------------------------------------------------------
     def _net_costs(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Per-net half-perimeter wirelength cost, all nets at once."""
-        if self._n_nets == 0:
-            return np.zeros(0, dtype=np.float64)
         px = xs[self._pins_flat]
         py = ys[self._pins_flat]
         starts = self._net_ptr[:-1]
@@ -284,57 +296,33 @@ class Annealer:
         dy = np.maximum.reduceat(py, starts) - np.minimum.reduceat(py, starts)
         return self._net_width_arr * (dx + dy)
 
+    @staticmethod
+    def _row_costs(
+        rows: np.ndarray, width: np.ndarray, xs: np.ndarray, ys: np.ndarray
+    ) -> np.ndarray:
+        """``width[i]`` times the half perimeter of padded pin row
+        ``rows[i]`` (one row of cluster ids per net)."""
+        px = xs[rows]
+        py = ys[rows]
+        return width * (px.max(axis=1) - px.min(axis=1)
+                        + py.max(axis=1) - py.min(axis=1))
+
     def _net_costs_subset(
         self, nets: np.ndarray, xs: np.ndarray, ys: np.ndarray
     ) -> np.ndarray:
-        """Exact current cost of just ``nets`` (ragged reduceat)."""
-        if nets.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        plen = self._net_len[nets]
-        poff = np.zeros(nets.size + 1, dtype=np.int64)
-        np.cumsum(plen, out=poff[1:])
-        n_pins = int(poff[-1])
-        ppair = np.repeat(np.arange(nets.size, dtype=np.int64), plen)
-        pwithin = np.arange(n_pins, dtype=np.int64) - poff[ppair]
-        cid = self._pins_flat[self._net_ptr[nets[ppair]] + pwithin]
-        coords = np.concatenate([xs[cid], ys[cid]])
-        starts = np.concatenate([poff[:-1], poff[:-1] + n_pins])
-        span = np.maximum.reduceat(coords, starts) - np.minimum.reduceat(
-            coords, starts
-        )
-        return self._net_width_arr[nets] * (
-            span[:nets.size] + span[nets.size:]
-        )
-
-    def _swapped_net_costs(
-        self,
-        nets: np.ndarray,
-        pa: np.ndarray,
-        pb: np.ndarray,
-        xs: np.ndarray,
-        ys: np.ndarray,
-    ) -> np.ndarray:
-        """Post-swap cost of ``nets[i]`` under swap ``pa[i] <-> pb[i]``,
-        by ragged pin expansion with the swapped ids substituted."""
-        plen = self._net_len[nets]
-        poff = np.zeros(nets.size + 1, dtype=np.int64)
-        np.cumsum(plen, out=poff[1:])
-        n_pins = int(poff[-1])
-        ppair = np.repeat(np.arange(nets.size, dtype=np.int64), plen)
-        pwithin = np.arange(n_pins, dtype=np.int64) - poff[ppair]
-        cid = self._pins_flat[self._net_ptr[nets[ppair]] + pwithin]
-        sa = pa[ppair]
-        sb = pb[ppair]
-        eff = np.where(cid == sa, sb, np.where(cid == sb, sa, cid))
-        # One reduceat over the concatenated x/y coordinate stream.
-        coords = np.concatenate([xs[eff], ys[eff]])
-        starts = np.concatenate([poff[:-1], poff[:-1] + n_pins])
-        span = np.maximum.reduceat(coords, starts) - np.minimum.reduceat(
-            coords, starts
-        )
-        return self._net_width_arr[nets] * (
-            span[:nets.size] + span[nets.size:]
-        )
+        """Exact current cost of just ``nets``: endpoint distance for
+        2-pin nets, padded-row bounding box for multi-pin nets."""
+        width = self._net_width_arr[nets]
+        u = self._net_p0[nets]
+        v = self._net_p1[nets]
+        costs = width * (np.abs(xs[u] - xs[v]) + np.abs(ys[u] - ys[v]))
+        rows = self._net_row[nets]
+        multi = np.flatnonzero(rows >= 0)
+        if multi.size:
+            costs[multi] = self._row_costs(
+                self._multi_pins[rows[multi]], width[multi], xs, ys
+            )
+        return costs
 
     def _batch_swap_deltas(
         self,
@@ -346,70 +334,57 @@ class Annealer:
     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Cost delta of swapping ``a[i] <-> b[i]``, for every proposal.
 
-        All proposals are evaluated against the *current* placement:
-        affected nets come per proposal from the cluster->nets CSR; 2-pin
-        nets (the vast majority) substitute their two endpoints directly,
-        and multi-pin nets get one ragged ``reduceat`` re-evaluation.
+        All proposals are evaluated against the *current* placement.  Both
+        swap ends form one list (``a ++ b``, each moving to its partner
+        ``b ++ a``) whose incidences come from the cluster->nets CSR.  A
+        2-pin net costs the distance from the partner's position to the
+        other endpoint (the mover's own position when that endpoint *is*
+        the partner); a multi-pin net costs the bounding box of its
+        padded pin row with the two swapped ids exchanged.
 
         Returns ``(deltas, (prop_e, net_e, after_e))`` where the second
         element lists every evaluated (proposal, net) pair with its
         post-swap cost — the caller reuses these to update ``net_cost``
         incrementally for the proposals it applies.
         """
-        empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                 np.zeros(0, dtype=np.float64))
         n_props = a.size
-        if n_props == 0:
-            return np.zeros(0, dtype=np.float64), empty
-        da, db = self._cl_deg[a], self._cl_deg[b]
-        cnt = da + db
-        off = np.zeros(n_props + 1, dtype=np.int64)
-        np.cumsum(cnt, out=off[1:])
-        total = int(off[-1])
+        ends = np.concatenate((a, b))
+        deg = self._cl_deg[ends]
+        total = int(deg.sum())
         if total == 0:
-            return np.zeros(n_props, dtype=np.float64), empty
-        prop = np.repeat(np.arange(n_props, dtype=np.int64), cnt)
-        within = np.arange(total, dtype=np.int64) - off[prop]
-        in_a = within < da[prop]
-        src_cl = np.where(in_a, a[prop], b[prop])
-        src_off = np.where(in_a, within, within - da[prop])
-        nets_cat = self._cl_nets[self._cl_ptr[src_cl] + src_off]
+            return np.zeros(n_props, dtype=np.float64), (
+                np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                np.zeros(0, dtype=np.float64))
+        end_e = np.repeat(np.arange(2 * n_props), deg)
+        first = self._cl_ptr[ends] - (np.cumsum(deg) - deg)
+        inc = np.arange(total) + first[end_e]
+        net_e = self._cl_nets[inc]
+        mover = ends[end_e]
+        dest = np.concatenate((b, a))[end_e]
+        other = self._inc_other[inc]
+        other = np.where(other == dest, mover, other)
+        width = self._net_width_arr[net_e]
+        after_e = width * (np.abs(xs[dest] - xs[other])
+                           + np.abs(ys[dest] - ys[other]))
 
         # A net incident to BOTH swap ends appears twice here, but a
         # swap permutes that net's own pin positions, so its before and
         # after costs are equal and the duplicate contributes zero —
         # no deduplication pass is needed.
-        after_e = np.empty(nets_cat.size, dtype=np.float64)
-        plen = self._net_len[nets_cat]
-        two = plen == 2
-
-        # Fast path: 2-pin nets (the vast majority) — substitute the two
-        # endpoints directly, no ragged expansion.
-        n2 = nets_cat[two]
-        if n2.size:
-            prop2 = prop[two]
-            pa = a[prop2]
-            pb = b[prop2]
-            u = self._net_p0[n2]
-            v = self._net_p1[n2]
-            ue = np.where(u == pa, pb, np.where(u == pb, pa, u))
-            ve = np.where(v == pa, pb, np.where(v == pb, pa, v))
-            after_e[two] = self._net_width_arr[n2] * (
-                np.abs(xs[ue] - xs[ve]) + np.abs(ys[ue] - ys[ve])
-            )
-
-        # Multi-pin nets: ragged reduceat bounding boxes over every
-        # affected net.
-        multi = np.flatnonzero(~two)
+        rows = self._net_row[net_e]
+        multi = np.flatnonzero(rows >= 0)
         if multi.size:
-            after_e[multi] = self._swapped_net_costs(
-                nets_cat[multi], a[prop[multi]], b[prop[multi]], xs, ys
-            )
+            pins = self._multi_pins[rows[multi]]
+            mv = mover[multi, None]
+            ds = dest[multi, None]
+            pins = np.where(pins == mv, ds, np.where(pins == ds, mv, pins))
+            after_e[multi] = self._row_costs(pins, width[multi], xs, ys)
 
+        prop_e = end_e % n_props
         deltas = np.bincount(
-            prop, weights=after_e - net_cost[nets_cat], minlength=n_props
+            prop_e, weights=after_e - net_cost[net_e], minlength=n_props
         )
-        return deltas, (prop, nets_cat, after_e)
+        return deltas, (prop_e, net_e, after_e)
 
     # ------------------------------------------------------------------
     def _anneal(self, placement: Placement) -> None:
@@ -447,7 +422,6 @@ class Annealer:
 
         xs, ys = placement.coordinate_arrays()
         net_cost = self._net_costs(xs, ys)
-        cost = float(net_cost.sum())
 
         # Estimate the initial temperature from a batch of random deltas.
         a0, b0 = propose(min(self.temp_probe, len(movable)))
@@ -458,9 +432,11 @@ class Annealer:
             -mean_delta / math.log(max(1e-9, options.initial_accept_prob)),
         )
 
-        best_cost = cost
+        best_cost = float(net_cost.sum())
         best_xs, best_ys = xs.copy(), ys.copy()
-        touched = bytearray(self._n_clusters)
+        # cluster c moved in the current chunk iff stamp[c] == chunk_no
+        stamp = [0] * self._n_clusters
+        chunk_no = 0
 
         def run_chunk(
             a: np.ndarray, b: np.ndarray, chunk_temp: float
@@ -476,9 +452,10 @@ class Annealer:
             fewer effective moves per sweep than the sequential
             reference, or they anneal systematically worse.
             """
-            nonlocal net_cost, cost
+            nonlocal chunk_no
             if a.size == 0:
                 return 0, 0
+            chunk_no += 1
             deltas, (prop_e, net_e, after_e) = self._batch_swap_deltas(
                 a, b, xs, ys, net_cost
             )
@@ -489,8 +466,7 @@ class Annealer:
             # Sequential first-come acceptance: a cluster moves at most
             # once per chunk so every applied delta was evaluated
             # against positions that are still current.  Plain-python
-            # lists and a bytearray: NumPy scalar indexing would
-            # dominate this loop.
+            # lists: NumPy scalar indexing would dominate this loop.
             a_list = a.tolist()
             b_list = b.tolist()
             chosen: list[int] = []
@@ -498,18 +474,15 @@ class Annealer:
             for i in np.flatnonzero(accept).tolist():
                 ai = a_list[i]
                 bi = b_list[i]
-                if touched[ai] or touched[bi]:
+                if stamp[ai] == chunk_no or stamp[bi] == chunk_no:
                     dropped += 1
                     continue
-                touched[ai] = 1
-                touched[bi] = 1
+                stamp[ai] = stamp[bi] = chunk_no
                 chosen.append(i)
             consumed = int(a.size) - dropped
             if not chosen:
                 return 0, consumed
-            applied_mask = np.zeros(a.size, dtype=bool)
             idx = np.asarray(chosen, dtype=np.int64)
-            applied_mask[idx] = True
             aa, bb = a[idx], b[idx]
             tmp = xs[aa].copy()
             xs[aa] = xs[bb]
@@ -517,27 +490,22 @@ class Annealer:
             tmp = ys[aa].copy()
             ys[aa] = ys[bb]
             ys[bb] = tmp
-            for i in chosen:
-                touched[a_list[i]] = 0
-                touched[b_list[i]] = 0
 
             # Incremental net-cost update: applied swaps are
             # cluster-disjoint, so a net touched by exactly one of them
-            # now costs its precomputed after value; a net shared by
-            # several applied swaps is recomputed exactly.
+            # now costs its precomputed after value; a net touched more
+            # than once (by several applied swaps, or by both ends of
+            # one) is then recomputed exactly.
+            applied_mask = np.zeros(a.size, dtype=bool)
+            applied_mask[idx] = True
             emask = applied_mask[prop_e]
             nets_app = net_e[emask]
-            after_app = after_e[emask]
-            counts = np.bincount(nets_app, minlength=self._n_nets)
-            once = counts[nets_app] == 1
-            n_once = nets_app[once]
-            cost += float((after_app[once] - net_cost[n_once]).sum())
-            net_cost[n_once] = after_app[once]
-            shared = np.flatnonzero(counts > 1)
+            net_cost[nets_app] = after_e[emask]
+            shared = np.flatnonzero(
+                np.bincount(nets_app, minlength=self._n_nets) > 1
+            )
             if shared.size:
-                new_vals = self._net_costs_subset(shared, xs, ys)
-                cost += float((new_vals - net_cost[shared]).sum())
-                net_cost[shared] = new_vals
+                net_cost[shared] = self._net_costs_subset(shared, xs, ys)
             return idx.size, consumed
 
         n_moves = max(1, int(options.moves_per_cluster * len(movable)))
@@ -556,6 +524,8 @@ class Annealer:
                 done += max(consumed, 1)
                 applied += n_applied
                 placement.n_accepted += n_applied
+            # net costs are integer-valued, so this sum is exact
+            cost = float(net_cost.sum())
             if cost < best_cost:
                 best_cost = cost
                 best_xs, best_ys = xs.copy(), ys.copy()

@@ -6,12 +6,19 @@ the worst congestion-inflated wire delay among nets plus uncertainty.
 Congestion hurts superlinearly once utilization approaches 100% — "wires
 have to be detoured for connections, generating longer delays" (paper
 Section I).
+
+Net bounding boxes come from one ``reduceat`` pass over the placed pins,
+and nets are scored longest first until even the die's peak congestion
+could not make the next one the slowest.  The per-net loop survives as
+:class:`repro.impl._reference.ReferenceTimingAnalyzer`; the equivalence
+tests assert both produce equal reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 
 from repro.fpga.device import Device
 from repro.impl.packing import Packing
@@ -60,7 +67,12 @@ class TimingReport:
 
 
 class TimingAnalyzer:
-    """Computes achieved period from placement + congestion."""
+    """Computes achieved period from placement + congestion.
+
+    Scoring only the nets that can set the worst delay relies on
+    :meth:`wire_delay` never falling as congestion rises, so the penalty
+    constants of :class:`TimingParams` must not be negative.
+    """
 
     def __init__(self, device: Device, params: TimingParams | None = None) -> None:
         self.device = device
@@ -92,28 +104,42 @@ class TimingAnalyzer:
         uncertainty_ns: float,
     ) -> TimingReport:
         """Full-design STA."""
-        worst_wire = 0.0
-        avg_cong = 0.5 * (congestion.vertical + congestion.horizontal)
+        avg_cong = congestion.average
+        positions = placement.positions
+        primary = packing.primary_cluster
+        # every net's placed primary clusters, as one flat list
+        pins: list[int] = []
+        starts: list[int] = []
         for net in netlist.nets:
-            pins = []
-            seen = set()
+            start = len(pins)
             for cell_id in net.endpoints():
-                cid = packing.primary_cluster.get(cell_id)
-                if cid is None:
-                    continue
-                pos = placement.positions.get(cid)
-                if pos is not None and pos not in seen:
-                    seen.add(pos)
-                    pins.append(pos)
-            if len(pins) < 2:
-                continue
-            xs = [p[0] for p in pins]
-            ys = [p[1] for p in pins]
-            x1, x2 = min(xs), max(xs)
-            y1, y2 = min(ys), max(ys)
+                cid = primary.get(cell_id)
+                if cid in positions:
+                    pins.append(cid)
+            if len(pins) > start:
+                starts.append(start)
+        xs, ys = placement.coordinate_arrays()
+        at = np.asarray(starts, dtype=np.int64)
+        px = xs[pins]
+        py = ys[pins]
+        boxes = np.stack([
+            np.minimum.reduceat(px, at), np.maximum.reduceat(px, at),
+            np.minimum.reduceat(py, at), np.maximum.reduceat(py, at),
+        ], axis=1)
+        span = (boxes[:, 1] - boxes[:, 0]) + (boxes[:, 3] - boxes[:, 2])
+        boxes = boxes.tolist()
+        # 0.6 max + 0.4 mean of a region never exceeds the die maximum,
+        # and wire_delay rises with span and congestion, so once this
+        # bound cannot beat the running worst, no shorter net can.  The
+        # margin keeps a rounding wobble from dropping the true maximum.
+        die_max = float(avg_cong.max())
+        worst_wire = 0.0
+        for i in np.argsort(-span, kind="stable").tolist():
+            x1, x2, y1, y2 = boxes[i]
             dist = (x2 - x1) + (y2 - y1)
-            if dist == 0:
-                continue
+            if (dist == 0 or self.wire_delay(dist, die_max) * (1.0 + 1e-9)
+                    < worst_wire):
+                break
             region = avg_cong[y1:y2 + 1, x1:x2 + 1]
             # Detours are forced by the *worst* region the route crosses;
             # temper the max with the mean to avoid single-tile spikes.

@@ -2,25 +2,30 @@
 
 The vectorized router must reproduce the loop reference numerically
 (same spanning trees, same demand, float differences only from summation
-order) and the vectorized placer must reach a final cost no worse than
-the original one-move-at-a-time annealer under identical seeds.
+order), the vectorized placer must reach a final cost no worse than
+the original one-move-at-a-time annealer under identical seeds, and STA
+must report exactly what the per-net loop does.
 """
 
 import numpy as np
 import pytest
 
+from repro.flow import run_flow
 from repro.fpga import xc7z020
 from repro.hls import synthesize
 from repro.impl import (
+    CongestionMap,
     GlobalRouter,
     PlacementOptions,
     RoutingOptions,
+    TimingAnalyzer,
     pack_netlist,
     place_netlist,
     route_design,
 )
 from repro.impl._reference import (
     ReferenceAnnealer,
+    ReferenceTimingAnalyzer,
     _reference_box_smear,
     _reference_spanning_edges,
     reference_route,
@@ -121,3 +126,31 @@ def test_box_smear_degenerate_tiny_grid():
     np.testing.assert_allclose(
         _box_smear(grid, 6), _reference_box_smear(grid, 6), rtol=1e-12
     )
+
+
+def test_timing_matches_reference(implemented):
+    _, netlist, packing, placement, device = implemented
+    congestion = route_design(netlist, packing, placement, device)
+    args = (netlist, packing, placement, congestion)
+    kwargs = dict(logic_delay_ns=5.0, target_period_ns=10.0,
+                  uncertainty_ns=1.25)
+    assert TimingAnalyzer(device).analyze(*args, **kwargs) == \
+        ReferenceTimingAnalyzer(device).analyze(*args, **kwargs)
+
+
+@pytest.mark.parametrize("heat", [1.0, 1.5])
+def test_timing_matches_reference_on_a_paper_design(heat):
+    """Full-scale bnn_render_flow as routed, and with its demand scaled
+    so the averaged map STA reads peaks above 100% and the superlinear
+    detour penalty applies.  Its longest net is not its slowest, so the
+    scored-net bound must reach past the first net."""
+    result = run_flow("bnn_render_flow")
+    congestion = CongestionMap(result.device,
+                               heat * result.congestion.v_demand,
+                               heat * result.congestion.h_demand)
+    assert (congestion.average.max() > 100.0) == (heat > 1.0)
+    args = (result.netlist, result.packing, result.placement, congestion)
+    kwargs = dict(logic_delay_ns=5.0, target_period_ns=10.0,
+                  uncertainty_ns=1.25)
+    assert TimingAnalyzer(result.device).analyze(*args, **kwargs) == \
+        ReferenceTimingAnalyzer(result.device).analyze(*args, **kwargs)
