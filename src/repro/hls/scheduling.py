@@ -65,6 +65,18 @@ class FunctionSchedule:
     #: critical combinational path found while chaining (ns)
     critical_delay_ns: float = 0.0
 
+    def start_of(self, uid: int) -> int:
+        """Control state operation ``uid`` starts in."""
+        return self.op_start[uid]
+
+    def end_of(self, uid: int) -> int:
+        """Control state operation ``uid``'s result is registered in."""
+        return self.op_end[uid]
+
+    def arrival_of(self, uid: int) -> float:
+        """Arrival time (ns) of operation ``uid``'s result in its state."""
+        return self.op_arrival_ns[uid]
+
     def delta_tcs(self, producer_uid: int, consumer_uid: int) -> int:
         """Control-state distance ΔTcs between two dependent operations.
 
