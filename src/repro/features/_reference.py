@@ -197,7 +197,7 @@ class ReferenceFeatureExtractor:
             return 1.0
         sched = self.hls.schedule.for_function(src_info.function)
         s_uid, d_uid = src_info.op_uids[0], dst_info.op_uids[0]
-        if s_uid not in sched.op_end or d_uid not in sched.op_start:
+        if not (sched.has_op(s_uid) and sched.has_op(d_uid)):
             return 1.0
         return float(sched.delta_tcs(s_uid, d_uid))
 
@@ -363,7 +363,7 @@ class ReferenceFeatureExtractor:
         sched = self.hls.schedule.for_function(info.function)
         vec[feature_index("timing_delay_ns")] = spec.delay_ns
         vec[feature_index("timing_latency_cycles")] = (
-            sched.op_end[rep_uid] - sched.op_start[rep_uid]
+            sched.end_of(rep_uid) - sched.start_of(rep_uid)
         )
 
     # -- #Resource/dTcs -----------------------------------------------------

@@ -232,9 +232,7 @@ class GraphStage(Stage):
     def run(self, ctx: FlowContext) -> GraphStructure:
         hls = ctx.require("hls")
         graph = build_dependency_graph(
-            hls.module,
-            hls.bindings if ctx.options.merge_shared else None,
-            merge_shared=ctx.options.merge_shared,
+            hls.module, hls.bindings, merge_shared=ctx.options.merge_shared,
         )
         # Compile the feature snapshot against this HLS result here, so
         # every downstream extraction (dataset assembly, prediction,

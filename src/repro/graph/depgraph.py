@@ -6,7 +6,7 @@ counting the number of wires for each connection."  Three refinements from
 the paper are implemented:
 
 * **wire-count edge weights** — a consumer taking 8 of a 32-bit value
-  contributes weight 8 (:func:`repro.rtl.generate.consumed_bits`);
+  contributes weight 8 (:func:`repro.hls.optable.wire_cap`);
 * **shared-module merging (Fig. 4)** — operations bound to the same RTL
   module are replaced by one combined node, with edges redirected;
 * **port nodes** — function-interface nodes "indicate which operators are
@@ -15,21 +15,30 @@ the paper are implemented:
 Cross-function (call) connectivity is wired through the call node, so a
 non-inlined design still exposes its interconnection structure.
 
-:func:`build_dependency_graph` walks the module once into per-node
-successor maps, relabels merged nodes onto the node they are kept as,
-and returns the frozen :class:`~repro.graph.snapshot.GraphStructure`.
+:func:`build_dependency_graph` reads each function's
+:class:`~repro.hls.optable.OpTable` (the one its binding was made
+from), lists every connection as arrays in the order the paper's
+walk makes them — def-use, then calls, then ports — sums parallel
+connections into one edge placed where it was first made, merges
+shared units over the few nodes they touch, and returns the frozen
+:class:`~repro.graph.snapshot.GraphStructure`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import FeatureError, IRError
+from repro.errors import IRError
 from repro.graph.snapshot import GraphStructure, dedup_sorted_keys
 from repro.hls.binding import FunctionBinding
+from repro.hls.opchar import DEFAULT_LIBRARY
+from repro.hls.optable import (
+    READ_PORT,
+    WRITE_PORT,
+    OpTable,
+    lower_function,
+)
 from repro.ir.module import Module
-from repro.ir.opcodes import opcode_index
-from repro.rtl.generate import consumed_bits
 
 
 def build_dependency_graph(
@@ -44,95 +53,183 @@ def build_dependency_graph(
     per function argument.  ``bindings`` enables Fig.-4 merging of
     operations that share an RTL module; pass ``None`` (or
     ``merge_shared=False``) for the unmerged graph used by the sharing
-    ablation.  Bindings must bind exactly the operations of ``module``,
-    which holds for ``hls.module`` with ``hls.bindings``; anything else
-    (typically the pre-HLS ``design.module``) raises
+    ablation.  Bindings must be those of exactly the functions of
+    ``module``, which holds for ``hls.module`` with ``hls.bindings``;
+    anything else (typically the pre-HLS ``design.module``) raises
     :class:`~repro.errors.IRError`.
     """
-    functions = list(module.functions.values())
-    ops = []
-    node_of_op: dict[int, int] = {}
-    for func in functions:
-        for op in func.operations:
-            if op.uid not in node_of_op:
-                node_of_op[op.uid] = len(ops)
-                ops.append(op)
-
-    if bindings is not None:
-        bound = {uid for b in bindings.values() for uid in b.fu_of_op}
-        held = node_of_op.keys()
-        if bound != held:
-            raise IRError(
-                f"bindings do not match module {module.name!r}: "
-                f"{len(bound - held)} bound uids are not in it and "
-                f"{len(held - bound)} of its operations are unbound; "
-                "pass the synthesized module (hls.module) with its bindings"
-            )
-
-    def node_for(uid: int) -> int:
-        node = node_of_op.get(uid)
-        if node is None:
-            raise FeatureError(f"op uid {uid} not in dependency graph")
-        return node
-
-    n_ports = sum(len(func.arguments) for func in functions)
-    # successor -> wires per node, in first-connection order: the edge
-    # order every float sum downstream follows
-    succ: list[dict[int, int] | None] = [
-        {} for _ in range(len(ops) + n_ports)
-    ]
+    tables = _tables(module, bindings)
+    sizes = [t.n for t in tables]
+    offset = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    n_ops = int(offset[-1])
+    uid = np.concatenate([t.uid for t in tables]) if tables else _EMPTY
+    node_of_op = dict(zip(uid.tolist(), range(n_ops)))
+    if len(node_of_op) != n_ops:
+        raise IRError(f"module {module.name!r} repeats operation uids "
+                      "across functions")
+    n_ports = sum(len(t.arg_width) for t in tables)
+    n_nodes = n_ops + n_ports
+    edges = _Edges()
 
     # Def-use edges with wire-count weights.
-    for func in functions:
-        for op in func.operations:
-            for operand in op.operands:
-                producer = operand.producer
-                if producer is not None:
-                    _link(succ, node_for(producer.uid), node_for(op.uid),
-                          consumed_bits(operand, op))
+    for t, o in zip(tables, offset.tolist()):
+        owner = np.repeat(np.arange(t.n), np.diff(t.prod_indptr))
+        edges.add(o + t.prod_pos, o + owner,
+                  t.prod_uses * _wires(t.result_width[t.prod_pos],
+                                       t.wire_cap[owner]))
 
     # Cross-function connectivity through call nodes.
-    for func in functions:
-        for call in func.ops_of("call"):
-            callee = module.functions.get(call.attrs.get("callee"))
-            if callee is None:
+    index = {t.name: i for i, t in enumerate(tables)}
+    for t, o in zip(tables, offset.tolist()):
+        for pos, callee in zip(t.call_pos.tolist(), t.call_callee):
+            c = index.get(callee)
+            if c is None:
                 continue
-            call_node = node_for(call.uid)
-            for arg in callee.arguments[:len(call.operands)]:
-                for user in arg.users:
-                    if user.parent is callee:
-                        _link(succ, call_node, node_for(user.uid),
-                              consumed_bits(arg, user))
-            for ret in callee.ops_of("ret"):
-                if ret.operands:
-                    producer = ret.operands[0].producer
-                    if producer is not None:
-                        _link(succ, node_for(producer.uid), call_node,
-                              max(1, ret.operands[0].bitwidth()))
+            ct, co = tables[c], int(offset[c])
+            call_node = o + pos
+            n_args = min(len(ct.arg_width), int(t.n_operands[pos]))
+            for i in range(n_args):
+                users = _segment(ct.arg_user_indptr, ct.arg_user_pos, i)
+                edges.add(call_node, co + users,
+                          _wires(ct.arg_width[i], ct.wire_cap[users]))
+            edges.add(co + ct.ret_src, call_node, ct.ret_wires)
 
     # Port nodes for function interfaces.
-    port_function: list[str] = []
-    for func in functions:
-        for arg in func.arguments:
-            port = len(ops) + len(port_function)
-            port_function.append(func.name)
-            width = max(1, arg.bitwidth())
-            for user in arg.users:
-                if user.parent is func:
-                    _link(succ, port, node_for(user.uid),
-                          consumed_bits(arg, user))
-            for op in func.operations:
-                if op.attrs.get("port") == arg.name:
-                    if op.opcode == "read_port":
-                        _link(succ, port, node_for(op.uid), width)
-                    elif op.opcode == "write_port":
-                        _link(succ, node_for(op.uid), port, width)
+    port_function: list[int] = []
+    for f, (t, o) in enumerate(zip(tables, offset.tolist())):
+        for i in range(len(t.arg_width)):
+            port = n_ops + len(port_function)
+            port_function.append(f)
+            users = _segment(t.arg_user_indptr, t.arg_user_pos, i)
+            edges.add(port, o + users,
+                      _wires(t.arg_width[i], t.wire_cap[users]))
+            width = max(1, int(t.arg_width[i]))
+            for pos in _segment(t.port_indptr, t.port_pos, i).tolist():
+                if t.opcode_id[pos] == READ_PORT:
+                    edges.add(port, o + pos, width)
+                elif t.opcode_id[pos] == WRITE_PORT:
+                    edges.add(o + pos, port, width)
 
-    # Fig. 4: merge operations sharing one RTL module.
-    bitwidth = [op.bitwidth() for op in ops] + [0] * n_ports
+    e_src, e_dst, e_w = edges.collapse(n_nodes)
+    bitwidth = np.concatenate(
+        [t.width for t in tables] + [np.zeros(n_ports, dtype=np.int64)])
+    removed = _EMPTY
     if merge_shared and bindings:
-        _merge_shared_units(succ, bitwidth, node_of_op, bindings)
-    return _compile(ops, port_function, succ, bitwidth, node_of_op)
+        groups = _shared_groups(tables, offset, bindings)
+        if groups:
+            e_src, e_dst, e_w, removed = _merge_shared_units(
+                e_src, e_dst, e_w, groups, bitwidth, n_nodes)
+            for nodes in groups:
+                keep = nodes[0]
+                for node in nodes[1:]:
+                    node_of_op[int(uid[node])] = keep
+
+    alive = np.ones(n_nodes, dtype=bool)
+    alive[removed] = False
+    func_of_node = np.concatenate([
+        np.repeat(np.arange(len(tables)), sizes),
+        np.array(port_function, dtype=np.int64),
+    ]).astype(np.int64)
+    return _compile(
+        kept=np.flatnonzero(alive), n_ops=n_ops,
+        opcode_id=np.concatenate([t.opcode_id for t in tables] + [_EMPTY]),
+        uid=uid, bitwidth=bitwidth, func_of_node=func_of_node,
+        names=[t.name for t in tables], edges=(e_src, e_dst, e_w),
+        node_of_op=node_of_op,
+    )
+
+
+_EMPTY = np.zeros(0, dtype=np.int64)
+
+
+def _tables(module: Module, bindings) -> list[OpTable]:
+    """The op table of every function of ``module``, in module order:
+    the ones ``bindings`` were made from, else freshly lowered."""
+    functions = list(module.functions.values())
+    if bindings is None:
+        return [lower_function(func, DEFAULT_LIBRARY) for func in functions]
+    tables = [getattr(bindings.get(f.name), "table", None)
+              for f in functions]
+    stale = [f.name for f, t in zip(functions, tables)
+             if t is None or t.function is not f]
+    extra = set(bindings) - set(module.functions)
+    if stale or extra:
+        raise IRError(
+            f"bindings do not match module {module.name!r}: functions "
+            f"{sorted(stale)} were not bound from it and bindings name "
+            f"{sorted(extra)} it does not hold; pass the synthesized "
+            "module (hls.module) with its bindings"
+        )
+    return tables
+
+
+def _segment(indptr: np.ndarray, values: np.ndarray, i: int) -> np.ndarray:
+    return values[indptr[i]:indptr[i + 1]]
+
+
+def _wires(produced, cap):
+    """Wires of each connection: the producer's width, capped by what
+    the consumer reads (:func:`repro.hls.optable.wire_cap`)."""
+    return np.minimum(np.maximum(1, produced), cap)
+
+
+class _Edges:
+    """Connections in the order they are made; :meth:`collapse` turns
+    them into one edge per (source, target)."""
+
+    def __init__(self) -> None:
+        self.src: list[np.ndarray] = []
+        self.dst: list[np.ndarray] = []
+        self.w: list[np.ndarray] = []
+
+    def add(self, src, dst, wires) -> None:
+        src, dst, wires = np.broadcast_arrays(
+            np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64),
+            np.asarray(wires, dtype=np.int64))
+        self.src.append(src.ravel())
+        self.dst.append(dst.ravel())
+        self.w.append(wires.ravel())
+
+    def collapse(self, n_nodes: int):
+        """``(src, dst, wires)`` edges grouped by source node.
+
+        Parallel connections sum into one edge, and each source lists
+        its edges in the order each was first made; self-loops drop.
+        """
+        src = np.concatenate(self.src + [_EMPTY])
+        dst = np.concatenate(self.dst + [_EMPTY])
+        w = np.concatenate(self.w + [_EMPTY])
+        loop = src == dst
+        if loop.any():
+            src, dst, w = src[~loop], dst[~loop], w[~loop]
+        if not len(src):
+            return _EMPTY, _EMPTY, _EMPTY
+        key = src * n_nodes + dst
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        wires = np.add.reduceat(w[order], first)
+        made = order[first]
+        key = key[first]
+        src, dst = key // n_nodes, key % n_nodes
+        by_source = np.lexsort((made, src))
+        return src[by_source], dst[by_source], wires[by_source]
+
+
+def _shared_groups(tables, offset, bindings) -> list[list[int]]:
+    """Node ids of each shared unit's operations (ascending), in
+    binding and unit order: the Fig.-4 merge groups."""
+    node_base = {t.name: int(o) for t, o in zip(tables, offset)}
+    groups = []
+    for binding in bindings.values():
+        fu = binding.fu_of_pos
+        pos = np.flatnonzero(np.bincount(fu)[fu] > 1)
+        pos = pos[np.argsort(fu[pos], kind="stable")]
+        cuts = np.flatnonzero(np.diff(fu[pos])) + 1
+        base = node_base[binding.function]
+        groups += [(base + members).tolist()
+                   for members in np.split(pos, cuts) if len(members)]
+    return groups
 
 
 def _link(succ, src: int, dst: int, wires: int) -> None:
@@ -142,76 +239,99 @@ def _link(succ, src: int, dst: int, wires: int) -> None:
         out[dst] = out.get(dst, 0) + wires
 
 
-def _merge_shared_units(succ, bitwidth, node_of_op, bindings) -> None:
+def _merge_shared_units(e_src, e_dst, e_w, groups, bitwidth, n_nodes):
     """Merge each shared unit's operations into its lowest node id.
 
     "The original nodes are removed and corresponding edges are
     redirected to the combined node."  Members merge one at a time in
     id order: a redirected edge widens an existing edge in place or
     joins the end of its source's successor list, parallel edges sum
-    and self-loops drop.  ``succ`` loses the merged nodes (``None``)
-    and ``node_of_op`` maps every member to the kept node.  Every
-    operation is bound to one unit, so the groups are disjoint.
+    and self-loops drop.  Only the members and their predecessors get
+    successor maps; every other node keeps its edges as they are.
+    Every operation is bound to one unit, so the groups are disjoint.
+    Returns the edges (grouped by source) and the removed node ids;
+    ``bitwidth`` takes each kept node's widest member.
     """
-    preds: list[set[int]] | None = None
-    for binding in bindings.values():
-        for group in binding.shared_groups():
-            nodes = sorted({node_of_op[uid] for uid in group})
-            if len(nodes) < 2:
-                continue
-            if preds is None:
-                preds = [set() for _ in succ]
-                for src, out in enumerate(succ):
-                    for dst in out:
-                        preds[dst].add(src)
-            keep = nodes[0]
-            for other in nodes[1:]:
-                # every predecessor has its own successor list, so the
-                # order they are visited in changes no edge order
-                for src in preds[other]:
-                    wires = succ[src].pop(other)
-                    if src != keep:
-                        _link(succ, src, keep, wires)
-                        preds[keep].add(src)
-                for dst, wires in succ[other].items():
+    members = np.zeros(n_nodes, dtype=bool)
+    members[[node for nodes in groups for node in nodes]] = True
+    into = members[e_dst]
+    touched = members.copy()
+    touched[e_src[into]] = True
+    indptr = _indptr(e_src, n_nodes).tolist()
+    dsts, weights = e_dst.tolist(), e_w.tolist()
+    succ: dict[int, dict | None] = {}
+    for node in np.flatnonzero(touched).tolist():
+        lo, hi = indptr[node], indptr[node + 1]
+        succ[node] = dict(zip(dsts[lo:hi], weights[lo:hi]))
+    preds: dict[int, set[int]] = {
+        node: set() for node in np.flatnonzero(members).tolist()}
+    for src, dst in zip(e_src[into].tolist(), e_dst[into].tolist()):
+        preds[dst].add(src)
+
+    removed = []
+    for nodes in groups:
+        keep = nodes[0]
+        for other in nodes[1:]:
+            # every predecessor has its own successor list, so the
+            # order they are visited in changes no edge order
+            for src in preds[other]:
+                wires = succ[src].pop(other)
+                if src != keep:
+                    _link(succ, src, keep, wires)
+                    preds[keep].add(src)
+            for dst, wires in succ[other].items():
+                if dst in preds:
                     preds[dst].discard(other)
-                    if dst != keep:
-                        _link(succ, keep, dst, wires)
+                if dst != keep:
+                    _link(succ, keep, dst, wires)
+                    if dst in preds:
                         preds[dst].add(keep)
-                succ[other] = None
-            for uid in group:
-                node_of_op[uid] = keep
-            bitwidth[keep] = max(bitwidth[node] for node in nodes)
+            succ[other] = None
+            removed.append(other)
+        bitwidth[keep] = max(bitwidth[node] for node in nodes)
+
+    rest = ~touched[e_src]
+    out = [(src, dst, w) for src, succs in succ.items() if succs
+           for dst, w in succs.items()]
+    src = np.concatenate([e_src[rest], np.array([e[0] for e in out],
+                                                dtype=np.int64)])
+    dst = np.concatenate([e_dst[rest], np.array([e[1] for e in out],
+                                                dtype=np.int64)])
+    w = np.concatenate([e_w[rest], np.array([e[2] for e in out],
+                                            dtype=np.int64)])
+    by_source = np.argsort(src, kind="stable")
+    return (src[by_source], dst[by_source], w[by_source],
+            np.array(removed, dtype=np.int64))
 
 
-def _compile(ops, port_function, succ, bitwidth,
-             node_of_op) -> GraphStructure:
+def _compile(*, kept, n_ops, opcode_id, uid, bitwidth, func_of_node, names,
+             edges, node_of_op) -> GraphStructure:
     """The kept nodes, in id order, and their edges as arrays."""
-    n_ops = len(ops)
-    kept = [node for node, out in enumerate(succ) if out is not None]
     n = len(kept)
-    node_ids = np.array(kept, dtype=np.int64)
-    row_of = {node: row for row, node in enumerate(kept)}
-    is_port = node_ids >= n_ops
+    row_of_node = np.full(len(func_of_node), -1, dtype=np.int64)
+    row_of_node[kept] = np.arange(n)
+    is_port = kept >= n_ops
+    ops = kept[~is_port]
+    n_op_rows = len(ops)
 
-    fid_of: dict[str, int] = {}
-    func_id = np.empty(n, dtype=np.int64)
-    opcode_id = np.full(n, -1, dtype=np.int64)
+    opcode = np.full(n, -1, dtype=np.int64)
+    opcode[:n_op_rows] = opcode_id[ops]
     rep_uid = np.full(n, -1, dtype=np.int64)
-    for row, node in enumerate(kept):
-        if node < n_ops:
-            op = ops[node]
-            fname = op.parent.name if op.parent else ""
-            opcode_id[row] = opcode_index(op.opcode)
-            rep_uid[row] = op.uid
-        else:
-            fname = port_function[node - n_ops]
-        func_id[row] = fid_of.setdefault(fname, len(fid_of))
+    rep_uid[:n_op_rows] = uid[ops]
+    # function ids by first appearance in row order: op rows run
+    # function by function, port rows follow
+    func_rows = func_of_node[kept]
+    fid_of = np.full(len(names), -1, dtype=np.int64)
+    order = []
+    with_ops = np.bincount(func_rows[:n_op_rows], minlength=len(names))
+    for f in np.flatnonzero(with_ops).tolist() + \
+            func_rows[n_op_rows:].tolist():
+        if fid_of[f] < 0:
+            fid_of[f] = len(order)
+            order.append(names[f])
 
-    e_src = np.repeat(np.arange(n, dtype=np.int64),
-                      [len(succ[node]) for node in kept])
-    e_dst = np.array([row_of[dst] for node in kept for dst in succ[node]],
-                     dtype=np.int64)
+    e_src = row_of_node[edges[0]]
+    e_dst = row_of_node[edges[1]]
     # Undirected unique-neighbour CSR: both edge directions, dedup via a
     # combined (row, neighbour) key, so parallel opposite-direction
     # edges collapse to one undirected neighbour.
@@ -219,20 +339,18 @@ def _compile(ops, port_function, succ, bitwidth,
                                             e_dst * n + e_src]))
     return GraphStructure(
         n=n,
-        node_ids=node_ids,
-        row_of=row_of,
+        node_ids=kept.astype(np.int64),
+        row_of=dict(zip(kept.tolist(), range(n))),
         is_port=is_port,
         op_rows=np.flatnonzero(~is_port),
-        opcode_id=opcode_id,
-        bitwidth=np.array([bitwidth[node] for node in kept],
-                          dtype=np.float64),
+        opcode_id=opcode,
+        bitwidth=bitwidth[kept].astype(np.float64),
         rep_uid=rep_uid,
-        func_names=tuple(fid_of),
-        func_id=func_id,
+        func_names=tuple(order),
+        func_id=fid_of[func_rows],
         e_src=e_src,
         e_dst=e_dst,
-        e_w=np.array([w for node in kept for w in succ[node].values()],
-                     dtype=np.float64),
+        e_w=edges[2].astype(np.float64),
         out_indptr=_indptr(e_src, n),
         out_edge=np.argsort(e_src, kind="stable"),
         in_indptr=_indptr(e_dst, n),

@@ -168,12 +168,17 @@ def _snapshot_from_structure(s: GraphStructure, hls) -> GraphSnapshot:
     n = s.n
     resources = np.zeros((n, 4), dtype=np.float64)
     delay_ns = np.zeros(n, dtype=np.float64)
-    latency = np.zeros(n, dtype=np.float64)
-    start = np.zeros(n, dtype=np.float64)
-    end = np.zeros(n, dtype=np.float64)
+    start = np.zeros(n, dtype=np.int64)
+    end = np.zeros(n, dtype=np.int64)
 
+    # Op node ids number the operations in module order, so a node's
+    # op position is its id minus its function's first id.
     module = hls.module
-    schedules: dict = {}
+    base: dict[str, int] = {}
+    first = 0
+    for fname in module.functions:
+        base[fname] = first
+        first += hls.schedule.for_function(fname).table.n
     for fid, fname in enumerate(s.func_names):
         rows = np.flatnonzero((s.func_id == fid) & ~s.is_port)
         if not len(rows):
@@ -181,31 +186,24 @@ def _snapshot_from_structure(s: GraphStructure, hls) -> GraphSnapshot:
         binding = hls.bindings.get(fname)
         if binding is None:
             raise FeatureError(f"no binding for function {fname!r}")
-        func = module.functions[fname]
-        sched = schedules.setdefault(fname, hls.schedule.for_function(fname))
-        op_start, op_end = sched.op_start, sched.op_end
-        for i in rows:
-            uid = int(s.rep_uid[i])
-            spec_res = binding.unit_of(uid).spec.resources()
-            resources[i, 0] = spec_res["LUT"]
-            resources[i, 1] = spec_res["FF"]
-            resources[i, 2] = spec_res["DSP"]
-            resources[i, 3] = spec_res["BRAM"]
-            op = func.op(uid)
-            delay_ns[i] = hls.library.spec_for(op).delay_ns
-            # The reference extractor fails loudly (KeyError in its
-            # timing filler) when an op node is missing from the
-            # schedule; fail just as loudly — a snapshot must never
-            # silently serve zeroed timing/ΔTcs features.
-            op_s, op_e = op_start.get(uid), op_end.get(uid)
-            if op_s is None or op_e is None:
-                raise FeatureError(
-                    f"op uid {uid} in function {fname!r} has no schedule "
-                    f"entry"
-                )
-            start[i] = op_s
-            end[i] = op_e
-            latency[i] = op_e - op_s
+        sched = hls.schedule.for_function(fname)
+        table = sched.table
+        pos = s.node_ids[rows] - base[fname]
+        # The reference extractor fails loudly (KeyError in its timing
+        # filler) when an op node is missing from the schedule; fail
+        # just as loudly — a snapshot must never serve another
+        # function's timing/ΔTcs features.
+        if (pos.min() < 0 or pos.max() >= table.n
+                or not np.array_equal(table.uid[pos], s.rep_uid[rows])):
+            raise FeatureError(
+                f"graph nodes of function {fname!r} are not the "
+                f"operations it was scheduled with"
+            )
+        resources[rows] = binding.unit_resources[binding.fu_of_pos[pos]]
+        delay_ns[rows] = table.delay_ns[pos]
+        start[rows] = sched.start[pos]
+        end[rows] = sched.end[pos]
+    latency = (end - start).astype(np.float64)
 
     # ΔTcs per edge, fully vectorized (paper: 1 across function borders
     # and port nodes, else the control-state distance
@@ -217,7 +215,8 @@ def _snapshot_from_structure(s: GraphStructure, hls) -> GraphSnapshot:
         & (s.func_id[src] == s.func_id[dst])
     )
     edge_dt = np.ones(len(src), dtype=np.float64)
-    edge_dt[valid] = np.maximum(1.0, start[dst[valid]] - end[src[valid]])
+    edge_dt[valid] = np.maximum(
+        1, start[dst[valid]] - end[src[valid]]).astype(np.float64)
 
     # Per-function report tables for the global-information category.
     nf = len(s.func_names)

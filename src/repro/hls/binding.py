@@ -12,18 +12,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import BindingError
 from repro.hls.opchar import OperatorLibrary, OperatorSpec, DEFAULT_LIBRARY
+from repro.hls.optable import (
+    CALL,
+    LOAD,
+    OPCODE_NAMES,
+    STORE,
+    OpTable,
+    freeze_arrays,
+)
 from repro.hls.scheduling import FunctionSchedule
 from repro.ir.function import Function
-from repro.ir.operation import Operation
 
 #: Widths are bucketed so e.g. a 13-bit and a 16-bit multiply can share.
 _WIDTH_BUCKET = 8
 
-
-def _bucket(width: int) -> int:
-    return max(_WIDTH_BUCKET, -(-width // _WIDTH_BUCKET) * _WIDTH_BUCKET)
+#: ops bound to a unit of their own whatever their cost
+_NEVER_SHARED = frozenset({LOAD, STORE, CALL})
 
 
 def is_shareable(spec: OperatorSpec) -> bool:
@@ -39,7 +47,7 @@ def is_shareable(spec: OperatorSpec) -> bool:
     return spec.lut >= 96
 
 
-@dataclass
+@dataclass(slots=True)
 class FunctionalUnit:
     """One RTL module instance executing one or more IR operations."""
 
@@ -72,20 +80,43 @@ class MuxInstance:
 
 @dataclass
 class FunctionBinding:
-    """Binding result for one function."""
+    """Binding result for one function.
+
+    ``fu_of_pos`` holds each operation's unit id by op position in
+    ``table``; ``unit_resources`` each unit's spec footprint
+    (RESOURCE_KINDS order), so array readers gather both without
+    touching a unit object.
+    """
 
     function: str
+    table: OpTable
     units: list[FunctionalUnit] = field(default_factory=list)
-    fu_of_op: dict[int, int] = field(default_factory=dict)
+    fu_of_pos: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64))
+    unit_resources: np.ndarray = field(
+        default_factory=lambda: np.zeros((0, 4), dtype=np.int64))
     muxes: list[MuxInstance] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        freeze_arrays(self)
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        freeze_arrays(self)
+
+    @property
+    def fu_of_op(self) -> dict[int, int]:
+        """Op uid -> unit id, in op order (built on each access)."""
+        return dict(zip(self.table.uid.tolist(), self.fu_of_pos.tolist()))
 
     def unit(self, fu_id: int) -> FunctionalUnit:
         return self.units[fu_id]
 
     def unit_of(self, op_uid: int) -> FunctionalUnit:
-        if op_uid not in self.fu_of_op:
+        pos = self.table.pos_of.get(op_uid)
+        if pos is None:
             raise BindingError(f"operation uid {op_uid} is not bound")
-        return self.units[self.fu_of_op[op_uid]]
+        return self.units[self.fu_of_pos[pos]]
 
     def shared_groups(self) -> list[list[int]]:
         """Op-uid groups that share one unit (inputs to Fig. 4 merging)."""
@@ -111,123 +142,139 @@ class Binder:
         *,
         allow_sharing: bool = True,
     ) -> FunctionBinding:
-        """Bind every operation of ``func`` to a functional unit."""
-        binding = FunctionBinding(function=func.name)
-        pipelined = self._pipelined_uids(func)
+        """Bind every operation of ``func`` to a functional unit.
 
-        shareable_pool: dict[tuple[str, int], list[FunctionalUnit]] = {}
+        Reads the function's :class:`OpTable` and schedule arrays only.
+        """
+        table = schedule.table
+        if table is None or table.function is not func:
+            raise BindingError(
+                f"schedule of {schedule.function!r} does not belong to "
+                f"function {func.name!r}"
+            )
+        specs = table.specs
+        uids = table.uid.tolist()
+        opcode_id = table.opcode_id.tolist()
+        width = table.width.tolist()
+        bucket = np.maximum(
+            _WIDTH_BUCKET, -(-table.width // _WIDTH_BUCKET) * _WIDTH_BUCKET
+        ).tolist()
+        can_share = [
+            allow_sharing and not piped and oid not in _NEVER_SHARED
+            and is_shareable(spec)
+            for spec, piped, oid in zip(specs, table.pipelined.tolist(),
+                                        opcode_id)
+        ]
+        starts = schedule.start.tolist()
+        ends = schedule.end.tolist()
+        name = func.name
+
+        units: list[FunctionalUnit] = []
+        first_op: list[int] = []      # position of each unit's first op
+        fu_of_pos = [0] * table.n
+        shareable_pool: dict[tuple[int, int], list[FunctionalUnit]] = {}
+        pooled: list[FunctionalUnit] = []
         fu_last_end: dict[int, int] = {}
 
-        for op in func.operations:
-            spec = self.library.spec_for(op)
-            start = schedule.op_start[op.uid]
-            end = schedule.op_end[op.uid]
+        for i, share in enumerate(can_share):
+            if not share:
+                unit = FunctionalUnit(len(units), name,
+                                      OPCODE_NAMES[opcode_id[i]], width[i],
+                                      specs[i], [uids[i]])
+                units.append(unit)
+                first_op.append(i)
+                fu_of_pos[i] = unit.fu_id
+                continue
+            start = starts[i]
+            end = ends[i]
             # A pipelined/multi-cycle unit is busy until the state before
             # its registered result appears; combinational units occupy
             # their single state.
             busy_end = end - 1 if end > start else end
-
-            can_share = (
-                allow_sharing
-                and is_shareable(spec)
-                and op.uid not in pipelined
-                and op.opcode not in ("load", "store", "call")
-            )
-            unit = None
-            if can_share:
-                key = (op.opcode, _bucket(op.bitwidth()))
-                for candidate in shareable_pool.get(key, []):
-                    if fu_last_end[candidate.fu_id] < start:
-                        unit = candidate
-                        break
-            if unit is None:
-                width = (
-                    _bucket(op.bitwidth()) if can_share else op.bitwidth()
-                )
-                unit_spec = (
-                    self.library.characterize(op.opcode, width)
-                    if can_share else spec
-                )
+            key = (opcode_id[i], bucket[i])
+            pool = shareable_pool.setdefault(key, [])
+            for unit in pool:
+                if fu_last_end[unit.fu_id] < start:
+                    unit.op_uids.append(uids[i])
+                    break
+            else:
+                opcode = OPCODE_NAMES[key[0]]
                 unit = FunctionalUnit(
-                    fu_id=len(binding.units),
-                    function=func.name,
-                    opcode=op.opcode,
-                    width=width,
-                    spec=unit_spec,
+                    len(units), name, opcode, key[1],
+                    self.library.characterize(opcode, key[1]), [uids[i]],
                 )
-                binding.units.append(unit)
-                if can_share:
-                    shareable_pool.setdefault(
-                        (op.opcode, _bucket(op.bitwidth())), []
-                    ).append(unit)
-            unit.op_uids.append(op.uid)
+                units.append(unit)
+                first_op.append(i)
+                pool.append(unit)
+                pooled.append(unit)
             fu_last_end[unit.fu_id] = busy_end
-            binding.fu_of_op[op.uid] = unit.fu_id
+            fu_of_pos[i] = unit.fu_id
 
-        self._synthesize_fu_muxes(func, binding)
-        self._synthesize_memory_muxes(func, binding, schedule)
-        return binding
+        # unit footprints: the op's own spec, a pooled unit's bucket spec
+        unit_resources = table.resources[first_op]
+        for unit in pooled:
+            spec = unit.spec
+            unit_resources[unit.fu_id] = (spec.lut, spec.ff, spec.dsp,
+                                          spec.bram)
+        shared = [unit for unit in pooled if unit.is_shared]
+        return FunctionBinding(
+            function=name,
+            table=table,
+            units=units,
+            fu_of_pos=np.array(fu_of_pos, dtype=np.int64),
+            unit_resources=unit_resources.reshape(-1, 4),
+            muxes=(self._fu_muxes(name, table, shared)
+                   + self._memory_muxes(func, table)),
+        )
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _pipelined_uids(func: Function) -> set[int]:
-        uids: set[int] = set()
-        for loop in func.loops.values():
-            if loop.pipelined:
-                uids |= loop.op_uids
-        return uids
-
-    def _synthesize_fu_muxes(self, func: Function, binding: FunctionBinding) -> None:
-        """Each input port of a shared unit gets an n:1 mux."""
-        for unit in binding.units:
-            if not unit.is_shared:
-                continue
-            first = func.op(unit.op_uids[0])
-            n_ports = max(1, len(first.operands))
+    def _fu_muxes(self, function: str, table: OpTable,
+                  shared: list[FunctionalUnit]) -> list[MuxInstance]:
+        """Each input port of a shared unit (in unit order) gets an n:1
+        mux."""
+        muxes = []
+        for unit in shared:
+            first = table.pos_of[unit.op_uids[0]]
+            n_ports = max(1, int(table.n_operands[first]))
             mux_spec = self.library.mux_spec(max(2, unit.n_ops), unit.width)
-            for _ in range(n_ports):
-                binding.muxes.append(
-                    MuxInstance(
-                        function=func.name,
-                        n_inputs=unit.n_ops,
-                        width=unit.width,
-                        lut=mux_spec.lut,
-                        reason="fu_input",
-                    )
+            muxes += [
+                MuxInstance(
+                    function=function,
+                    n_inputs=unit.n_ops,
+                    width=unit.width,
+                    lut=mux_spec.lut,
+                    reason="fu_input",
                 )
+                for _ in range(n_ports)
+            ]
+        return muxes
 
-    def _synthesize_memory_muxes(
-        self,
-        func: Function,
-        binding: FunctionBinding,
-        schedule: FunctionSchedule,
-    ) -> None:
+    def _memory_muxes(self, func: Function,
+                      table: OpTable) -> list[MuxInstance]:
         """Banked memories with multiple accessors need port muxes."""
-        accessors: dict[str, list[Operation]] = {}
-        for op in func.operations:
-            if op.opcode in ("load", "store"):
-                array = op.attrs.get("array")
-                if array:
-                    accessors.setdefault(array, []).append(op)
-        for array, ops in accessors.items():
+        accessed = table.array_id[table.array_id >= 0]
+        n_accessors = np.bincount(accessed, minlength=len(table.arrays))
+        muxes = []
+        for array, count in zip(table.arrays, n_accessors.tolist()):
             decl = func.arrays.get(array)
             if decl is None or decl.is_registers:
                 continue
-            per_port = -(-len(ops) // (decl.banks * 2))
+            per_port = -(-count // (decl.banks * 2))
             if per_port <= 1:
                 continue
             width = max(decl.bits, 1)
             mux_spec = self.library.mux_spec(max(2, per_port), width)
-            for _ in range(decl.banks * 2):
-                binding.muxes.append(
-                    MuxInstance(
-                        function=func.name,
-                        n_inputs=per_port,
-                        width=width,
-                        lut=mux_spec.lut,
-                        reason="mem_port",
-                    )
+            muxes += [
+                MuxInstance(
+                    function=func.name,
+                    n_inputs=per_port,
+                    width=width,
+                    lut=mux_spec.lut,
+                    reason="mem_port",
                 )
+                for _ in range(decl.banks * 2)
+            ]
+        return muxes
 
 
 def bind_module(

@@ -78,41 +78,24 @@ class MemoryMap:
 
 def map_array(decl: ArrayDecl) -> list[MemoryBank]:
     """Map one array declaration to its physical banks."""
-    banks: list[MemoryBank] = []
+    bits = decl.bits
     if decl.is_registers:
         # Complete partitioning: every element becomes a register.
-        for i in range(decl.type.length):
-            banks.append(
-                MemoryBank(
-                    array=decl.name,
-                    index=i,
-                    words=1,
-                    bits=decl.bits,
-                    kind="reg",
-                    ff=decl.bits,
-                )
-            )
-        return banks
+        return [MemoryBank(decl.name, i, 1, bits, "reg", ff=bits)
+                for i in range(decl.type.length)]
 
-    for i in range(decl.banks):
-        words, bits = decl.words, decl.bits
-        total_bits = words * bits
-        if total_bits <= _LUTRAM_THRESHOLD_BITS:
-            lut = max(1, math.ceil(total_bits / _LUTRAM_BITS_PER_LUT))
-            banks.append(
-                MemoryBank(decl.name, i, words, bits, "lutram", lut=lut)
-            )
-        else:
-            width_cascade = max(1, math.ceil(bits / _BRAM18_MAX_WIDTH))
-            depth_per_bram = _BRAM18_BITS // min(bits, _BRAM18_MAX_WIDTH)
-            depth_cascade = max(1, math.ceil(words / max(1, depth_per_bram)))
-            banks.append(
-                MemoryBank(
-                    decl.name, i, words, bits, "bram",
-                    bram18=width_cascade * depth_cascade,
-                )
-            )
-    return banks
+    words = decl.words
+    total_bits = words * bits
+    if total_bits <= _LUTRAM_THRESHOLD_BITS:
+        lut = max(1, math.ceil(total_bits / _LUTRAM_BITS_PER_LUT))
+        return [MemoryBank(decl.name, i, words, bits, "lutram", lut=lut)
+                for i in range(decl.banks)]
+    width_cascade = max(1, math.ceil(bits / _BRAM18_MAX_WIDTH))
+    depth_per_bram = _BRAM18_BITS // min(bits, _BRAM18_MAX_WIDTH)
+    depth_cascade = max(1, math.ceil(words / max(1, depth_per_bram)))
+    return [MemoryBank(decl.name, i, words, bits, "bram",
+                       bram18=width_cascade * depth_cascade)
+            for i in range(decl.banks)]
 
 
 def map_function_memories(func: Function) -> MemoryMap:

@@ -28,6 +28,8 @@ RESOURCE_KINDS = ("LUT", "FF", "DSP", "BRAM")
 #: Width above which a multiply maps to DSP blocks rather than fabric LUTs.
 DSP_MUL_THRESHOLD = 11
 
+_SHIFTS = frozenset({"shl", "lshr", "ashr"})
+
 
 @dataclass(frozen=True)
 class OperatorSpec:
@@ -179,19 +181,23 @@ class OperatorLibrary:
         Shifts by a compile-time constant are pure wiring (no barrel
         shifter), so they characterize as free, like HLS does.
         """
+        opcode = op.opcode
+        width = op.bitwidth()
         if (
-            op.opcode in ("shl", "lshr", "ashr")
+            opcode in _SHIFTS
             and len(op.operands) == 2
             and op.operands[1].is_constant
         ):
-            width = op.bitwidth()
-            key = (f"{op.opcode}#const", width)
+            key = (f"{opcode}#const", width)
             if key not in self._cache:
                 self._cache[key] = OperatorSpec(
-                    op.opcode, width, 0.05, 0, 0, 0, 0, 0
+                    opcode, width, 0.05, 0, 0, 0, 0, 0
                 )
             return self._cache[key]
-        return self.characterize(op.opcode, op.bitwidth())
+        spec = self._cache.get((opcode, width))
+        if spec is None:
+            spec = self.characterize(opcode, width)
+        return spec
 
     def mux_spec(self, n_inputs: int, width: int) -> OperatorSpec:
         """Characterize an n-input multiplexer of ``width`` bits.

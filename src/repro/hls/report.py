@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from repro.hls.binding import FunctionBinding
 from repro.hls.fsm import FSMInfo
 from repro.hls.memories import MemoryMap
-from repro.hls.opchar import RESOURCE_KINDS, OperatorLibrary
+from repro.hls.opchar import RESOURCE_KINDS
 from repro.hls.scheduling import ClockConstraint, FunctionSchedule
 from repro.ir.function import Function
 
@@ -67,36 +67,19 @@ class FunctionReport:
         return self.resources.get(kind, 0)
 
 
-def _zero_resources() -> dict[str, int]:
-    return {kind: 0 for kind in RESOURCE_KINDS}
-
-
 def _add(into: dict[str, int], other: dict[str, int]) -> None:
     for kind in RESOURCE_KINDS:
         into[kind] = into.get(kind, 0) + other.get(kind, 0)
 
 
-def _register_ffs(func: Function, schedule: FunctionSchedule,
-                  library: OperatorLibrary) -> int:
+def _register_ffs(schedule: FunctionSchedule) -> int:
     """FF bits for values that cross a control-state boundary.
 
     Operations with pipeline latency already register their output in the
     characterized spec, so only combinational results are counted here.
     """
-    total = 0
-    for op in func.operations:
-        if op.result is None or not op.result.users:
-            continue
-        if library.spec_for(op).latency_cycles >= 1:
-            continue
-        crosses = any(
-            schedule.op_start[user.uid] > schedule.op_end[op.uid]
-            for user in op.result.users
-            if user.uid in schedule.op_start
-        )
-        if crosses:
-            total += op.result.bitwidth()
-    return total
+    registered = schedule.registered_results()
+    return int(schedule.table.result_width[registered].sum())
 
 
 def build_function_report(
@@ -106,14 +89,11 @@ def build_function_report(
     memory_map: MemoryMap,
     fsm: FSMInfo,
     clock: ClockConstraint,
-    library: OperatorLibrary,
 ) -> FunctionReport:
     """Aggregate one function's HLS artifacts into a report."""
     report = FunctionReport(function=func.name)
-    resources = _zero_resources()
-
-    for unit in binding.units:
-        _add(resources, unit.spec.resources())
+    units = binding.unit_resources.sum(axis=0).tolist()
+    resources = dict(zip(RESOURCE_KINDS, units))
 
     mux = MuxSummary()
     for m in binding.muxes:
@@ -133,7 +113,7 @@ def build_function_report(
     resources["LUT"] += memory_map.total_lut
     resources["FF"] += memory_map.total_ff
 
-    resources["FF"] += fsm.ff + _register_ffs(func, schedule, library)
+    resources["FF"] += fsm.ff + _register_ffs(schedule)
     resources["LUT"] += fsm.lut
 
     report.resources = resources

@@ -18,8 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import SchedulingError
 from repro.hls.opchar import OperatorLibrary, DEFAULT_LIBRARY
+from repro.hls.optable import (
+    LOAD,
+    STORE,
+    OpTable,
+    freeze_arrays,
+    lower_function,
+)
 from repro.ir.function import Function
 from repro.ir.module import Module
 
@@ -51,31 +60,55 @@ class ClockConstraint:
         return self.period_ns - self.uncertainty_ns
 
 
-@dataclass
+def _no_ops() -> np.ndarray:
+    return np.zeros(0, dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
 class FunctionSchedule:
-    """Scheduling result for one function."""
+    """Scheduling result for one function.
+
+    ``start``, ``end`` and ``arrival`` are read-only arrays indexed by
+    op position in ``table`` (the function's :class:`OpTable`, which
+    every reader after the scheduler shares).
+    """
 
     function: str
-    op_start: dict[int, int] = field(default_factory=dict)
-    op_end: dict[int, int] = field(default_factory=dict)
-    op_arrival_ns: dict[int, float] = field(default_factory=dict)
+    table: OpTable | None = None
+    #: control state each op starts in
+    start: np.ndarray = field(default_factory=_no_ops)
+    #: control state each op's result is registered in
+    end: np.ndarray = field(default_factory=_no_ops)
+    #: arrival time (ns) of each op's result inside its state
+    arrival: np.ndarray = field(default_factory=_no_ops)
     n_states: int = 1
     #: total cycles including loop iteration counts
     latency_cycles: int = 0
     #: critical combinational path found while chaining (ns)
     critical_delay_ns: float = 0.0
 
+    def __post_init__(self) -> None:
+        freeze_arrays(self)
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        freeze_arrays(self)
+
+    def has_op(self, uid: int) -> bool:
+        """True when operation ``uid`` is scheduled here."""
+        return self.table is not None and uid in self.table.pos_of
+
     def start_of(self, uid: int) -> int:
         """Control state operation ``uid`` starts in."""
-        return self.op_start[uid]
+        return int(self.start[self.table.pos_of[uid]])
 
     def end_of(self, uid: int) -> int:
         """Control state operation ``uid``'s result is registered in."""
-        return self.op_end[uid]
+        return int(self.end[self.table.pos_of[uid]])
 
     def arrival_of(self, uid: int) -> float:
         """Arrival time (ns) of operation ``uid``'s result in its state."""
-        return self.op_arrival_ns[uid]
+        return float(self.arrival[self.table.pos_of[uid]])
 
     def delta_tcs(self, producer_uid: int, consumer_uid: int) -> int:
         """Control-state distance ΔTcs between two dependent operations.
@@ -84,18 +117,22 @@ class FunctionSchedule:
         pair still has distance one state budget apart for feature purposes
         (the paper divides by ΔTcs, so zero is excluded).
         """
-        gap = self.op_start[consumer_uid] - self.op_end[producer_uid]
+        gap = self.start_of(consumer_uid) - self.end_of(producer_uid)
         return max(1, gap)
 
-    def span(self, uids) -> tuple[int, int]:
-        """(min start, max end) over ``uids``; (0, 0) when empty."""
-        uids = [u for u in uids if u in self.op_start]
-        if not uids:
-            return (0, 0)
-        return (
-            min(self.op_start[u] for u in uids),
-            max(self.op_end[u] for u in uids),
-        )
+    def registered_results(self) -> np.ndarray:
+        """Ops whose combinational result crosses a state boundary.
+
+        A bool mask by op position: the op has no pipeline latency of
+        its own (multi-cycle units register their output in the spec)
+        and some user inside the function starts after the op's end
+        state, so its result needs a register.
+        """
+        t = self.table
+        owner = np.repeat(np.arange(t.n), np.diff(t.user_indptr))
+        late = self.start[t.user_pos] > self.end[owner]
+        crosses = np.bincount(owner[late], minlength=t.n) > 0
+        return crosses & (t.latency == 0)
 
 
 @dataclass
@@ -173,113 +210,131 @@ class Scheduler:
         func: Function,
         callee_latency: dict[str, int] | None = None,
     ) -> FunctionSchedule:
-        """Schedule one function's dataflow DAG."""
+        """Lower ``func`` to its :class:`OpTable` and schedule its
+        dataflow DAG over the table."""
         callee_latency = callee_latency or {}
+        table = lower_function(func, self.library)
         clock_budget = self.clock.budget_ns
-        sched = FunctionSchedule(function=func.name)
+        dsp_limit = self.dsp_limit
 
-        pipelined_uids = self._pipelined_uids(func)
-        mem_limit = {
-            name: max(1, decl.banks) * _PORTS_PER_BANK
-            if not decl.is_registers else None
-            for name, decl in func.arrays.items()
-        }
-        mem_usage: dict[tuple[str, int], int] = {}
+        latency = table.latency.tolist()
+        for pos, callee in zip(table.call_pos.tolist(), table.call_callee):
+            latency[pos] = max(1, callee_latency.get(callee, 1))
+        indptr = table.prod_indptr.tolist()
+        producers = table.prod_pos.tolist()
+        # Resource budgets the start state must respect: the port limit
+        # of a load/store's memory bank (by array id) or the DSP budget.
+        # Ops inside pipelined loops are exempt.
+        limit_of = [
+            max(1, decl.banks) * _PORTS_PER_BANK
+            if decl is not None and not decl.is_registers else 0
+            for decl in map(func.arrays.get, table.arrays)
+        ]
+        is_mem = (table.opcode_id == LOAD) | (table.opcode_id == STORE)
+        free = table.pipelined
+        port_limited = np.zeros(table.n, dtype=bool)
+        if limit_of:
+            port_limited = is_mem & ~free & (table.array_id >= 0)
+            port_limited[port_limited] = (
+                np.array(limit_of)[table.array_id[port_limited]] > 0)
+        dsp = table.resources[:, 2]
+        dsp_limited = ~is_mem & ~free & (dsp > 0) & (dsp_limit is not None)
+        budget_kind = (port_limited + 2 * dsp_limited).tolist()
+        array_id = table.array_id.tolist()
+        dsp = dsp.tolist()
+        mem_usage: dict[tuple[int, int], int] = {}
         dsp_usage: dict[int, int] = {}
 
-        for op in func.operations:
-            spec = self.library.spec_for(op)
-            latency = spec.latency_cycles
-            if op.opcode == "call":
-                latency = max(1, callee_latency.get(op.attrs.get("callee"), 1))
-
-            producers = op.predecessors()
-            # State in which the last producer's result becomes available.
-            start = max(
-                (sched.op_end[p.uid] for p in producers), default=0
-            )
-
-            if latency == 0:
-                # Combinational op: chain inside `start` if the accumulated
-                # delay fits the state budget, else register and take the
-                # next state.
+        n = table.n
+        starts = [0] * n
+        ends = [0] * n
+        arrivals = [0.0] * n
+        critical = 0.0
+        lo = 0
+        for i, hi, lat, d, kind in zip(range(n), indptr[1:], latency,
+                                       table.delay_ns.tolist(), budget_kind):
+            # State in which the last producer's result is available, and
+            # the latest arrival into it (a result registered in an
+            # earlier state arrives at clock-to-out).
+            if hi == lo:
+                start = 0
                 worst_in = 0.0
-                for producer in producers:
-                    if sched.op_end[producer.uid] == start:
-                        worst_in = max(worst_in, sched.op_arrival_ns[producer.uid])
-                    else:
-                        worst_in = max(worst_in, _CLK_TO_OUT_NS)
-                if producers and worst_in + spec.delay_ns > clock_budget:
+            elif hi == lo + 1:
+                p = producers[lo]
+                start = ends[p]
+                worst_in = max(0.0, arrivals[p])
+            else:
+                preds = producers[lo:hi]
+                start = max([ends[p] for p in preds])
+                worst_in = 0.0
+                for p in preds:
+                    ready = arrivals[p] if ends[p] == start \
+                        else _CLK_TO_OUT_NS
+                    if ready > worst_in:
+                        worst_in = ready
+            if lat == 0:
+                # Combinational op: chain inside `start` if the
+                # accumulated delay fits the state budget, else register
+                # and take the next state.
+                arrival = worst_in + d
+                if hi > lo and arrival > clock_budget:
                     start += 1
-                    arrival = _CLK_TO_OUT_NS + spec.delay_ns
-                else:
-                    arrival = worst_in + spec.delay_ns
+                    arrival = _CLK_TO_OUT_NS + d
             else:
                 arrival = _CLK_TO_OUT_NS
+            lo = hi
 
-            # Legalize resource contention by pushing the start state.
-            legal = self._legalize(
-                op, start, func, mem_limit, mem_usage, dsp_usage,
-                in_pipeline=op.uid in pipelined_uids,
-            )
-            if legal != start:
-                start = legal
-                if latency == 0:
-                    arrival = _CLK_TO_OUT_NS + spec.delay_ns
+            if kind:
+                # Legalize resource contention by pushing the start state.
+                legal = start
+                if kind == 1:
+                    aid = array_id[i]
+                    limit = limit_of[aid]
+                    while mem_usage.get((aid, legal), 0) >= limit:
+                        legal += 1
+                    mem_usage[(aid, legal)] = mem_usage.get((aid, legal), 0) + 1
+                else:
+                    need = dsp[i]
+                    if need > dsp_limit:
+                        raise SchedulingError(
+                            f"{func.name}: {table.opcode(i)} needs {need} "
+                            f"DSPs, over the limit of {dsp_limit} per state"
+                        )
+                    while dsp_usage.get(legal, 0) + need > dsp_limit:
+                        legal += 1
+                    dsp_usage[legal] = dsp_usage.get(legal, 0) + need
+                if legal != start:
+                    start = legal
+                    if lat == 0:
+                        arrival = _CLK_TO_OUT_NS + d
 
-            end = start + latency
-            sched.op_start[op.uid] = start
-            sched.op_end[op.uid] = end
-            sched.op_arrival_ns[op.uid] = arrival
-            sched.critical_delay_ns = max(
-                sched.critical_delay_ns,
-                arrival if latency == 0 else spec.delay_ns,
-            )
+            starts[i] = start
+            ends[i] = start + lat
+            arrivals[i] = arrival
+            if lat:
+                arrival = d
+            if arrival > critical:
+                critical = arrival
 
-        sched.n_states = 1 + max(sched.op_end.values(), default=0)
-        sched.latency_cycles = self._roll_up_latency(func, sched)
-        return sched
+        start = np.array(starts, dtype=np.int64)
+        end = np.array(ends, dtype=np.int64)
+        n_states = 1 + max(ends, default=0)
+        return FunctionSchedule(
+            function=func.name,
+            table=table,
+            start=start,
+            end=end,
+            arrival=np.array(arrivals, dtype=np.float64),
+            n_states=n_states,
+            latency_cycles=self._roll_up_latency(func, table, start, end,
+                                                 n_states),
+            critical_delay_ns=critical,
+        )
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _pipelined_uids(func: Function) -> set[int]:
-        uids: set[int] = set()
-        for loop in func.loops.values():
-            if loop.pipelined:
-                uids |= loop.op_uids
-        return uids
-
-    def _legalize(self, op, start, func, mem_limit, mem_usage, dsp_usage,
-                  *, in_pipeline: bool) -> int:
-        """Push ``start`` forward until port/DSP budgets are respected."""
-        guard = 0
-        while True:
-            guard += 1
-            if guard > 100000:  # pragma: no cover - defensive
-                raise SchedulingError(
-                    f"legalization did not converge for {op.name}"
-                )
-            if op.opcode in ("load", "store"):
-                array = op.attrs.get("array")
-                limit = mem_limit.get(array)
-                if limit is not None and not in_pipeline:
-                    key = (array, start)
-                    if mem_usage.get(key, 0) >= limit:
-                        start += 1
-                        continue
-                    mem_usage[key] = mem_usage.get(key, 0) + 1
-                break
-            spec = self.library.spec_for(op)
-            if spec.dsp > 0 and self.dsp_limit is not None and not in_pipeline:
-                if dsp_usage.get(start, 0) + spec.dsp > self.dsp_limit:
-                    start += 1
-                    continue
-                dsp_usage[start] = dsp_usage.get(start, 0) + spec.dsp
-            break
-        return start
-
-    # ------------------------------------------------------------------
-    def _roll_up_latency(self, func: Function, sched: FunctionSchedule) -> int:
+    def _roll_up_latency(func: Function, table: OpTable, start: np.ndarray,
+                         end: np.ndarray, n_states: int) -> int:
         """Total cycles: straight-line span plus iterated loop bodies.
 
         Each loop contributes ``trips * body`` (or ``body + II*(trips-1)``
@@ -287,9 +342,12 @@ class Scheduler:
         adjustment composes bottom-up through the loop nest.
         """
         raw_span: dict[str, int] = {}
-        for name, loop in func.loops.items():
-            lo, hi = sched.span(loop.op_uids)
-            raw_span[name] = (hi - lo + 1) if loop.op_uids else 1
+        for name, members in table.loops.items():
+            if len(members):
+                raw_span[name] = int(end[members].max()
+                                     - start[members].min()) + 1
+            else:
+                raw_span[name] = 1
 
         children: dict[str, list[str]] = {name: [] for name in func.loops}
         roots: list[str] = []
@@ -316,7 +374,7 @@ class Scheduler:
             memo[name] = max(1, total)
             return memo[name]
 
-        latency = sched.n_states
+        latency = n_states
         for root in roots:
             latency += effective(root) - raw_span[root]
         return max(1, latency)

@@ -122,7 +122,6 @@ def synthesize(
             memory_maps[name],
             fsms[name],
             clock,
-            library,
         )
         for name in module.functions
     }

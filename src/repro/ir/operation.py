@@ -132,10 +132,11 @@ class Operation:
 
     def bitwidth(self) -> int:
         """Operation bitwidth: result width, or widest operand for void ops."""
-        if self.result is not None and self.result.bitwidth() > 0:
-            return self.result.bitwidth()
-        widths = [v.bitwidth() for v in self.operands]
-        return max(widths, default=0)
+        if self.result is not None:
+            width = self.result.type.bitwidth()
+            if width > 0:
+                return width
+        return max([v.type.bitwidth() for v in self.operands], default=0)
 
     def predecessors(self) -> list["Operation"]:
         """Operations producing this operation's operands (dedup, ordered)."""

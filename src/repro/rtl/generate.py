@@ -23,7 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import RTLError
+from repro.hls.optable import wire_cap
 from repro.hls.synthesis import HLSResult
 from repro.ir.function import Function
 from repro.ir.operation import Operation
@@ -39,20 +42,12 @@ _CTRL_WIDTH = 2
 
 
 def consumed_bits(value: Value, consumer: Operation) -> int:
-    """Wires actually consumed from ``value`` by ``consumer``.
-
-    This is the paper's edge-weight rule: "if one of its successors takes
-    eight of the total 32 bits as the input signals, the actual number of
-    wires for this connection is eight."
-    """
-    produced = max(1, value.bitwidth())
-    if consumer.opcode in ("trunc", "extract") and consumer.result is not None:
-        return min(produced, max(1, consumer.result.bitwidth()))
-    if consumer.result is not None and consumer.opcode not in (
-        "zext", "sext", "concat", "load", "store",
-    ):
-        return min(produced, max(1, consumer.result.bitwidth()))
-    return produced
+    """Wires actually consumed from ``value`` by ``consumer``: the
+    paper's edge-weight rule (:func:`repro.hls.optable.wire_cap`)."""
+    result = consumer.result
+    cap = wire_cap(consumer.opcode,
+                   result.bitwidth() if result is not None else None)
+    return min(max(1, value.bitwidth()), cap)
 
 
 @dataclass(frozen=True)
@@ -124,18 +119,10 @@ class RTLGenerator:
 
         # --- pipeline registers folded onto producer cells ------------
         # (multi-cycle units already register their output in the spec)
-        for op in func.operations:
-            if op.result is None or not op.result.users:
-                continue
-            if hls.library.spec_for(op).latency_cycles >= 1:
-                continue
-            crosses = any(
-                schedule.op_start[u.uid] > schedule.op_end[op.uid]
-                for u in op.result.users
-                if u.uid in schedule.op_start
-            )
-            if crosses:
-                nl.cells[inst.op_cell[op.uid]].ff += op.result.bitwidth()
+        table = schedule.table
+        for pos in np.flatnonzero(schedule.registered_results()).tolist():
+            cell = nl.cells[inst.op_cell[int(table.uid[pos])]]
+            cell.ff += int(table.result_width[pos])
 
         # --- FSM cell and control fanout ------------------------------
         fsm_cell = nl.add_cell(

@@ -45,8 +45,8 @@ def test_shared_units_never_overlap_in_time():
     binding = Binder().bind_function(f, sched)
     for unit in binding.units:
         intervals = sorted(
-            (sched.op_start[u],
-             max(sched.op_start[u], sched.op_end[u] - 1))
+            (sched.start_of(u),
+             max(sched.start_of(u), sched.end_of(u) - 1))
             for u in unit.op_uids
         )
         for (s1, busy1), (s2, busy2) in zip(intervals, intervals[1:]):

@@ -31,7 +31,7 @@ def test_dependences_respected():
     sched = Scheduler().schedule_module(m).for_function("top")
     for op in f.operations:
         for producer in op.predecessors():
-            assert sched.op_start[op.uid] >= sched.op_end[producer.uid]
+            assert sched.start_of(op.uid) >= sched.end_of(producer.uid)
 
 
 def test_chaining_packs_small_ops_into_one_state():
@@ -42,7 +42,7 @@ def test_chaining_packs_small_ops_into_one_state():
     d = b.add(c, x)
     sched = Scheduler().schedule_module(m).for_function("top")
     # three small adds chain into the same control state
-    assert sched.op_start[a.producer.uid] == sched.op_start[d.producer.uid]
+    assert sched.start_of(a.producer.uid) == sched.start_of(d.producer.uid)
 
 
 def test_chain_breaks_when_budget_exceeded():
@@ -61,7 +61,7 @@ def test_memory_port_contention_serializes():
     b.array("a", I16, (64,))  # one bank, two ports
     loads = [b.load("a", [b.const(i)]) for i in range(6)]
     sched = Scheduler().schedule_module(m).for_function("top")
-    starts = sorted(sched.op_start[v.producer.uid] for v in loads)
+    starts = sorted(sched.start_of(v.producer.uid) for v in loads)
     # at most 2 loads per state
     from collections import Counter
     assert max(Counter(starts).values()) <= 2
@@ -73,7 +73,7 @@ def test_partitioned_memory_allows_parallel_access():
     b.array("a", I16, (64,), partition=8)
     loads = [b.load("a", [b.const(i)]) for i in range(6)]
     sched = Scheduler().schedule_module(m).for_function("top")
-    starts = {sched.op_start[v.producer.uid] for v in loads}
+    starts = {sched.start_of(v.producer.uid) for v in loads}
     assert len(starts) == 1  # all in the same state
 
 
@@ -122,7 +122,7 @@ def test_call_latency_includes_callee():
     sched = Scheduler().schedule_module(m)
     leaf_latency = sched.for_function("leaf").latency_cycles
     top = sched.for_function("top")
-    assert top.op_end[c.uid] - top.op_start[c.uid] >= leaf_latency
+    assert top.end_of(c.uid) - top.start_of(c.uid) >= leaf_latency
 
 
 def test_delta_tcs_positive():
@@ -151,7 +151,7 @@ def test_random_dags_schedule_legally(data):
         values.append(fn(a, c))
     sched = Scheduler().schedule_module(m).for_function("top")
     for op in f.operations:
-        assert sched.op_end[op.uid] >= sched.op_start[op.uid]
+        assert sched.end_of(op.uid) >= sched.start_of(op.uid)
         for producer in op.predecessors():
-            assert sched.op_start[op.uid] >= sched.op_end[producer.uid]
-    assert sched.n_states == 1 + max(sched.op_end.values())
+            assert sched.start_of(op.uid) >= sched.end_of(producer.uid)
+    assert sched.n_states == 1 + max(sched.end)
