@@ -7,7 +7,7 @@ once per node — O(n · d²) Python.  This module computes the identical
 :class:`~repro.graph.snapshot.GraphSnapshot`:
 
 * fan-in/out, degree and max-edge statistics via ``bincount`` /
-  ``maximum.at`` over the CSR edge arrays;
+  ``maximum.reduceat`` over the CSR edge arrays;
 * one- and two-hop neighbourhood sums as segmented reductions;
 * two-hop *set* semantics (the reference unions Python sets before
   summing) via pair expansion: enumerate (node, neighbour-of-neighbour)
@@ -59,11 +59,16 @@ def _segment_sum(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 
 
 def _segment_max(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Max of ``values`` grouped by ``rows``; 0 for empty groups (the
-    reference uses ``max(..., default=0)`` throughout)."""
+    """Max of ``values`` grouped by ``rows``, which must be sorted; 0 for
+    empty groups (the reference uses ``max(..., default=0)``
+    throughout).  A maximum is exact in any order, so one ``reduceat``
+    over each run of equal rows gives the per-element scatter's result."""
     shape = (n,) if values.ndim == 1 else (n, values.shape[1])
     out = np.zeros(shape, dtype=np.float64)
-    np.maximum.at(out, rows, values)
+    if len(rows):
+        starts = np.flatnonzero(np.concatenate(([True],
+                                                rows[1:] != rows[:-1])))
+        out[rows[starts]] = np.maximum.reduceat(values, starts, axis=0)
     return out
 
 
@@ -139,7 +144,8 @@ def _compute_matrix(snap: GraphSnapshot, device_vec: np.ndarray):
     # -- interconnection, 1 hop -----------------------------------------
     fan_in = _segment_sum(s.e_dst, s.e_w, n)
     fan_out = _segment_sum(s.e_src, s.e_w, n)
-    max_in = _segment_max(s.e_dst, s.e_w, n)
+    # edges are grouped by source; in_edge lists them grouped by target
+    max_in = _segment_max(in_rows, s.e_w[s.in_edge], n)
     max_out = _segment_max(s.e_src, s.e_w, n)
     ic1 = T.ic["1hop"]
     M[:, ic1["fan_in"]] = fan_in

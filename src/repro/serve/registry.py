@@ -28,7 +28,8 @@ running library (:class:`~repro.errors.StaleModelError`): a recalibrated
 device or a changed feature registry silently invalidates every persisted
 model, exactly like the flow disk cache.  Slots written by an earlier
 format version have other names, so they are never read: the first
-service per root trains once and publishes the current pair.
+service per root trains once and publishes the current pair, and that
+save deletes the format-2 files of the same slot.
 """
 
 from __future__ import annotations
@@ -61,6 +62,10 @@ from repro.util.faults import fault_point
 #: bump when the persisted predictor layout changes incompatibly
 #: (v2: checksummed model artifacts; v3: NumPy kernels, not a pickle)
 MANIFEST_FORMAT_VERSION = 3
+
+#: a format-2 slot: manifest, pickled predictor and its compiled export
+_FORMAT2_SUFFIXES = (".manifest.json", ".model.pkl", ".export.npz",
+                     ".export.json")
 
 
 def dataset_spec_fingerprint(
@@ -138,14 +143,28 @@ class ModelRegistry:
 
     # ------------------------------------------------------------------
     def _key(self, model_family: str, dataset_fingerprint: str,
-             device: Device | None = None) -> str:
+             device: Device | None = None, *,
+             version: int = MANIFEST_FORMAT_VERSION) -> str:
         # Device calibration is part of the storage slot: two
         # calibrations sharing one cache root must coexist, not evict
         # each other into perpetual retrain thrashing.
         fingerprint = device_fingerprint(device or xc7z020())
-        payload = f"model:v{MANIFEST_FORMAT_VERSION}:" \
+        payload = f"model:v{version}:" \
                   f"{model_family}:{dataset_fingerprint}:{fingerprint!r}"
         return hashlib.sha256(payload.encode()).hexdigest()[:32]
+
+    def _remove_format2_slot(self, model_family: str,
+                             dataset_fingerprint: str,
+                             device: Device | None) -> None:
+        """Delete the format-2 files of this exact slot, which a saved
+        format-3 model replaces: nothing reads them any more."""
+        key = self._key(model_family, dataset_fingerprint, device,
+                        version=2)
+        for suffix in _FORMAT2_SUFFIXES:
+            try:
+                os.remove(os.path.join(self.root, key + suffix))
+            except FileNotFoundError:
+                pass
 
     def manifest_path(self, model_family: str, dataset_fingerprint: str,
                       device: Device | None = None) -> str:
@@ -201,6 +220,7 @@ class ModelRegistry:
             except OSError:
                 pass
             raise
+        self._remove_format2_slot(family, fp, dev)
         self.saves += 1
         return manifest
 

@@ -132,14 +132,37 @@ class PredictResponse:
     model_generation: int = 0
 
 
+def _row_multipliers(n_columns: int) -> np.ndarray:
+    """Fixed odd 64-bit multipliers of the row hash, one per column."""
+    rng = np.random.default_rng(0x5EED_C0DE)
+    return rng.integers(0, 2**64, n_columns, dtype=np.uint64) | np.uint64(1)
+
+
 def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(rows, inverse)`` with ``rows[inverse]`` equal to ``X``: the
     distinct rows of ``X`` (read-only) and each row's index among them.
 
-    Rows are compared by their bytes, so the split is exact: equal bytes
-    are equal values.  (A ``-0.0``/``0.0`` pair stays two rows.)
+    Rows are split by a 64-bit hash of their words: each word is folded
+    (``u ^ (u >> 32)``, so a float's high bits reach the low ones a
+    product keeps) and the row is one integer product with fixed odd
+    multipliers.  The split is kept only when ``rows[inverse]`` equals
+    ``X`` word for word; a collision falls back to sorting the rows'
+    bytes.  Either way rows are compared by their bytes, so the split is
+    exact: equal bytes are equal values.  (A ``-0.0``/``0.0`` pair stays
+    two rows.)
     """
     X = np.ascontiguousarray(X)
+    if X.dtype.itemsize == 8 and X.ndim == 2 and X.shape[1]:
+        words = X.view(np.uint64)
+        folded = words >> np.uint64(32)
+        folded ^= words
+        keys = folded @ _row_multipliers(X.shape[1])
+        _, first, inverse = np.unique(keys, return_index=True,
+                                      return_inverse=True)
+        if np.array_equal(words[first[inverse]], words):
+            rows = X[first]
+            rows.setflags(write=False)
+            return rows, inverse
     keys = X.view(np.dtype((np.void, X.dtype.itemsize * X.shape[1])))
     _, first, inverse = np.unique(
         keys.ravel(), return_index=True, return_inverse=True

@@ -47,8 +47,9 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: bump to invalidate every on-disk entry when artifact layouts change
 #: (v2: checksummed artifact container; v3: stage entries hold only the
 #: artifact, and a flow result's design keeps its pre-HLS module; v4: a
-#: flow result's graph is the frozen array GraphStructure)
-_DISK_FORMAT_VERSION = 4
+#: flow result's graph is the frozen array GraphStructure; v5: an HLS
+#: result's schedules and bindings hold op tables and position arrays)
+_DISK_FORMAT_VERSION = 5
 
 
 class KeyedCache:

@@ -122,7 +122,8 @@ def test_previous_format_root_is_a_plain_miss_and_retrains_once(
     """A root holding only a slot of the previous format (a pickled
     predictor next to a format-2 manifest) is never read: it lists no
     entries, a load is a plain miss, and the first service trains once
-    and publishes the current pair, which the next service loads."""
+    and publishes the current pair in its place, which the next service
+    loads."""
     _, _, fingerprint = trained
     root = tmp_path / "models"
     root.mkdir()
@@ -154,7 +155,33 @@ def test_previous_format_root_is_a_plain_miss_and_retrains_once(
 
     assert service().warm() == "trained"
     assert service().warm() == "registry"
-    assert set(os.listdir(root)) == old_files | {
+    assert not old_files & set(os.listdir(root))
+    assert set(os.listdir(root)) == {
+        os.path.basename(registry.kernels_path("linear", fingerprint)),
+        os.path.basename(registry.manifest_path("linear", fingerprint)),
+    }
+
+
+def test_save_removes_only_its_own_format2_slot(tmp_path, trained):
+    """A save deletes the four files of the format-2 slot it replaces
+    (same family, dataset and device) and nothing else."""
+    predictor, _, fingerprint = trained
+    device = repr(device_fingerprint(xc7z020()))
+
+    def format2_key(family):
+        return hashlib.sha256(
+            f"model:v2:{family}:{fingerprint}:{device}".encode()
+        ).hexdigest()[:32]
+
+    own = [f"{format2_key('linear')}{suffix}" for suffix in (
+        ".manifest.json", ".model.pkl", ".export.npz", ".export.json")]
+    other = f"{format2_key('gbrt')}.model.pkl"
+    for name in own + [other]:
+        (tmp_path / name).write_bytes(b"format 2")
+    registry = ModelRegistry(str(tmp_path))
+    registry.save(predictor, dataset_fingerprint=fingerprint)
+    assert set(os.listdir(tmp_path)) == {
+        other,
         os.path.basename(registry.kernels_path("linear", fingerprint)),
         os.path.basename(registry.manifest_path("linear", fingerprint)),
     }
@@ -641,3 +668,38 @@ def test_wire_malformed_directive_key_is_bad_request(trained):
         stats = client.stats()
     assert stats["completed"] == 1 and stats["net"]["bad_requests"] == 3
     assert stats["worker_crashes"] == 0 and stats["worker_restarts"] == 0
+
+
+# ----------------------------------------------------------------------
+# distinct feature rows
+# ----------------------------------------------------------------------
+def _byte_rows(X):
+    return {row.tobytes() for row in np.ascontiguousarray(X)}
+
+
+def _assert_exact_split(X, rows, inverse):
+    assert np.ascontiguousarray(rows)[inverse].tobytes() == \
+        np.ascontiguousarray(X).tobytes()
+    assert len(rows) == len(_byte_rows(rows)) == len(_byte_rows(X))
+
+
+@pytest.mark.parametrize("collide", [False, True])
+def test_distinct_rows_split_is_exact(monkeypatch, collide):
+    """The hash split is kept only when it reproduces the matrix byte
+    for byte; a forced collision (every multiplier zero, so every row
+    hashes alike) falls back to the byte sort and is just as exact,
+    and a -0.0/0.0 pair stays two rows either way."""
+    from repro.serve import service as service_mod
+
+    if collide:
+        monkeypatch.setattr(service_mod, "_row_multipliers",
+                            lambda n: np.zeros(n, dtype=np.uint64))
+    rng = np.random.default_rng(3)
+    X = rng.integers(0, 4, size=(200, 7)).astype(np.float64) * 0.25
+    X[10] = 0.0
+    X[11] = 0.0
+    X[11, 3] = -0.0
+    rows, inverse = service_mod._distinct_rows(X)
+    _assert_exact_split(X, rows, inverse)
+    assert inverse[10] != inverse[11]
+    assert not rows.flags.writeable
