@@ -11,6 +11,7 @@ features (Table II).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -78,31 +79,54 @@ class MuxInstance:
     reason: str  # "fu_input" or "mem_port"
 
 
-@dataclass
+@dataclass(eq=False)
 class FunctionBinding:
     """Binding result for one function.
 
     ``fu_of_pos`` holds each operation's unit id by op position in
-    ``table``; ``unit_resources`` each unit's spec footprint
-    (RESOURCE_KINDS order), so array readers gather both without
-    touching a unit object.
+    ``table``, ``unit_first`` each unit's first operation and
+    ``unit_resources`` each unit's spec footprint (RESOURCE_KINDS
+    order), so array readers gather all three without touching a unit
+    object.  Units drawn from a sharing pool are kept as objects
+    (``pooled``, by unit id); every other unit executes exactly its
+    first operation with that operation's own spec, so :attr:`units`
+    builds those objects from the table when first read.
     """
 
     function: str
     table: OpTable
-    units: list[FunctionalUnit] = field(default_factory=list)
-    fu_of_pos: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, dtype=np.int64))
-    unit_resources: np.ndarray = field(
-        default_factory=lambda: np.zeros((0, 4), dtype=np.int64))
+    fu_of_pos: np.ndarray
+    unit_first: np.ndarray
+    unit_resources: np.ndarray
+    pooled: dict[int, FunctionalUnit] = field(default_factory=dict)
     muxes: list[MuxInstance] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         freeze_arrays(self)
 
+    def __getstate__(self) -> dict:
+        # the unit objects rebuild from the arrays
+        state = dict(self.__dict__)
+        state.pop("units", None)
+        return state
+
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         freeze_arrays(self)
+
+    @cached_property
+    def units(self) -> list[FunctionalUnit]:
+        """Every unit, by unit id."""
+        t = self.table
+        opcode_id = t.opcode_id.tolist()
+        width = t.width.tolist()
+        uid = t.uid.tolist()
+        return [
+            self.pooled.get(fu_id) or FunctionalUnit(
+                fu_id, self.function, OPCODE_NAMES[opcode_id[pos]],
+                width[pos], t.specs[pos], [uid[pos]])
+            for fu_id, pos in enumerate(self.unit_first.tolist())
+        ]
 
     @property
     def fu_of_op(self) -> dict[int, int]:
@@ -120,7 +144,7 @@ class FunctionBinding:
 
     def shared_groups(self) -> list[list[int]]:
         """Op-uid groups that share one unit (inputs to Fig. 4 merging)."""
-        return [u.op_uids for u in self.units if u.is_shared]
+        return [u.op_uids for u in self.pooled.values() if u.is_shared]
 
     def n_muxes(self) -> int:
         return len(self.muxes)
@@ -155,7 +179,6 @@ class Binder:
         specs = table.specs
         uids = table.uid.tolist()
         opcode_id = table.opcode_id.tolist()
-        width = table.width.tolist()
         bucket = np.maximum(
             _WIDTH_BUCKET, -(-table.width // _WIDTH_BUCKET) * _WIDTH_BUCKET
         ).tolist()
@@ -169,21 +192,17 @@ class Binder:
         ends = schedule.end.tolist()
         name = func.name
 
-        units: list[FunctionalUnit] = []
         first_op: list[int] = []      # position of each unit's first op
         fu_of_pos = [0] * table.n
         shareable_pool: dict[tuple[int, int], list[FunctionalUnit]] = {}
-        pooled: list[FunctionalUnit] = []
+        pooled: dict[int, FunctionalUnit] = {}
         fu_last_end: dict[int, int] = {}
 
         for i, share in enumerate(can_share):
             if not share:
-                unit = FunctionalUnit(len(units), name,
-                                      OPCODE_NAMES[opcode_id[i]], width[i],
-                                      specs[i], [uids[i]])
-                units.append(unit)
+                # a unit of its own: built from the table when read
+                fu_of_pos[i] = len(first_op)
                 first_op.append(i)
-                fu_of_pos[i] = unit.fu_id
                 continue
             start = starts[i]
             end = ends[i]
@@ -200,29 +219,28 @@ class Binder:
             else:
                 opcode = OPCODE_NAMES[key[0]]
                 unit = FunctionalUnit(
-                    len(units), name, opcode, key[1],
+                    len(first_op), name, opcode, key[1],
                     self.library.characterize(opcode, key[1]), [uids[i]],
                 )
-                units.append(unit)
                 first_op.append(i)
                 pool.append(unit)
-                pooled.append(unit)
+                pooled[unit.fu_id] = unit
             fu_last_end[unit.fu_id] = busy_end
             fu_of_pos[i] = unit.fu_id
 
         # unit footprints: the op's own spec, a pooled unit's bucket spec
-        unit_resources = table.resources[first_op]
-        for unit in pooled:
+        unit_resources = table.resources[first_op].reshape(-1, 4)
+        for fu_id, unit in pooled.items():
             spec = unit.spec
-            unit_resources[unit.fu_id] = (spec.lut, spec.ff, spec.dsp,
-                                          spec.bram)
-        shared = [unit for unit in pooled if unit.is_shared]
+            unit_resources[fu_id] = (spec.lut, spec.ff, spec.dsp, spec.bram)
+        shared = [unit for unit in pooled.values() if unit.is_shared]
         return FunctionBinding(
             function=name,
             table=table,
-            units=units,
             fu_of_pos=np.array(fu_of_pos, dtype=np.int64),
-            unit_resources=unit_resources.reshape(-1, 4),
+            unit_first=np.array(first_op, dtype=np.int64),
+            unit_resources=unit_resources,
+            pooled=pooled,
             muxes=(self._fu_muxes(name, table, shared)
                    + self._memory_muxes(func, table)),
         )
