@@ -36,6 +36,7 @@ from repro.hls.optable import (
     READ_PORT,
     WRITE_PORT,
     OpTable,
+    connection_wires,
     lower_function,
 )
 from repro.ir.module import Module
@@ -75,7 +76,7 @@ def build_dependency_graph(
     for t, o in zip(tables, offset.tolist()):
         owner = np.repeat(np.arange(t.n), np.diff(t.prod_indptr))
         edges.add(o + t.prod_pos, o + owner,
-                  t.prod_uses * _wires(t.result_width[t.prod_pos],
+                  t.prod_uses * connection_wires(t.result_width[t.prod_pos],
                                        t.wire_cap[owner]))
 
     # Cross-function connectivity through call nodes.
@@ -91,7 +92,7 @@ def build_dependency_graph(
             for i in range(n_args):
                 users = _segment(ct.arg_user_indptr, ct.arg_user_pos, i)
                 edges.add(call_node, co + users,
-                          _wires(ct.arg_width[i], ct.wire_cap[users]))
+                          connection_wires(ct.arg_width[i], ct.wire_cap[users]))
             edges.add(co + ct.ret_src, call_node, ct.ret_wires)
 
     # Port nodes for function interfaces.
@@ -102,7 +103,7 @@ def build_dependency_graph(
             port_function.append(f)
             users = _segment(t.arg_user_indptr, t.arg_user_pos, i)
             edges.add(port, o + users,
-                      _wires(t.arg_width[i], t.wire_cap[users]))
+                      connection_wires(t.arg_width[i], t.wire_cap[users]))
             width = max(1, int(t.arg_width[i]))
             for pos in _segment(t.port_indptr, t.port_pos, i).tolist():
                 if t.opcode_id[pos] == READ_PORT:
@@ -129,7 +130,7 @@ def build_dependency_graph(
     func_of_node = np.concatenate([
         np.repeat(np.arange(len(tables)), sizes),
         np.array(port_function, dtype=np.int64),
-    ]).astype(np.int64)
+    ])
     return _compile(
         kept=np.flatnonzero(alive), n_ops=n_ops,
         opcode_id=np.concatenate([t.opcode_id for t in tables] + [_EMPTY]),
@@ -165,12 +166,6 @@ def _tables(module: Module, bindings) -> list[OpTable]:
 
 def _segment(indptr: np.ndarray, values: np.ndarray, i: int) -> np.ndarray:
     return values[indptr[i]:indptr[i + 1]]
-
-
-def _wires(produced, cap):
-    """Wires of each connection: the producer's width, capped by what
-    the consumer reads (:func:`repro.hls.optable.wire_cap`)."""
-    return np.minimum(np.maximum(1, produced), cap)
 
 
 class _Edges:

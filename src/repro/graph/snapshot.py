@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.errors import FeatureError
 from repro.hls.opchar import RESOURCE_KINDS
+from repro.hls.optable import freeze_arrays
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,9 +74,7 @@ class GraphStructure:
                                  repr=False)
 
     def __post_init__(self) -> None:
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+        freeze_arrays(self)
 
     def __getstate__(self) -> dict:
         # the snapshot memo holds the HLS result it was compiled

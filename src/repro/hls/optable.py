@@ -63,6 +63,12 @@ def wire_cap(opcode: str, result_width: int | None) -> int:
     return max(1, result_width)
 
 
+def connection_wires(produced_width, cap):
+    """:func:`wire_cap` applied elementwise: the wires of connections
+    from values ``produced_width`` bits wide into consumers with ``cap``."""
+    return np.minimum(np.maximum(1, produced_width), cap)
+
+
 def _frozen(values, dtype) -> np.ndarray:
     array = np.asarray(values, dtype=dtype)
     array.setflags(write=False)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.graph import build_dependency_graph, compile_snapshot
 from repro.hls import OperatorLibrary, synthesize
-from repro.hls.optable import OPCODE_NAMES, UNCAPPED, wire_cap
+from repro.hls.optable import OPCODE_NAMES
 from repro.kernels.combos import build_combined
 
 
@@ -94,10 +94,3 @@ def test_table_matches_the_ir_it_was_lowered_from(hls):
                 assert t.arrays[t.array_id[i]] == op.attrs["array"]
             else:
                 assert t.array_id[i] == -1
-
-
-def test_wire_cap_states_the_edge_weight_rule():
-    assert wire_cap("trunc", 8) == 8
-    assert wire_cap("add", 0) == 1
-    assert wire_cap("zext", 32) == UNCAPPED
-    assert wire_cap("store", None) == UNCAPPED
