@@ -313,7 +313,9 @@ def _compute_matrix(snap: GraphSnapshot, device_vec: np.ndarray):
     M[:, T.g_fop_mux] = snap.fop_mux[fid]
 
     node_ids = tuple(int(i) for i in s.node_ids[op_rows])
-    return node_ids, np.ascontiguousarray(M[op_rows])
+    # port nodes are numbered after every op node, so the op rows are
+    # the matrix's leading rows: a view, not a second matrix
+    return node_ids, M[:len(op_rows)]
 
 
 class FeatureExtractor:

@@ -157,6 +157,7 @@ def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         folded = words >> np.uint64(32)
         folded ^= words
         keys = folded @ _row_multipliers(X.shape[1])
+        del folded  # as large as X: free it before the check's gather
         _, first, inverse = np.unique(keys, return_index=True,
                                       return_inverse=True)
         if np.array_equal(words[first[inverse]], words):
