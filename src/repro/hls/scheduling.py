@@ -231,14 +231,15 @@ class Scheduler:
             for decl in map(func.arrays.get, table.arrays)
         ]
         is_mem = (table.opcode_id == LOAD) | (table.opcode_id == STORE)
-        free = table.pipelined
+        piped = table.pipelined
         port_limited = np.zeros(table.n, dtype=bool)
         if limit_of:
-            port_limited = is_mem & ~free & (table.array_id >= 0)
+            port_limited = is_mem & ~piped & (table.array_id >= 0)
             port_limited[port_limited] = (
                 np.array(limit_of)[table.array_id[port_limited]] > 0)
         dsp = table.resources[:, 2]
-        dsp_limited = ~is_mem & ~free & (dsp > 0) & (dsp_limit is not None)
+        dsp_limited = ~is_mem & ~piped & (dsp > 0) & (dsp_limit is not None)
+        # per op: 0 no budget, 1 its bank's ports, 2 the DSP budget
         budget_kind = (port_limited + 2 * dsp_limited).tolist()
         array_id = table.array_id.tolist()
         dsp = dsp.tolist()
