@@ -48,8 +48,11 @@ __all__ = ["FlowOptions", "FlowResult", "run_flow", "run_flow_on_design"]
 class FlowResult:
     """Everything one flow run produces.
 
-    ``design.module`` is the pre-HLS source; the synthesized IR that
-    labels, graph and netlist refer to is ``hls.module``.
+    ``design.module`` is the pre-HLS source; the synthesized design that
+    labels, graph and netlist refer to is ``hls``, whose ``hls.module``
+    builds its IR objects from the synthesized table on first read (RTL
+    elaboration already did, and a result unpickled from the disk cache
+    does it again when read).
     """
 
     design: KernelDesign

@@ -232,11 +232,11 @@ class GraphStage(Stage):
     def run(self, ctx: FlowContext) -> GraphStructure:
         hls = ctx.require("hls")
         graph = build_dependency_graph(
-            hls.module, hls.bindings, merge_shared=ctx.options.merge_shared,
+            hls, merge_shared=ctx.options.merge_shared,
         )
         # Compile the feature snapshot against this HLS result here, so
         # every downstream extraction (dataset assembly, prediction,
-        # serving) finds it memoized on the graph.
+        # serving) finds it memoized on the result.
         compile_snapshot(graph, hls)
         return graph
 
@@ -365,9 +365,11 @@ class FlowPipeline:
         Every stage runs: the pipeline keeps no cache of its own.
         ``until`` truncates the run after the named stage.
 
-        ``design`` is never modified: the HLS stage synthesizes a copy of
-        its module, so ``ctx.design.module`` stays the pre-HLS source and
-        ``ctx.hls.module`` is the synthesized IR every later stage reads.
+        ``design`` is never modified: the HLS stage only reads its
+        module, so ``ctx.design.module`` stays the pre-HLS source.  The
+        synthesized design is ``ctx.hls``: the graph stage reads its op
+        tables, and ``ctx.hls.module`` builds its IR objects for the
+        stages that walk them (RTL elaboration, back-tracing).
 
         ``deadline`` (a ``time.monotonic()`` timestamp, as produced by
         :class:`repro.serve.resilience.Deadline`) is checked before each

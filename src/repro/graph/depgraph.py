@@ -37,13 +37,14 @@ from repro.hls.optable import (
     WRITE_PORT,
     OpTable,
     connection_wires,
-    lower_function,
+    op_tables,
 )
+from repro.hls.tableir import lower_module
 from repro.ir.module import Module
 
 
 def build_dependency_graph(
-    module: Module,
+    module,
     bindings: dict[str, FunctionBinding] | None = None,
     *,
     merge_shared: bool = True,
@@ -51,15 +52,24 @@ def build_dependency_graph(
     """Build the design-level dependency graph.
 
     Node ids number the operations in module order, then one port node
-    per function argument.  ``bindings`` enables Fig.-4 merging of
-    operations that share an RTL module; pass ``None`` (or
+    per function argument.  ``module`` is an
+    :class:`~repro.hls.synthesis.HLSResult` — the graph then reads its op
+    tables and, for Fig.-4 merging of operations that share an RTL
+    module, its bindings, with no IR object built — or IR objects.  For
+    IR objects, ``bindings`` enables merging; pass ``None`` (or
     ``merge_shared=False``) for the unmerged graph used by the sharing
     ablation.  Bindings must be those of exactly the functions of
     ``module``, which holds for ``hls.module`` with ``hls.bindings``;
     anything else (typically the pre-HLS ``design.module``) raises
     :class:`~repro.errors.IRError`.
     """
-    tables = _tables(module, bindings)
+    if isinstance(module, Module):
+        tables = _tables(module, bindings)
+    else:  # an HLS result
+        bindings = module.bindings
+        tables = [module.schedule.for_function(name).table
+                  for name in module.ir.functions]
+        module = module.ir
     sizes = [t.n for t in tables]
     offset = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
     n_ops = int(offset[-1])
@@ -148,11 +158,11 @@ def _tables(module: Module, bindings) -> list[OpTable]:
     the ones ``bindings`` were made from, else freshly lowered."""
     functions = list(module.functions.values())
     if bindings is None:
-        return [lower_function(func, DEFAULT_LIBRARY) for func in functions]
+        return list(op_tables(lower_module(module), DEFAULT_LIBRARY).values())
     tables = [getattr(bindings.get(f.name), "table", None)
               for f in functions]
     stale = [f.name for f, t in zip(functions, tables)
-             if t is None or t.function is not f]
+             if t is None or not t.is_table_of(f)]
     extra = set(bindings) - set(module.functions)
     if stale or extra:
         raise IRError(

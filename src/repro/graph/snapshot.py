@@ -15,8 +15,8 @@ NumPy arrays, so feature extraction is whole-graph batch math:
   extraction reads from the HLS result: the per-node resource matrix
   ``[n, 4]``, operator delay/latency vectors, per-edge ΔTcs and the
   per-function report tables behind the global-information features.
-  Compiled by :func:`compile_snapshot` and memoized on the graph per
-  HLS result.
+  Compiled by :func:`compile_snapshot` and memoized on the HLS result
+  per graph.
 
 All arrays index nodes by *row* (position in ``node_ids``), never by the
 original graph node id — ids are non-contiguous after Fig.-4 merging.
@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.errors import FeatureError
 from repro.hls.opchar import RESOURCE_KINDS
-from repro.hls.optable import freeze_arrays
+from repro.hls.tableir import freeze_arrays
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,17 +69,9 @@ class GraphStructure:
     und_nbr: np.ndarray
     #: op uid -> node id; the members of a merged node share its id
     node_of_op: dict
-    #: ``[(hls, GraphSnapshot)]`` once :func:`compile_snapshot` ran
-    _snapshot_slot: list = field(default_factory=list, init=False,
-                                 repr=False)
 
     def __post_init__(self) -> None:
         freeze_arrays(self)
-
-    def __getstate__(self) -> dict:
-        # the snapshot memo holds the HLS result it was compiled
-        # against and rebuilds cheaply: it never rides along in a pickle
-        return {**vars(self), "_snapshot_slot": []}
 
     def n_nodes(self) -> int:
         return self.n
@@ -172,10 +164,9 @@ def _snapshot_from_structure(s: GraphStructure, hls) -> GraphSnapshot:
 
     # Op node ids number the operations in module order, so a node's
     # op position is its id minus its function's first id.
-    module = hls.module
     base: dict[str, int] = {}
     first = 0
-    for fname in module.functions:
+    for fname in hls.ir.functions:
         base[fname] = first
         first += hls.schedule.for_function(fname).table.n
     for fid, fname in enumerate(s.func_names):
@@ -248,7 +239,7 @@ def _snapshot_from_structure(s: GraphStructure, hls) -> GraphSnapshot:
         fop_mux[fid] = (mux.count, mux.lut, mux.mean_inputs,
                         mux.mean_bitwidth)
 
-    ftop = hls.reports[module.top.name]
+    ftop = hls.top_report
     ftop_res = np.array(
         [ftop.hierarchical_resources.get(kind, 0) for kind in RESOURCE_KINDS],
         dtype=np.float64,
@@ -289,14 +280,14 @@ def _snapshot_from_structure(s: GraphStructure, hls) -> GraphSnapshot:
 def compile_snapshot(graph: GraphStructure, hls) -> GraphSnapshot:
     """The :class:`GraphSnapshot` of ``graph`` against ``hls``.
 
-    Memoized on the graph per HLS result identity: repeated feature
+    Memoized on the HLS result per graph identity: repeated feature
     extractions over the same artifacts — the serving steady state —
-    reuse one compilation.
+    reuse one compilation.  The result holds the memo and the graph
+    holds nothing back, so the two never form a reference cycle.
     """
-    slot = graph._snapshot_slot
-    cached = slot[0] if slot else None
-    if cached is not None and cached[0] is hls:
-        return cached[1]
+    memo = hls.snapshot_memo
+    if memo is not None and memo[0] is graph:
+        return memo[1]
     snapshot = _snapshot_from_structure(graph, hls)
-    slot[:] = [(hls, snapshot)]
+    hls.snapshot_memo = (graph, snapshot)
     return snapshot

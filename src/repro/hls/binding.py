@@ -17,16 +17,9 @@ import numpy as np
 
 from repro.errors import BindingError
 from repro.hls.opchar import OperatorLibrary, OperatorSpec, DEFAULT_LIBRARY
-from repro.hls.optable import (
-    CALL,
-    LOAD,
-    OPCODE_NAMES,
-    STORE,
-    OpTable,
-    freeze_arrays,
-)
+from repro.hls.optable import CALL, LOAD, OPCODE_NAMES, STORE, OpTable
 from repro.hls.scheduling import FunctionSchedule
-from repro.ir.function import Function
+from repro.hls.tableir import freeze_arrays
 
 #: Widths are bucketed so e.g. a 13-bit and a 16-bit multiply can share.
 _WIDTH_BUCKET = 8
@@ -161,17 +154,18 @@ class Binder:
 
     def bind_function(
         self,
-        func: Function,
+        func,
         schedule: FunctionSchedule,
         *,
         allow_sharing: bool = True,
     ) -> FunctionBinding:
-        """Bind every operation of ``func`` to a functional unit.
+        """Bind every operation of ``func`` (a table-IR function record
+        or IR objects) to a functional unit.
 
         Reads the function's :class:`OpTable` and schedule arrays only.
         """
         table = schedule.table
-        if table is None or table.function is not func:
+        if table is None or not table.is_table_of(func):
             raise BindingError(
                 f"schedule of {schedule.function!r} does not belong to "
                 f"function {func.name!r}"
@@ -267,8 +261,7 @@ class Binder:
             ]
         return muxes
 
-    def _memory_muxes(self, func: Function,
-                      table: OpTable) -> list[MuxInstance]:
+    def _memory_muxes(self, func, table: OpTable) -> list[MuxInstance]:
         """Banked memories with multiple accessors need port muxes."""
         accessed = table.array_id[table.array_id >= 0]
         n_accessors = np.bincount(accessed, minlength=len(table.arrays))

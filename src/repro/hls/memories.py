@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.ir.function import ArrayDecl, Function
+from repro.ir.function import ArrayDecl
 
 #: Usable bits of one RAMB18 primitive (18 Kb).
 _BRAM18_BITS = 18 * 1024
@@ -98,8 +98,9 @@ def map_array(decl: ArrayDecl) -> list[MemoryBank]:
             for i in range(decl.banks)]
 
 
-def map_function_memories(func: Function) -> MemoryMap:
-    """Map every array declared by ``func``."""
+def map_function_memories(func) -> MemoryMap:
+    """Map every array declared by ``func`` (a table-IR function record
+    or IR objects)."""
     result = MemoryMap(function=func.name)
     for decl in func.arrays.values():
         result.banks.extend(map_array(decl))

@@ -176,18 +176,22 @@ class OperatorLibrary:
         return self._cache[key]
 
     def spec_for(self, op) -> OperatorSpec:
-        """Characterize an :class:`~repro.ir.operation.Operation`.
+        """Characterize an :class:`~repro.ir.operation.Operation`."""
+        opcode = op.opcode
+        return self.spec_of_kind(
+            opcode, op.bitwidth(),
+            opcode in _SHIFTS and len(op.operands) == 2
+            and op.operands[1].is_constant)
 
-        Shifts by a compile-time constant are pure wiring (no barrel
+    def spec_of_kind(self, opcode: str, width: int,
+                     const_shift: bool = False) -> OperatorSpec:
+        """Characterize an ``opcode`` op of ``width`` bits.
+
+        Shifts by a compile-time constant (``const_shift``: a two-operand
+        shift whose amount is a constant) are pure wiring (no barrel
         shifter), so they characterize as free, like HLS does.
         """
-        opcode = op.opcode
-        width = op.bitwidth()
-        if (
-            opcode in _SHIFTS
-            and len(op.operands) == 2
-            and op.operands[1].is_constant
-        ):
+        if const_shift:
             key = (f"{opcode}#const", width)
             if key not in self._cache:
                 self._cache[key] = OperatorSpec(

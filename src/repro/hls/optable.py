@@ -1,16 +1,15 @@
-"""One verified function lowered once into read-only arrays.
+"""Each function of the final table IR as read-only per-op arrays.
 
-Every reader after IR verification — scheduling, binding, the register
+Every reader after verification — scheduling, binding, the register
 count of the reports, the dependency graph and the feature snapshot —
 reads a function's operations through its :class:`OpTable`: flat NumPy
-arrays indexed by *op position* (the operation's index in
-``func.operations``).  :func:`lower_function` walks the IR objects
-exactly once and characterizes each operation exactly once
-(one :meth:`~repro.hls.opchar.OperatorLibrary.spec_for` per op), so no
-reader downstream touches an :class:`~repro.ir.operation.Operation`
-again.  The table holds nothing the IR does not: it is built from the
-final, verified IR of one synthesis and lives inside that synthesis'
-schedule, never beyond it.
+arrays indexed by *op position* (the operation's index in the
+function's op order).  :func:`op_tables` derives the tables of every
+function of a verified :class:`~repro.hls.tableir.ModuleTable` in one
+module-wide pass and characterizes each distinct (opcode, width) kind
+once, so no reader downstream touches an
+:class:`~repro.ir.operation.Operation`.  A table holds nothing the IR
+does not.
 
 The paper's wire-count rule (edge weights, Section III-A2) is stated
 once here, at the width level (:func:`wire_cap`): RTL elaboration
@@ -20,23 +19,29 @@ graph's array build.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import IRError
 from repro.hls.opchar import OperatorLibrary
-from repro.ir.function import Function
-from repro.ir.opcodes import OPCODES, opcode_index
+from repro.hls.tableir import (
+    ARGUMENT,
+    CONSTANT,
+    OPCODE_NAMES,
+    RESULT,
+    FuncRec,
+    ModuleTable,
+    freeze_arrays,
+    ranges,
+)
+from repro.ir.opcodes import opcode_index
 
-#: opcode names by opcode id (the feature one-hot index)
-OPCODE_NAMES = tuple(info.name for info in OPCODES)
-_OPCODE_ID = {name: i for i, name in enumerate(OPCODE_NAMES)}
 LOAD, STORE, CALL = (opcode_index(name) for name in ("load", "store", "call"))
 READ_PORT, WRITE_PORT = opcode_index("read_port"), opcode_index("write_port")
-#: opcodes whose attributes or operands the lowering reads one by one
-_SPECIAL = frozenset({LOAD, STORE, CALL, READ_PORT, WRITE_PORT,
-                      opcode_index("ret")})
+RET = opcode_index("ret")
+_SHIFT = np.zeros(len(OPCODE_NAMES), dtype=bool)
+_SHIFT[[opcode_index(name) for name in ("shl", "lshr", "ashr")]] = True
 #: packs (opcode id, result width + 1) into one key
 _WIDTH_KEY = 1 << 32
 
@@ -75,13 +80,6 @@ def _frozen(values, dtype) -> np.ndarray:
     return array
 
 
-def freeze_arrays(obj) -> None:
-    """Make every ndarray attribute of ``obj`` read-only."""
-    for value in vars(obj).values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-
-
 @dataclass(frozen=True, eq=False)
 class OpTable:
     """The operations of one function as read-only arrays.
@@ -92,8 +90,9 @@ class OpTable:
     tables compare by identity.
     """
 
-    #: the lowered function (identity: readers check they got its table)
-    function: Function
+    #: the table IR the function was lowered from, and its name there
+    ir: ModuleTable
+    name: str
     uid: np.ndarray              # int [n]
     #: op uid -> position
     pos_of: dict
@@ -103,7 +102,7 @@ class OpTable:
     result_width: np.ndarray     # int [n], -1 for ops without a result
     wire_cap: np.ndarray         # int [n], :func:`wire_cap` of each op
     n_operands: np.ndarray       # int [n]
-    #: the one characterization of each op
+    #: the characterization of each op (one per distinct kind)
     specs: tuple
     delay_ns: np.ndarray         # float [n]
     latency: np.ndarray          # int [n], the spec's pipeline depth
@@ -126,7 +125,8 @@ class OpTable:
     call_pos: np.ndarray
     call_callee: tuple
     #: per argument: bit width, its users inside the function (one entry
-    #: per use) and the read_port/write_port ops naming it
+    #: per use, in ``users`` order) and the read_port/write_port ops
+    #: naming it
     arg_width: np.ndarray
     arg_user_indptr: np.ndarray
     arg_user_pos: np.ndarray
@@ -144,159 +144,220 @@ class OpTable:
         freeze_arrays(self)
 
     @property
-    def name(self) -> str:
-        return self.function.name
-
-    @property
     def n(self) -> int:
         return len(self.uid)
+
+    @property
+    def function(self):
+        """The function's IR objects (materializes the module)."""
+        return self.ir.module().functions[self.name]
+
+    def is_table_of(self, func) -> bool:
+        """True when this table describes ``func``: its record in the
+        table IR, or IR objects with exactly these operations."""
+        if isinstance(func, FuncRec):
+            return func is self.ir.functions.get(self.name)
+        return (func.name == self.name
+                and [op.uid for op in func.operations] == self.uid.tolist())
 
     def opcode(self, pos: int) -> str:
         return OPCODE_NAMES[self.opcode_id[pos]]
 
 
-def lower_function(func: Function, library: OperatorLibrary) -> OpTable:
-    """Lower ``func`` (verified IR) into its :class:`OpTable`.
+def op_tables(t: ModuleTable, library: OperatorLibrary) -> dict[str, OpTable]:
+    """The :class:`OpTable` of every function of ``t`` (verified), in
+    module order: one module-wide pass, one characterization per
+    distinct (opcode, width, constant-shift) kind."""
+    funcs = list(t.functions.values())
+    sizes = [len(f.order) for f in funcs]
+    offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    mod = t.module_order()
+    N = len(mod)
+    gpos = np.full(len(t.op_uid), -1, dtype=np.int64)
+    gpos[mod] = np.arange(N)
+    uid = t.op_uid[mod]
+    opcode_id = t.op_opcode[mod]
+    result = t.op_result[mod]
+    result_width = np.where(result >= 0, t.val_width[np.maximum(result, 0)],
+                            -1)
 
-    One pass over the operations; each is characterized exactly once.
-    """
-    ops = func.operations
-    n = len(ops)
-    uids = [op.uid for op in ops]
-    pos_of = dict(zip(uids, range(n)))
-    specs = tuple(map(library.spec_for, ops))
-    opcode_id = [_OPCODE_ID[op.opcode] for op in ops]
-    operands = [op.operands for op in ops]
-    result_width = [-1 if r is None else r.type.bitwidth()
-                    for r in (op.result for op in ops)]
+    ptr = t.op_use_ptr
+    n_operands = ptr[mod + 1] - ptr[mod]
+    uses = ranges(ptr[mod], n_operands)
+    owner = np.repeat(np.arange(N, dtype=np.int64), n_operands)
+    value = t.use_val[uses]
     # Operation.bitwidth: the result's width, else the widest operand
-    width = np.array(result_width, dtype=np.int64)
-    for i in np.flatnonzero(width <= 0).tolist():
-        width[i] = max([v.type.bitwidth() for v in operands[i]], default=0)
+    widest = np.zeros(N, dtype=np.int64)
+    has = np.flatnonzero(n_operands)
+    if len(has):
+        widest[has] = np.maximum.reduceat(
+            t.val_width[value], (np.cumsum(n_operands) - n_operands)[has])
+    width = np.where(result_width > 0, result_width, widest)
 
     # every (consumer, producer) operand pair, in operand order
-    owner, producer = [], []
-    for i, values in enumerate(operands):
-        for value in values:
-            op = value.producer
-            if op is not None:
-                owner.append(i)
-                producer.append(pos_of[op.uid])
-    prod_indptr, prod_pos, prod_uses = _distinct_pairs(owner, producer, n)
-    # users are the transpose: each op's consumers, in position order
+    is_result = t.val_kind[value] == RESULT
+    producer = gpos[t.val_producer[value[is_result]]]
+    consumer = owner[is_result]
+    op_fpos = np.repeat(np.arange(len(funcs)), sizes)
+    foreign = (producer < 0) | (op_fpos[producer] != op_fpos[consumer])
+    if foreign.any():
+        op = int(mod[consumer[np.argmax(foreign)]])
+        raise IRError(f"{t.op_name[op]} reads a value produced outside "
+                      "its function")
+    prod_indptr, prod_pos, prod_uses = _distinct_pairs(consumer, producer, N)
     by_producer = np.argsort(prod_pos, kind="stable")
-    user_pos = np.repeat(np.arange(n), np.diff(prod_indptr))[by_producer]
-    user_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(prod_pos, minlength=n), out=user_indptr[1:])
+    user_pos = np.repeat(np.arange(N), np.diff(prod_indptr))[by_producer]
+    user_indptr = np.zeros(N + 1, dtype=np.int64)
+    np.cumsum(np.bincount(prod_pos, minlength=N), out=user_indptr[1:])
 
-    array_id = np.full(n, -1, dtype=np.int64)
-    arrays: dict[str, int] = {}
-    call_pos, call_callee = [], []
-    port_ops: dict[str, list[int]] = {}
-    ret_src, ret_wires = [], []
-    for i in [i for i, oid in enumerate(opcode_id) if oid in _SPECIAL]:
-        op = ops[i]
-        oid = opcode_id[i]
-        if oid == LOAD or oid == STORE:
-            array = op.attrs.get("array")
-            if array:
-                array_id[i] = arrays.setdefault(array, len(arrays))
-        elif oid == CALL:
-            call_pos.append(i)
-            call_callee.append(op.attrs.get("callee"))
-        elif oid == READ_PORT or oid == WRITE_PORT:
-            port_ops.setdefault(op.attrs.get("port"), []).append(i)
-        elif op.operands and op.operands[0].producer is not None:  # ret
-            ret_src.append(pos_of[op.operands[0].producer.uid])
-            ret_wires.append(max(1, op.operands[0].bitwidth()))
-
-    # spec columns, gathered from the distinct specs (the library hands
-    # out one object per characterization): each op's code is the
-    # position of the first op with its spec
-    first_with: dict[int, int] = {}
-    spec_code = np.array(list(map(first_with.setdefault, map(id, specs),
-                                  itertools.count())), dtype=np.int64)
-    firsts, spec_code = np.unique(spec_code, return_inverse=True)
-    distinct = [specs[i] for i in firsts.tolist()]
+    # one characterization per distinct kind; a shift by a constant is
+    # wiring
+    second = t.use_val[np.minimum(ptr[mod] + 1, max(len(t.use_val) - 1, 0))]
+    const_shift = _SHIFT[opcode_id] & (n_operands == 2)
+    const_shift[const_shift] = t.val_kind[second[const_shift]] == CONSTANT
+    kinds, code = np.unique((opcode_id * 2 + const_shift) * _WIDTH_KEY + width,
+                            return_inverse=True)
+    code = code.reshape(-1)
+    distinct = [library.spec_of_kind(OPCODE_NAMES[k // _WIDTH_KEY // 2],
+                                     int(k % _WIDTH_KEY),
+                                     bool(k // _WIDTH_KEY % 2))
+                for k in kinds.tolist()]
+    specs = tuple(map(distinct.__getitem__, code.tolist()))
     delay_ns = np.array([sp.delay_ns for sp in distinct],
-                        dtype=np.float64)[spec_code]
+                        dtype=np.float64)[code]
     latency = np.array([sp.latency_cycles for sp in distinct],
-                       dtype=np.int64)[spec_code]
-    resources = np.array([(sp.lut, sp.ff, sp.dsp, sp.bram)
-                          for sp in distinct],
-                         dtype=np.int64).reshape(-1, 4)[spec_code]
+                       dtype=np.int64)[code]
+    resources = np.array([(sp.lut, sp.ff, sp.dsp, sp.bram) for sp in distinct],
+                         dtype=np.int64).reshape(-1, 4)[code]
 
     # the wire rule per distinct (opcode, result width) pair
-    opcode_id = np.array(opcode_id, dtype=np.int64)
-    result_width = np.array(result_width, dtype=np.int64)
-    kinds, kind_of = np.unique(opcode_id * _WIDTH_KEY + (result_width + 1),
-                               return_inverse=True)
+    caps, cap_of = np.unique(opcode_id * _WIDTH_KEY + (result_width + 1),
+                             return_inverse=True)
     caps = np.array([
         wire_cap(OPCODE_NAMES[k // _WIDTH_KEY],
                  None if k % _WIDTH_KEY == 0 else k % _WIDTH_KEY - 1)
-        for k in kinds.tolist()
-    ], dtype=np.int64)[kind_of.reshape(-1)]
+        for k in caps.tolist()
+    ], dtype=np.int64)[cap_of.reshape(-1)]
 
-    pipelined = np.zeros(n, dtype=bool)
-    loops = {}
-    for name, loop in func.loops.items():
-        members = np.sort(np.fromiter(map(pos_of.__getitem__, loop.op_uids),
-                                      dtype=np.int64,
-                                      count=len(loop.op_uids)))
-        members.setflags(write=False)
-        loops[name] = members
-        if loop.pipelined:
-            pipelined[members] = True
+    # argument uses by ops of the declaring function, in users order
+    arg_slot = np.full(len(t.val_kind), -1, dtype=np.int64)
+    arg_base = np.concatenate(([0], np.cumsum([len(f.args) for f in funcs])))
+    for f, base in zip(funcs, arg_base.tolist()):
+        arg_slot[f.args] = base + np.arange(len(f.args))
+    fid_pos = np.full(len(t.fnames), -1, dtype=np.int64)
+    fid_pos[[f.fid for f in funcs]] = np.arange(len(funcs))
+    is_arg = (t.val_kind[value] == ARGUMENT) & (arg_slot[value] >= 0)
+    is_arg[is_arg] = fid_pos[t.val_owner[value[is_arg]]] == op_fpos[
+        owner[is_arg]]
+    arg_use = np.flatnonzero(is_arg)
+    arg_use = arg_use[np.lexsort((t.use_time[uses[arg_use]],
+                                  arg_slot[value[arg_use]]))]
+    arg_user_indptr = np.zeros(arg_base[-1] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(arg_slot[value[arg_use]], minlength=arg_base[-1]),
+              out=arg_user_indptr[1:])
+    arg_user = owner[arg_use]
 
-    arg_user_indptr, arg_user_pos = [0], []
-    port_indptr, port_pos = [0], []
-    for arg in func.arguments:
-        arg_user_pos.extend(pos_of[u.uid] for u in arg.users
-                            if u.parent is func)
-        arg_user_indptr.append(len(arg_user_pos))
-        port_pos.extend(port_ops.get(arg.name, ()))
-        port_indptr.append(len(port_pos))
-
+    # each function's memories, numbered in first-access order
+    mem = np.flatnonzero(((opcode_id == LOAD) | (opcode_id == STORE))
+                         & (t.op_array[mod] >= 0))
+    array_id = np.full(N, -1, dtype=np.int64)
+    arrays_of: list[list] = [[] for _ in funcs]
+    if len(mem):
+        n_names = len(t.array_names)
+        pairs, first, inverse = np.unique(
+            op_fpos[mem] * n_names + t.op_array[mod[mem]],
+            return_index=True, return_inverse=True)
+        by = np.lexsort((first, pairs // n_names))
+        fpos = pairs[by] // n_names
+        rank = np.empty(len(pairs), dtype=np.int64)
+        rank[by] = np.arange(len(pairs)) - np.searchsorted(fpos, fpos)
+        array_id[mem] = rank[inverse.reshape(-1)]
+        for f, a in zip(fpos.tolist(), (pairs[by] % n_names).tolist()):
+            arrays_of[f].append(t.array_names[a])
+    special = np.flatnonzero(np.isin(opcode_id, (CALL, READ_PORT, WRITE_PORT,
+                                                 RET)))
     int64 = np.int64
-    return OpTable(
-        function=func,
-        uid=_frozen(uids, int64),
-        pos_of=pos_of,
-        opcode_id=opcode_id,
-        width=width,
-        result_width=result_width,
-        wire_cap=caps,
-        n_operands=_frozen([len(values) for values in operands], int64),
-        specs=specs,
-        delay_ns=delay_ns,
-        latency=latency,
-        resources=resources,
-        prod_indptr=prod_indptr,
-        prod_pos=prod_pos,
-        prod_uses=prod_uses,
-        user_indptr=user_indptr,
-        user_pos=user_pos,
-        array_id=array_id,
-        arrays=tuple(arrays),
-        pipelined=pipelined,
-        loops=loops,
-        call_pos=_frozen(call_pos, int64),
-        call_callee=tuple(call_callee),
-        arg_width=_frozen([a.bitwidth() for a in func.arguments], int64),
-        arg_user_indptr=_frozen(arg_user_indptr, int64),
-        arg_user_pos=_frozen(arg_user_pos, int64),
-        port_indptr=_frozen(port_indptr, int64),
-        port_pos=_frozen(port_pos, int64),
-        ret_src=_frozen(ret_src, int64),
-        ret_wires=_frozen(ret_wires, int64),
-    )
+    tables = {}
+    for f, (lo, hi) in enumerate(zip(offsets[:-1].tolist(),
+                                     offsets[1:].tolist())):
+        func = funcs[f]
+        n = hi - lo
+        ids = uid[lo:hi]
+        p_lo, p_hi = prod_indptr[lo], prod_indptr[hi]
+        u_lo, u_hi = user_indptr[lo], user_indptr[hi]
+
+        pipelined = np.zeros(n, dtype=bool)
+        loops = {}
+        for name, loop in func.loops.items():
+            members = np.sort(gpos[loop.members] - lo)
+            members.setflags(write=False)
+            loops[name] = members
+            if loop.pipelined:
+                pipelined[members] = True
+
+        call_pos, call_callee = [], []
+        port_ops: dict = {}
+        ret_src, ret_wires = [], []
+        for g in special[(special >= lo) & (special < hi)].tolist():
+            op = int(mod[g])
+            oid = opcode_id[g]
+            if oid == CALL:
+                call_pos.append(g - lo)
+                call_callee.append(t.attr(op, "callee"))
+            elif oid == READ_PORT or oid == WRITE_PORT:
+                port_ops.setdefault(t.attr(op, "port"), []).append(g - lo)
+            elif n_operands[g]:  # ret
+                v = int(t.use_val[ptr[op]])
+                if t.val_kind[v] == RESULT:
+                    ret_src.append(int(gpos[t.val_producer[v]]) - lo)
+                    ret_wires.append(max(1, int(t.val_width[v])))
+
+        a_lo, a_hi = arg_base[f], arg_base[f + 1]
+        port_indptr, port_pos = [0], []
+        for a in func.args.tolist():
+            port_pos.extend(port_ops.get(t.value_name(a), ()))
+            port_indptr.append(len(port_pos))
+        g_lo, g_hi = arg_user_indptr[a_lo], arg_user_indptr[a_hi]
+
+        tables[func.name] = OpTable(
+            ir=t,
+            name=func.name,
+            uid=ids,
+            pos_of=dict(zip(ids.tolist(), range(n))),
+            opcode_id=opcode_id[lo:hi],
+            width=width[lo:hi],
+            result_width=result_width[lo:hi],
+            wire_cap=caps[lo:hi],
+            n_operands=n_operands[lo:hi],
+            specs=specs[lo:hi],
+            delay_ns=delay_ns[lo:hi],
+            latency=latency[lo:hi],
+            resources=resources[lo:hi],
+            prod_indptr=prod_indptr[lo:hi + 1] - p_lo,
+            prod_pos=prod_pos[p_lo:p_hi] - lo,
+            prod_uses=prod_uses[p_lo:p_hi],
+            user_indptr=user_indptr[lo:hi + 1] - u_lo,
+            user_pos=user_pos[u_lo:u_hi] - lo,
+            array_id=array_id[lo:hi],
+            arrays=tuple(arrays_of[f]),
+            pipelined=pipelined,
+            loops=loops,
+            call_pos=_frozen(call_pos, int64),
+            call_callee=tuple(call_callee),
+            arg_width=t.val_width[func.args],
+            arg_user_indptr=arg_user_indptr[a_lo:a_hi + 1] - g_lo,
+            arg_user_pos=arg_user[g_lo:g_hi] - lo,
+            port_indptr=_frozen(port_indptr, int64),
+            port_pos=_frozen(port_pos, int64),
+            ret_src=_frozen(ret_src, int64),
+            ret_wires=_frozen(ret_wires, int64),
+        )
+    return tables
 
 
-def _distinct_pairs(owner: list[int], producer: list[int], n: int):
+def _distinct_pairs(owner: np.ndarray, producer: np.ndarray, n: int):
     """CSR of each owner's distinct producers in first-operand order,
     with the number of operands each one feeds."""
-    owner = np.array(owner, dtype=np.int64)
-    producer = np.array(producer, dtype=np.int64)
     key = owner * n + producer
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]

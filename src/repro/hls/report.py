@@ -16,7 +16,6 @@ from repro.hls.fsm import FSMInfo
 from repro.hls.memories import MemoryMap
 from repro.hls.opchar import RESOURCE_KINDS
 from repro.hls.scheduling import ClockConstraint, FunctionSchedule
-from repro.ir.function import Function
 
 
 @dataclass
@@ -83,7 +82,7 @@ def _register_ffs(schedule: FunctionSchedule) -> int:
 
 
 def build_function_report(
-    func: Function,
+    func,
     schedule: FunctionSchedule,
     binding: FunctionBinding,
     memory_map: MemoryMap,
@@ -134,11 +133,13 @@ def build_function_report(
     return report
 
 
-def roll_up_hierarchy(module, reports: dict[str, FunctionReport]) -> None:
+def roll_up_hierarchy(module, schedule, reports: dict[str, FunctionReport]
+                      ) -> None:
     """Fold callee resources into callers' hierarchical totals.
 
-    One callee instance is counted per call site, matching how HLS
-    instantiates a module per call (no cross-call sharing).
+    One callee instance is counted per call site (the call ops of each
+    function's op table in ``schedule``), matching how HLS instantiates
+    a module per call (no cross-call sharing).
     """
     order: list[str] = []
     state: dict[str, int] = {}
@@ -157,10 +158,8 @@ def roll_up_hierarchy(module, reports: dict[str, FunctionReport]) -> None:
         visit(name)
 
     for name in order:
-        func = module.functions[name]
         total = dict(reports[name].resources)
-        for op in func.ops_of("call"):
-            callee = op.attrs.get("callee")
+        for callee in schedule.for_function(name).table.call_callee:
             if callee in reports:
                 _add(total, reports[callee].hierarchical_resources)
         reports[name].hierarchical_resources = total

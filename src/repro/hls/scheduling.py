@@ -20,16 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import SchedulingError
+from repro.errors import IRError, SchedulingError
 from repro.hls.opchar import OperatorLibrary, DEFAULT_LIBRARY
-from repro.hls.optable import (
-    LOAD,
-    STORE,
-    OpTable,
-    freeze_arrays,
-    lower_function,
-)
-from repro.ir.function import Function
+from repro.hls.optable import LOAD, STORE, OpTable, op_tables
+from repro.hls.tableir import ModuleTable, freeze_arrays, lower_module
 from repro.ir.module import Module
 
 #: Registered-output arrival offset inside a state (clock-to-out, ns).
@@ -154,7 +148,7 @@ class ModuleSchedule:
         return self.functions["__top__"].latency_cycles
 
 
-def _callee_order(module: Module) -> list[str]:
+def _callee_order(module: ModuleTable) -> list[str]:
     """Functions sorted callee-first so call latencies are available."""
     order: list[str] = []
     state: dict[str, int] = {}
@@ -191,29 +185,43 @@ class Scheduler:
         self.dsp_limit = dsp_limit
 
     # ------------------------------------------------------------------
-    def schedule_module(self, module: Module) -> ModuleSchedule:
-        """Schedule every function (callee-first) and roll up latency."""
+    def schedule_module(self, module: Module | ModuleTable,
+                        tables: dict[str, OpTable] | None = None
+                        ) -> ModuleSchedule:
+        """Schedule every function (callee-first) and roll up latency.
+
+        ``module`` is IR objects (lowered here) or a verified
+        :class:`~repro.hls.tableir.ModuleTable`, whose op tables
+        ``tables`` are derived here when not given.
+        """
+        if isinstance(module, Module):
+            module = lower_module(module)
+        if tables is None:
+            tables = op_tables(module, self.library)
         result = ModuleSchedule(clock=self.clock)
         callee_latency: dict[str, int] = {}
         for name in _callee_order(module):
-            func = module.functions[name]
-            sched = self.schedule_function(func, callee_latency)
+            sched = self.schedule_function(module.functions[name],
+                                           tables[name], callee_latency)
             result.functions[name] = sched
             callee_latency[name] = sched.latency_cycles
-        top = module.top.name
-        result.functions["__top__"] = result.functions[top]
+        if module.top is None:
+            raise IRError(f"module {module.name} has no top function")
+        result.functions["__top__"] = result.functions[module.top]
         return result
 
     # ------------------------------------------------------------------
     def schedule_function(
         self,
-        func: Function,
+        func,
+        table: OpTable,
         callee_latency: dict[str, int] | None = None,
     ) -> FunctionSchedule:
-        """Lower ``func`` to its :class:`OpTable` and schedule its
-        dataflow DAG over the table."""
+        """Schedule ``func``'s dataflow DAG over its op table.  ``func``
+        supplies the array declarations and loops (a
+        :class:`~repro.hls.tableir.FuncRec` or a
+        :class:`~repro.ir.function.Function`)."""
         callee_latency = callee_latency or {}
-        table = lower_function(func, self.library)
         clock_budget = self.clock.budget_ns
         dsp_limit = self.dsp_limit
 
@@ -334,7 +342,7 @@ class Scheduler:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _roll_up_latency(func: Function, table: OpTable, start: np.ndarray,
+    def _roll_up_latency(func, table: OpTable, start: np.ndarray,
                          end: np.ndarray, n_states: int) -> int:
         """Total cycles: straight-line span plus iterated loop bodies.
 

@@ -6,11 +6,16 @@ pipeline, schedules, binds, maps memories, generates FSMs and assembles
 per-function reports.  The result object is what RTL generation, feature
 extraction and the C-to-FPGA flow all consume.
 
-Synthesis is copy-on-write: it transforms a structural copy of the input
-module (:meth:`repro.ir.module.Module.copy`) and leaves the input as it
-was, so one design can be synthesized under many directive sets.
-``HLSResult.module`` is the synthesized IR; every reader of post-HLS
-structure (graph, features, back-tracing, source regions) must use it.
+Synthesis reads its input and never writes to it: it lowers the source
+module once into a columnar :class:`~repro.hls.tableir.ModuleTable`, and
+the directives, the front-end passes and verification are functions
+from one table to the next (:mod:`repro.hls.frontend`), so one design
+can be synthesized under many directive sets.  The final table yields
+the op tables scheduling, binding, reports, the dependency graph and the
+feature snapshot read.  ``HLSResult.module`` is the synthesized IR as
+objects, built from the final table the first time a reader asks for it
+(RTL elaboration, back-tracing, dataset metadata, tests); prediction
+never does.
 """
 
 from __future__ import annotations
@@ -19,9 +24,11 @@ from dataclasses import dataclass, field
 
 from repro.hls.binding import FunctionBinding, bind_module
 from repro.hls.directives import DirectiveSet
+from repro.hls import frontend
 from repro.hls.fsm import FSMInfo, generate_fsm
 from repro.hls.memories import MemoryMap, map_function_memories
 from repro.hls.opchar import OperatorLibrary, DEFAULT_LIBRARY
+from repro.hls.optable import op_tables
 from repro.hls.report import (
     FunctionReport,
     build_function_report,
@@ -32,17 +39,23 @@ from repro.hls.scheduling import (
     ModuleSchedule,
     Scheduler,
 )
-from repro.hls.transforms import apply_directives
+from repro.hls.tableir import ModuleTable, lower_module, verify_table
 from repro.ir.module import Module
-from repro.ir.passes import run_default_pipeline
-from repro.ir.verify import verify_module
 
 
 @dataclass
 class HLSResult:
-    """Everything HLS produces for one design."""
+    """Everything HLS produces for one design.
 
-    module: Module
+    ``ir`` is the synthesized design as a table; :attr:`module` builds
+    its IR objects on first read.  The feature snapshot compiled against
+    this result is memoized here (see
+    :func:`repro.graph.snapshot.compile_snapshot`): the result holds the
+    graph, and the graph holds nothing back, so a request's artifacts
+    are freed by reference counting alone.
+    """
+
+    ir: ModuleTable
     clock: ClockConstraint
     library: OperatorLibrary
     schedule: ModuleSchedule
@@ -51,10 +64,22 @@ class HLSResult:
     fsms: dict[str, FSMInfo]
     reports: dict[str, FunctionReport]
     transform_summary: dict = field(default_factory=dict)
+    #: ``(graph, snapshot)`` of the last :func:`compile_snapshot`
+    snapshot_memo: tuple | None = field(default=None, compare=False,
+                                        repr=False)
+
+    def __getstate__(self) -> dict:
+        # the snapshot rebuilds cheaply: it never rides along in a pickle
+        return {**vars(self), "snapshot_memo": None}
+
+    @property
+    def module(self) -> Module:
+        """The synthesized IR objects (built on the first read)."""
+        return self.ir.module()
 
     @property
     def top_report(self) -> FunctionReport:
-        return self.reports[self.module.top.name]
+        return self.reports[self.ir.top]
 
     @property
     def latency_cycles(self) -> int:
@@ -74,11 +99,10 @@ def synthesize(
     run_frontend_passes: bool = True,
     dsp_limit: int | None = 220,
 ) -> HLSResult:
-    """Run the complete HLS flow on a copy of ``module``.
+    """Run the complete HLS flow on ``module``'s table form.
 
-    ``module`` is left untouched; the copy carries its operation uids,
-    and operations the directives add get uids above the largest of
-    them.
+    ``module`` is only read; the result carries its operation uids, and
+    operations the directives add get uids above the largest of them.
 
     Parameters
     ----------
@@ -91,44 +115,43 @@ def synthesize(
         sharing-merge ablation).
     """
     clock = clock or ClockConstraint()
-    module = module.copy()
+    ir = lower_module(module)
 
     transform_summary: dict = {}
     if directives is not None and not directives.is_empty():
-        transform_summary = apply_directives(module, directives)
+        ir, transform_summary = frontend.apply_directives(ir, directives)
     if run_frontend_passes:
-        stats = run_default_pipeline(module)
-        transform_summary["folded"] = stats.folded
-        transform_summary["dce_removed"] = stats.removed
-        transform_summary["narrowed"] = stats.narrowed
-    verify_module(module)
+        ir, stats = frontend.run_frontend_passes(ir)
+        transform_summary.update(stats)
+    verify_table(ir)
 
+    tables = op_tables(ir, library)
     scheduler = Scheduler(library, clock, dsp_limit=dsp_limit)
-    schedule = scheduler.schedule_module(module)
-    bindings = bind_module(module, schedule, library, allow_sharing=allow_sharing)
+    schedule = scheduler.schedule_module(ir, tables)
+    bindings = bind_module(ir, schedule, library, allow_sharing=allow_sharing)
     memory_maps = {
         name: map_function_memories(func)
-        for name, func in module.functions.items()
+        for name, func in ir.functions.items()
     }
     fsms = {
         name: generate_fsm(schedule.for_function(name))
-        for name in module.functions
+        for name in ir.functions
     }
     reports = {
         name: build_function_report(
-            module.functions[name],
+            ir.functions[name],
             schedule.for_function(name),
             bindings[name],
             memory_maps[name],
             fsms[name],
             clock,
         )
-        for name in module.functions
+        for name in ir.functions
     }
-    roll_up_hierarchy(module, reports)
+    roll_up_hierarchy(ir, schedule, reports)
 
     return HLSResult(
-        module=module,
+        ir=ir,
         clock=clock,
         library=library,
         schedule=schedule,
@@ -138,3 +161,4 @@ def synthesize(
         reports=reports,
         transform_summary=transform_summary,
     )
+

@@ -1,4 +1,8 @@
-"""IR-level HLS transforms: inlining, unrolling, array partitioning."""
+"""IR-level HLS transforms: inlining, unrolling, array partitioning.
+
+The object forms of the directive front end, kept as the reference the
+table front end (:mod:`repro.hls.frontend`) is checked against.
+"""
 
 from repro.hls.transforms.clone import clone_operation, clone_region
 from repro.hls.transforms.inline import inline_functions

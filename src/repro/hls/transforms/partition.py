@@ -37,9 +37,11 @@ def apply_partitions(module: Module, directives: DirectiveSet) -> int:
 def apply_directives(module: Module, directives: DirectiveSet) -> dict:
     """Apply a full directive set to ``module``, transforming it.
 
-    :func:`repro.hls.synthesis.synthesize` calls this on its private
-    copy of the design module, never on the caller's.  Order matters and
-    mirrors HLS semantics:
+    The object form of the directive front end: ``synthesize`` runs the
+    table form (:func:`repro.hls.frontend.apply_directives`), and this
+    one is the reference it is checked against
+    (:func:`repro.hls._reference.reference_front_end` calls it on a copy
+    of the design module).  Order matters and mirrors HLS semantics:
 
     1. validate against the pre-transform module;
     2. mark loops (unroll factor, pipeline/II) and arrays (partition) and

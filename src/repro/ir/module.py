@@ -20,10 +20,6 @@ class Module:
     thing one C-to-FPGA flow run consumes.
     """
 
-    # class-level fallback so modules unpickled from caches written
-    # before the uid index existed still resolve lookups
-    _op_index: dict[int, Operation] | None = None
-
     def __init__(self, name: str) -> None:
         self.name = name
         self.functions: dict[str, Function] = {}

@@ -1,8 +1,10 @@
 """Structural verifier for IR modules.
 
 The HLS transforms (inlining, unrolling) rewrite the IR aggressively; the
-verifier is run after each transform in the flow to catch def-use or loop
-bookkeeping corruption early instead of as bogus features downstream.
+verifier catches def-use or loop bookkeeping corruption early instead of
+as bogus features downstream.  Synthesis verifies its table IR with
+:func:`repro.hls.tableir.verify_table`; this object form verifies IR
+built by hand and the reference front end.
 """
 
 from __future__ import annotations

@@ -55,10 +55,15 @@ class DesignPrediction:
     node_ids: list[int]
     vertical: np.ndarray
     horizontal: np.ndarray
-    #: the synthesized IR the predictions are for (``HLSResult.module``)
-    module: Module
+    #: the synthesis result the predictions are for
+    hls: HLSResult
     regions: list[SourceRegionPrediction] = field(default_factory=list)
     inference_seconds: float = 0.0
+
+    @property
+    def module(self) -> Module:
+        """The synthesized IR objects (built on the first read)."""
+        return self.hls.module
 
     def hottest_regions(self, n: int = 5) -> list[SourceRegionPrediction]:
         return sorted(self.regions, key=lambda r: -r.average)[:n]
@@ -67,9 +72,10 @@ class DesignPrediction:
 class RegionIndex:
     """Model-independent node -> source-region grouping.
 
-    Building the grouping walks the dependency graph and the synthesized
-    module's uid->op map once per (module, graph, nodes) — a Python loop
-    over every predicted operation — while evaluating it against fresh
+    Building the grouping reads each predicted operation's source file
+    and line from the synthesized table IR (op node ids number the
+    operations in module order) — a handful of array operations per
+    (result, graph, nodes) — while evaluating it against fresh
     predictions is a handful of vectorized maxima.  The serving tier
     memoizes instances per design group so repeated requests pay only
     the cheap half.
@@ -83,20 +89,28 @@ class RegionIndex:
         self._indices = indices
 
     @classmethod
-    def build(cls, module: Module, graph,
+    def build(cls, hls: HLSResult, graph,
               nodes: list[int]) -> "RegionIndex":
         """Group ``nodes`` of ``graph`` by the source line of their
-        operation in ``module``, the synthesized IR the graph was built
-        from."""
-        by_region: dict[tuple[str, int], list[int]] = {}
-        for i, uid in enumerate(graph.rep_uids(nodes)):
-            # cached uid->op map: one dict hit per node instead of a
-            # scan over the module's functions per predicted operation
-            op = module.op_by_uid(uid)
-            by_region.setdefault((op.loc.file, op.loc.line), []).append(i)
+        operation in ``hls``, the synthesis result the graph was built
+        from; groups come in the order of their first node."""
+        ir = hls.ir
+        ops = ir.module_order()[np.asarray(nodes, dtype=np.int64)]
+        file, line = ir.op_file[ops], ir.op_line[ops]
+        key = file * (int(line.max(initial=0)) + 1) + line
+        _, first, group = np.unique(key, return_index=True,
+                                    return_inverse=True)
+        group = group.reshape(-1)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        group = rank[group]
+        by_group = np.argsort(group, kind="stable")
+        cuts = np.flatnonzero(np.diff(group[by_group])) + 1
+        heads = np.sort(first)
         return cls(
-            list(by_region),
-            [np.asarray(idx) for idx in by_region.values()],
+            [(ir.file_names[f], ln) for f, ln in
+             zip(file[heads].tolist(), line[heads].tolist())],
+            np.split(by_group, cuts) if len(by_group) else [],
         )
 
     def regions(self, v: np.ndarray,
@@ -114,7 +128,7 @@ class RegionIndex:
 
 
 def regions_from_predictions(
-    module: Module,
+    hls: HLSResult,
     graph,
     nodes: list[int],
     v: np.ndarray,
@@ -126,7 +140,7 @@ def regions_from_predictions(
     path of :class:`repro.serve.CongestionService` so both report
     identical regions for identical per-node predictions.
     """
-    return RegionIndex.build(module, graph, nodes).regions(v, h)
+    return RegionIndex.build(hls, graph, nodes).regions(v, h)
 
 
 class CongestionPredictor:
@@ -230,22 +244,23 @@ class CongestionPredictor:
         """Predict per-operation congestion from HLS artifacts only.
 
         ``hls`` is the design's synthesis result, computed here when not
-        given; every structural read goes to its module.
+        given; every structural read goes to its op tables, and no IR
+        object of the synthesized module is built.
         """
         self._check_fitted()
         start = time.perf_counter()
         if hls is None:
             hls = synthesize(design.module, design.directives)
-        graph = build_dependency_graph(hls.module, hls.bindings)
+        graph = build_dependency_graph(hls)
         extractor = FeatureExtractor(hls, graph, self.device)
         nodes, X = extractor.extract_all()
         v, h = self.predict_matrix(X)
-        regions = regions_from_predictions(hls.module, graph, nodes, v, h)
+        regions = regions_from_predictions(hls, graph, nodes, v, h)
         return DesignPrediction(
             node_ids=nodes,
             vertical=v,
             horizontal=h,
-            module=hls.module,
+            hls=hls,
             regions=regions,
             inference_seconds=time.perf_counter() - start,
         )

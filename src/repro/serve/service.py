@@ -441,7 +441,7 @@ class CongestionService:
         entry = _CachedGroup(
             rows=rows,
             inverse=inverse,
-            index=RegionIndex.build(hls.module, ctx.graph, nodes),
+            index=RegionIndex.build(hls, ctx.graph, nodes),
             latency_cycles=hls.latency_cycles,
             resources=dict(hls.top_report.hierarchical_resources),
         )

@@ -48,8 +48,10 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: (v2: checksummed artifact container; v3: stage entries hold only the
 #: artifact, and a flow result's design keeps its pre-HLS module; v4: a
 #: flow result's graph is the frozen array GraphStructure; v5: an HLS
-#: result's schedules and bindings hold op tables and position arrays)
-_DISK_FORMAT_VERSION = 5
+#: result's schedules and bindings hold op tables and position arrays;
+#: v6: an HLS result holds its synthesized design as a table IR, not
+#: IR objects)
+_DISK_FORMAT_VERSION = 6
 
 
 class KeyedCache:

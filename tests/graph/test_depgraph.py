@@ -182,13 +182,16 @@ def test_structure_matches_graph_queries(tiny_module):
 
 
 def test_pickled_graph_carries_no_snapshot(tiny_module):
+    """The snapshot memo lives on the HLS result, keyed by graph
+    identity, and neither a pickled graph nor a pickled result carries
+    it."""
     hls = synthesize(tiny_module)
     graph = build_dependency_graph(hls.module, hls.bindings)
     snapshot = compile_snapshot(graph, hls)
     assert compile_snapshot(graph, hls) is snapshot
+    assert hls.snapshot_memo == (graph, snapshot)
+    assert pickle.loads(pickle.dumps(hls)).snapshot_memo is None
     clone = pickle.loads(pickle.dumps(graph))
-    assert clone._snapshot_slot == []
-    assert graph._snapshot_slot  # the original keeps its memo
     for name in ("node_ids", "e_src", "e_dst", "e_w", "und_nbr"):
         np.testing.assert_array_equal(getattr(clone, name),
                                       getattr(graph, name))

@@ -6,9 +6,11 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.errors import IRError
 from repro.graph import build_dependency_graph, compile_snapshot
 from repro.hls import OperatorLibrary, synthesize
 from repro.hls.optable import OPCODE_NAMES
+from repro.ir import Function, I16, IRBuilder, Module
 from repro.kernels.combos import build_combined
 
 
@@ -19,24 +21,32 @@ def hls():
 
 
 def test_each_operation_is_characterized_once(monkeypatch):
-    """Synthesis, the dependency graph and the feature snapshot make
-    exactly one spec_for call per operation of the synthesized module:
+    """Synthesis, the dependency graph and the feature snapshot
+    characterize each distinct (opcode, width, constant-shift) kind of
+    the synthesized module exactly once and never an operation object:
     every reader after the scheduler reads the op table."""
     design = build_combined("face_detection", scale=0.5)
-    calls = []
-    spec_for = OperatorLibrary.spec_for
+    per_op, per_kind = [], []
+    spec_of_kind = OperatorLibrary.spec_of_kind
 
-    def counted(self, op):
-        calls.append(op.uid)
-        return spec_for(self, op)
+    def counted(self, opcode, width, const_shift=False):
+        per_kind.append((opcode, width, const_shift))
+        return spec_of_kind(self, opcode, width, const_shift)
 
-    monkeypatch.setattr(OperatorLibrary, "spec_for", counted)
+    monkeypatch.setattr(OperatorLibrary, "spec_for",
+                        lambda self, op: per_op.append(op))
+    monkeypatch.setattr(OperatorLibrary, "spec_of_kind", counted)
     result = synthesize(design.module, design.directives)
-    graph = build_dependency_graph(result.module, result.bindings)
+    graph = build_dependency_graph(result)
     compile_snapshot(graph, result)
-    uids = [op.uid for func in result.module.functions.values()
-            for op in func.operations]
-    assert sorted(calls) == sorted(uids)
+    kinds = {
+        (op.opcode, op.bitwidth(),
+         op.opcode in ("shl", "lshr", "ashr") and len(op.operands) == 2
+         and op.operands[1].is_constant)
+        for func in result.module.functions.values()
+        for op in func.operations}
+    assert per_op == []
+    assert sorted(per_kind) == sorted(kinds)
 
 
 def _arrays(obj):
@@ -94,3 +104,18 @@ def test_table_matches_the_ir_it_was_lowered_from(hls):
                 assert t.arrays[t.array_id[i]] == op.attrs["array"]
             else:
                 assert t.array_id[i] == -1
+
+
+def test_a_value_read_across_functions_is_a_typed_error():
+    """Op tables of unverified IR objects (a plain module handed to the
+    graph) refuse an operand produced in another function."""
+    m = Module("m")
+    leaf = Function("leaf")
+    m.add_function(leaf)
+    lb = IRBuilder(leaf)
+    made = lb.add(lb.arg("a", I16), lb.const(1, I16), width=16)
+    top = Function("top", is_top=True)
+    m.add_function(top)
+    IRBuilder(top).add(made, made, width=16)
+    with pytest.raises(IRError, match="produced outside its function"):
+        build_dependency_graph(m)
