@@ -846,8 +846,8 @@ def dead_code_elimination(t: ModuleTable) -> tuple[ModuleTable, int]:
     while True:
         used = np.zeros(len(t.val_kind), dtype=bool)
         used[t.use_val[alive[t.use_op]]] = True
-        dead = np.flatnonzero(alive & removable
-                              & ~used[np.maximum(t.op_result, 0)])
+        dead = np.flatnonzero(alive & removable)
+        dead = dead[~used[t.op_result[dead]]]
         if not len(dead):
             break
         alive[dead] = False

@@ -178,8 +178,9 @@ def op_tables(t: ModuleTable, library: OperatorLibrary) -> dict[str, OpTable]:
     uid = t.op_uid[mod]
     opcode_id = t.op_opcode[mod]
     result = t.op_result[mod]
-    result_width = np.where(result >= 0, t.val_width[np.maximum(result, 0)],
-                            -1)
+    result_width = np.full(N, -1, dtype=np.int64)
+    has_result = result >= 0
+    result_width[has_result] = t.val_width[result[has_result]]
 
     ptr = t.op_use_ptr
     n_operands = ptr[mod + 1] - ptr[mod]
@@ -212,9 +213,9 @@ def op_tables(t: ModuleTable, library: OperatorLibrary) -> dict[str, OpTable]:
 
     # one characterization per distinct kind; a shift by a constant is
     # wiring
-    second = t.use_val[np.minimum(ptr[mod] + 1, max(len(t.use_val) - 1, 0))]
     const_shift = _SHIFT[opcode_id] & (n_operands == 2)
-    const_shift[const_shift] = t.val_kind[second[const_shift]] == CONSTANT
+    shift = np.flatnonzero(const_shift)
+    const_shift[shift] = t.val_kind[t.use_val[ptr[mod[shift]] + 1]] == CONSTANT
     kinds, code = np.unique((opcode_id * 2 + const_shift) * _WIDTH_KEY + width,
                             return_inverse=True)
     code = code.reshape(-1)

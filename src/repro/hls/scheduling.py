@@ -185,19 +185,17 @@ class Scheduler:
         self.dsp_limit = dsp_limit
 
     # ------------------------------------------------------------------
-    def schedule_module(self, module: Module | ModuleTable,
-                        tables: dict[str, OpTable] | None = None
+    def schedule_module(self, module: Module | ModuleTable
                         ) -> ModuleSchedule:
         """Schedule every function (callee-first) and roll up latency.
 
         ``module`` is IR objects (lowered here) or a verified
-        :class:`~repro.hls.tableir.ModuleTable`, whose op tables
-        ``tables`` are derived here when not given.
+        :class:`~repro.hls.tableir.ModuleTable`; its op tables are
+        derived here with the scheduler's library.
         """
         if isinstance(module, Module):
             module = lower_module(module)
-        if tables is None:
-            tables = op_tables(module, self.library)
+        tables = op_tables(module, self.library)
         result = ModuleSchedule(clock=self.clock)
         callee_latency: dict[str, int] = {}
         for name in _callee_order(module):

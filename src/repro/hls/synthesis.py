@@ -28,7 +28,6 @@ from repro.hls import frontend
 from repro.hls.fsm import FSMInfo, generate_fsm
 from repro.hls.memories import MemoryMap, map_function_memories
 from repro.hls.opchar import OperatorLibrary, DEFAULT_LIBRARY
-from repro.hls.optable import op_tables
 from repro.hls.report import (
     FunctionReport,
     build_function_report,
@@ -125,9 +124,8 @@ def synthesize(
         transform_summary.update(stats)
     verify_table(ir)
 
-    tables = op_tables(ir, library)
     scheduler = Scheduler(library, clock, dsp_limit=dsp_limit)
-    schedule = scheduler.schedule_module(ir, tables)
+    schedule = scheduler.schedule_module(ir)
     bindings = bind_module(ir, schedule, library, allow_sharing=allow_sharing)
     memory_maps = {
         name: map_function_memories(func)

@@ -119,3 +119,18 @@ def test_a_value_read_across_functions_is_a_typed_error():
     IRBuilder(top).add(made, made, width=16)
     with pytest.raises(IRError, match="produced outside its function"):
         build_dependency_graph(m)
+
+
+def test_a_module_without_operand_uses_synthesizes():
+    """A module whose only operation is an operand-less ``ret`` has no
+    use to read: synthesis and the graph take it like any other."""
+    m = Module("m")
+    top = Function("top", is_top=True)
+    m.add_function(top)
+    IRBuilder(top).ret()
+    result = synthesize(m)
+    table = result.schedule.for_function("top").table
+    assert table.n == 1 and table.n_operands.tolist() == [0]
+    assert [op.opcode for op in result.module.top.operations] == ["ret"]
+    assert build_dependency_graph(m) is not None
+    assert build_dependency_graph(result) is not None
