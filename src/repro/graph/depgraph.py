@@ -26,6 +26,8 @@ shared units over the few nodes they touch, and returns the frozen
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Any
+
 import numpy as np
 
 from repro.errors import IRError
@@ -39,87 +41,126 @@ from repro.hls.optable import (
     connection_wires,
     op_tables,
 )
-from repro.hls.tableir import lower_module
+from repro.hls.tableir import lower_module, ranges
 from repro.ir.module import Module
+
+if TYPE_CHECKING:
+    from repro.hls.synthesis import HLSResult
+
+#: ``bindings`` not passed (an HLS result brings its own)
+_UNSET: Any = object()
 
 
 def build_dependency_graph(
-    module,
-    bindings: dict[str, FunctionBinding] | None = None,
+    module: HLSResult | Module,
+    bindings: dict[str, FunctionBinding] | None = _UNSET,
     *,
     merge_shared: bool = True,
 ) -> GraphStructure:
     """Build the design-level dependency graph.
 
     Node ids number the operations in module order, then one port node
-    per function argument.  ``module`` is an
-    :class:`~repro.hls.synthesis.HLSResult` — the graph then reads its op
-    tables and, for Fig.-4 merging of operations that share an RTL
-    module, its bindings, with no IR object built — or IR objects.  For
-    IR objects, ``bindings`` enables merging; pass ``None`` (or
-    ``merge_shared=False``) for the unmerged graph used by the sharing
-    ablation.  Bindings must be those of exactly the functions of
-    ``module``, which holds for ``hls.module`` with ``hls.bindings``;
-    anything else (typically the pre-HLS ``design.module``) raises
-    :class:`~repro.errors.IRError`.
+    per function argument.
+
+    ``module`` is an :class:`~repro.hls.synthesis.HLSResult` or IR
+    objects.  A result brings its op tables and, for Fig.-4 merging of
+    operations that share an RTL module, its bindings, so no IR object
+    is built; ``merge_shared=False`` is the switch to the unmerged
+    graph, and passing ``bindings`` as well (``None`` included) is a
+    :class:`TypeError`.  For IR objects, ``bindings`` enables merging;
+    pass ``None`` (or ``merge_shared=False``) for the unmerged graph
+    used by the sharing ablation.  Bindings must be those of exactly the
+    functions of ``module``, which holds for ``hls.module`` with
+    ``hls.bindings``; anything else (typically the pre-HLS
+    ``design.module``) raises :class:`~repro.errors.IRError`.
     """
     if isinstance(module, Module):
+        if bindings is _UNSET:
+            bindings = None
         tables = _tables(module, bindings)
     else:  # an HLS result
+        if bindings is not _UNSET:
+            raise TypeError("an HLS result brings its own bindings; pass "
+                            "merge_shared=False for the unmerged graph")
         bindings = module.bindings
         tables = [module.schedule.for_function(name).table
                   for name in module.ir.functions]
         module = module.ir
+    def joined(column: str) -> np.ndarray:
+        """A per-op (or per-argument) column over the whole module."""
+        return np.concatenate([getattr(t, column) for t in tables] + [_EMPTY])
+
     sizes = [t.n for t in tables]
     offset = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
     n_ops = int(offset[-1])
-    uid = np.concatenate([t.uid for t in tables]) if tables else _EMPTY
+    uid = joined("uid")
     node_of_op = dict(zip(uid.tolist(), range(n_ops)))
     if len(node_of_op) != n_ops:
         raise IRError(f"module {module.name!r} repeats operation uids "
                       "across functions")
-    n_ports = sum(len(t.arg_width) for t in tables)
+    # argument ``a`` (functions in module order, then argument order) is
+    # port node ``n_ops + a``
+    arg_base = np.concatenate(
+        ([0], np.cumsum([len(t.arg_width) for t in tables], dtype=np.int64)))
+    n_ports = int(arg_base[-1])
     n_nodes = n_ops + n_ports
+    opcode_id = joined("opcode_id")
+    wire_cap = joined("wire_cap")
+    arg_width = joined("arg_width")
+    user_start, user_count, user_node = _joined_csr(
+        tables, offset, "arg_user_indptr", "arg_user_pos")
     edges = _Edges()
 
     # Def-use edges with wire-count weights.
-    for t, o in zip(tables, offset.tolist()):
-        owner = np.repeat(np.arange(t.n), np.diff(t.prod_indptr))
-        edges.add(o + t.prod_pos, o + owner,
-                  t.prod_uses * connection_wires(t.result_width[t.prod_pos],
-                                       t.wire_cap[owner]))
+    _, prod_count, producer = _joined_csr(tables, offset, "prod_indptr",
+                                          "prod_pos")
+    owner = np.repeat(np.arange(n_ops), prod_count)
+    edges.add(producer, owner, joined("prod_uses") * connection_wires(
+        joined("result_width")[producer], wire_cap[owner]))
 
-    # Cross-function connectivity through call nodes.
+    # Cross-function connectivity through call nodes: call by call, the
+    # users of each passed argument, then the callee's returns.
     index = {t.name: i for i, t in enumerate(tables)}
-    for t, o in zip(tables, offset.tolist()):
-        for pos, callee in zip(t.call_pos.tolist(), t.call_callee):
-            c = index.get(callee)
-            if c is None:
-                continue
-            ct, co = tables[c], int(offset[c])
-            call_node = o + pos
-            n_args = min(len(ct.arg_width), int(t.n_operands[pos]))
-            for i in range(n_args):
-                users = _segment(ct.arg_user_indptr, ct.arg_user_pos, i)
-                edges.add(call_node, co + users,
-                          connection_wires(ct.arg_width[i], ct.wire_cap[users]))
-            edges.add(co + ct.ret_src, call_node, ct.ret_wires)
+    calls = [(o + pos, index[name])
+             for t, o in zip(tables, offset.tolist())
+             for pos, name in zip(t.call_pos.tolist(), t.call_callee)
+             if name in index]
+    call_node, callee = np.array(calls, dtype=np.int64).reshape(-1, 2).T
+    n_args = np.minimum(arg_base[callee + 1] - arg_base[callee],
+                        joined("n_operands")[call_node])
+    arg = ranges(arg_base[callee], n_args)
+    use_arg = np.repeat(arg, user_count[arg])
+    use_call = np.repeat(np.repeat(np.arange(len(calls)), n_args),
+                         user_count[arg])
+    passed = user_node[ranges(user_start[arg], user_count[arg])]
+    ret_start, ret_count, ret_node = _joined_csr(tables, offset, None,
+                                                 "ret_src")
+    ret = ranges(ret_start[callee], ret_count[callee])
+    ret_call = np.repeat(np.arange(len(calls)), ret_count[callee])
+    edges.add(np.concatenate([call_node[use_call], ret_node[ret]]),
+              np.concatenate([passed, call_node[ret_call]]),
+              np.concatenate([connection_wires(arg_width[use_arg],
+                                               wire_cap[passed]),
+                              joined("ret_wires")[ret]]),
+              made=np.concatenate([use_call * 2, ret_call * 2 + 1]))
 
-    # Port nodes for function interfaces.
-    port_function: list[int] = []
-    for f, (t, o) in enumerate(zip(tables, offset.tolist())):
-        for i in range(len(t.arg_width)):
-            port = n_ops + len(port_function)
-            port_function.append(f)
-            users = _segment(t.arg_user_indptr, t.arg_user_pos, i)
-            edges.add(port, o + users,
-                      connection_wires(t.arg_width[i], t.wire_cap[users]))
-            width = max(1, int(t.arg_width[i]))
-            for pos in _segment(t.port_indptr, t.port_pos, i).tolist():
-                if t.opcode_id[pos] == READ_PORT:
-                    edges.add(port, o + pos, width)
-                elif t.opcode_id[pos] == WRITE_PORT:
-                    edges.add(o + pos, port, width)
+    # Port nodes for function interfaces: port by port, the argument's
+    # users, then the read_port/write_port ops naming it.
+    use_port = np.repeat(np.arange(n_ports), user_count)
+    _, port_count, port_op = _joined_csr(tables, offset, "port_indptr",
+                                         "port_pos")
+    op_port = np.repeat(np.arange(n_ports), port_count)
+    read = opcode_id[port_op] == READ_PORT
+    keep = read | (opcode_id[port_op] == WRITE_PORT)
+    read, op_port, port_op = read[keep], op_port[keep], port_op[keep]
+    edges.add(np.concatenate([n_ops + use_port,
+                              np.where(read, n_ops + op_port, port_op)]),
+              np.concatenate([user_node,
+                              np.where(read, port_op, n_ops + op_port)]),
+              np.concatenate([connection_wires(arg_width[use_port],
+                                               wire_cap[user_node]),
+                              np.maximum(1, arg_width[op_port])]),
+              made=np.concatenate([use_port * 2, op_port * 2 + 1]))
 
     e_src, e_dst, e_w = edges.collapse(n_nodes)
     bitwidth = np.concatenate(
@@ -137,13 +178,11 @@ def build_dependency_graph(
 
     alive = np.ones(n_nodes, dtype=bool)
     alive[removed] = False
-    func_of_node = np.concatenate([
-        np.repeat(np.arange(len(tables)), sizes),
-        np.array(port_function, dtype=np.int64),
-    ])
+    func_ids = np.arange(len(tables))
+    func_of_node = np.concatenate([np.repeat(func_ids, sizes),
+                                   np.repeat(func_ids, np.diff(arg_base))])
     return _compile(
-        kept=np.flatnonzero(alive), n_ops=n_ops,
-        opcode_id=np.concatenate([t.opcode_id for t in tables] + [_EMPTY]),
+        kept=np.flatnonzero(alive), n_ops=n_ops, opcode_id=opcode_id,
         uid=uid, bitwidth=bitwidth, func_of_node=func_of_node,
         names=[t.name for t in tables], edges=(e_src, e_dst, e_w),
         node_of_op=node_of_op,
@@ -174,8 +213,19 @@ def _tables(module: Module, bindings) -> list[OpTable]:
     return tables
 
 
-def _segment(indptr: np.ndarray, values: np.ndarray, i: int) -> np.ndarray:
-    return values[indptr[i]:indptr[i + 1]]
+def _joined_csr(tables, offset, indptr: str | None, pos: str):
+    """The per-table CSR ``indptr``/``pos`` of op positions as one
+    module-wide CSR of node ids (one row per table when ``indptr`` is
+    None): each row's start and count, and the nodes."""
+    if indptr is None:
+        counts = np.array([len(getattr(t, pos)) for t in tables],
+                          dtype=np.int64)
+    else:
+        counts = np.concatenate(
+            [np.diff(getattr(t, indptr)) for t in tables] + [_EMPTY])
+    nodes = np.concatenate([o + getattr(t, pos) for t, o in
+                            zip(tables, offset.tolist())] + [_EMPTY])
+    return np.cumsum(counts) - counts, counts, nodes
 
 
 class _Edges:
@@ -187,13 +237,15 @@ class _Edges:
         self.dst: list[np.ndarray] = []
         self.w: list[np.ndarray] = []
 
-    def add(self, src, dst, wires) -> None:
-        src, dst, wires = np.broadcast_arrays(
-            np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64),
-            np.asarray(wires, dtype=np.int64))
-        self.src.append(src.ravel())
-        self.dst.append(dst.ravel())
-        self.w.append(wires.ravel())
+    def add(self, src, dst, wires, made=None) -> None:
+        """Add a batch of connections, made in the order of ``made``
+        (ties in batch order), else in batch order."""
+        if made is not None:
+            order = np.argsort(made, kind="stable")
+            src, dst, wires = src[order], dst[order], wires[order]
+        self.src.append(src)
+        self.dst.append(dst)
+        self.w.append(wires)
 
     def collapse(self, n_nodes: int):
         """``(src, dst, wires)`` edges grouped by source node.

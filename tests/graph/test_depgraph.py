@@ -113,6 +113,22 @@ def test_shared_binding_merges_in_build():
     assert all(src != dst for src, dst in merged_edges)  # no self-loop
 
 
+def test_hls_result_graph_reads_the_results_bindings():
+    """Given the HLS result, the graph merges with the result's own
+    bindings and ``merge_shared=False`` is the switch to the unmerged
+    graph; bindings passed as well (``None`` included) are refused, not
+    ignored."""
+    m, _ = shared_mul_chain()
+    hls = synthesize(m)
+    assert edges(build_dependency_graph(hls)) == edges(
+        build_dependency_graph(hls.module, hls.bindings))
+    assert edges(build_dependency_graph(hls, merge_shared=False)) == edges(
+        build_dependency_graph(hls.module, None))
+    for bindings in (None, hls.bindings):
+        with pytest.raises(TypeError, match="its own bindings"):
+            build_dependency_graph(hls, bindings)
+
+
 def test_call_edges_cross_functions(tiny_module):
     m = tiny_module
     g = build_dependency_graph(m)
