@@ -11,12 +11,12 @@ from repro.util.tabulate import format_table, write_csv
 
 
 def test_fig4(benchmark, facedet_baseline):
-    module = facedet_baseline.hls.module
-    bindings = facedet_baseline.hls.bindings
+    hls = facedet_baseline.hls
+    bindings = hls.bindings
 
     def build_both():
-        merged = build_dependency_graph(module, bindings, merge_shared=True)
-        plain = build_dependency_graph(module, None, merge_shared=False)
+        merged = build_dependency_graph(hls, merge_shared=True)
+        plain = build_dependency_graph(hls, merge_shared=False)
         return merged, plain
 
     merged, plain = benchmark.pedantic(build_both, rounds=1, iterations=1)

@@ -6,19 +6,19 @@ place + route on the simulated Zynq fabric) with per-stage timing,
 prints the congestion picture, and walks the back-trace from the hottest
 tile to IR operations and source lines — the paper's Fig. 3 loop.
 
-Also shows the two pipeline features new code should reach for: partial
-runs (``until=``) and the classic ``FlowResult`` built from a completed
-``FlowContext``.
+A run returns its completed ``FlowContext``: the artifacts, the seconds
+of every stage, ``summary()`` and the ``backtracer``.  ``until=`` stops a
+run after the named stage.
 """
 
-from repro.flow import FlowOptions, FlowPipeline, FlowResult
+from repro.flow import FlowOptions, FlowPipeline
 from repro.kernels import build_combined
 
 OPTIONS = FlowOptions(scale=0.5, placement_effort="fast", seed=0)
 
 
 def main() -> None:
-    pipeline = FlowPipeline.default()
+    pipeline = FlowPipeline()
 
     # A partial run: HLS only — what a prediction service pays per
     # request.  No packing, placement or routing executes.
@@ -26,18 +26,17 @@ def main() -> None:
         build_combined("face_detection", scale=OPTIONS.scale),
         options=OPTIONS, until="hls",
     )
-    print(f"HLS-only run: stages {list(hls_only.completed_stages)}, "
+    print(f"HLS-only run: stages {list(hls_only.stage_seconds)}, "
           f"latency {hls_only.hls.latency_cycles} cycles")
 
     print("\nRunning the complete pipeline on Face Detection...")
-    ctx = pipeline.run(
+    result = pipeline.run(
         build_combined("face_detection", scale=OPTIONS.scale),
         options=OPTIONS,
     )
-    for record in ctx.records:
-        print(f"  {record.stage:10s} {record.seconds:7.3f}s")
+    for stage, seconds in result.stage_seconds.items():
+        print(f"  {stage:10s} {seconds:7.3f}s")
 
-    result = FlowResult.from_context(ctx)
     summary = result.summary()
     print(f"\ndesign: {summary['name']} [{summary['variant']}]")
     print(f"  IR operations : {summary['ops']}")

@@ -49,7 +49,6 @@ _EXPORTS = {
     "FlowContext": "repro.flow",
     "FlowOptions": "repro.flow",
     "FlowPipeline": "repro.flow",
-    "FlowResult": "repro.flow",
     "run_flow": "repro.flow",
     "run_flow_on_design": "repro.flow",
     "CongestionDataset": "repro.dataset",

@@ -42,6 +42,7 @@ from repro.flow import (
     FlowPipeline,
     run_flow,
 )
+from repro.impl.placement import EFFORT_SWEEPS
 from repro.kernels import (
     KERNEL_BUILDERS,
     PAPER_COMBINATIONS,
@@ -74,7 +75,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="structural scale of the generated designs")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--effort", default="fast",
-                        choices=("fast", "normal", "high"),
+                        choices=tuple(EFFORT_SWEEPS),
                         help="placement effort")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for dataset builds")
@@ -97,15 +98,15 @@ def cmd_flow(args) -> int:
         else:
             design = build_kernel(args.design, scale=args.scale,
                                   variant=args.variant)
-        ctx = FlowPipeline.default().run(
-            design, options=_options(args), until=args.until,
-        )
-        rows = [[r.stage, round(r.seconds, 4)] for r in ctx.records]
+        ctx = FlowPipeline().run(design, options=_options(args),
+                                 until=args.until)
+        rows = [[stage, round(seconds, 4)]
+                for stage, seconds in ctx.stage_seconds.items()]
         print(format_table(
             ["stage", "seconds"], rows,
             title=f"{args.design} [{args.variant}] until={args.until}",
         ))
-        skipped = [s for s in STAGE_ORDER if s not in ctx.completed_stages]
+        skipped = [s for s in STAGE_ORDER if s not in ctx.stage_seconds]
         print(f"skipped stages: {', '.join(skipped) or '(none)'}")
         if args.map:
             if ctx.congestion is not None:

@@ -23,7 +23,7 @@ import multiprocessing
 from repro.errors import DatasetError
 from repro.features.extract import FeatureExtractor
 from repro.features.registry import N_FEATURES
-from repro.flow.c_to_fpga import FlowOptions, FlowResult, run_flow
+from repro.flow import FlowContext, FlowOptions, run_flow
 from repro.kernels.combos import PAPER_COMBINATIONS
 from repro.util.cache import cached_property_store, disk_cache_from_env
 
@@ -154,7 +154,7 @@ class CongestionDataset:
         }
 
 
-def dataset_from_flow(result: FlowResult) -> CongestionDataset:
+def dataset_from_flow(result: FlowContext) -> CongestionDataset:
     """Extract the labelled samples of one implemented design."""
     graph = result.graph
     extractor = FeatureExtractor(result.hls, graph, result.device)

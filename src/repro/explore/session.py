@@ -12,8 +12,8 @@ this pragma combination do?" many times cheaply:
   session is exactly the correlated-fan-out stress workload the serving
   tier was built for);
 * only the **HLS prefix** of the flow ever runs in predict mode — the
-  serving pipeline is ``FlowPipeline.default().subset(["graph"])``, so
-  no packing/placement/routing stage can execute, which is the paper's
+  serving pipeline is ``(HLSStage(), GraphStage())``, so no
+  packing/placement/routing stage can execute, which is the paper's
   entire value proposition;
 * evaluations are memoized by canonical directive key, and the
   service's feature cache holds each configuration's HLS-prefix result,

@@ -1,8 +1,9 @@
 """End-to-end C-to-FPGA flow orchestration.
 
-The flow is a :class:`FlowPipeline` of named :class:`Stage` objects
-threading an immutable :class:`FlowContext`; ``run_flow`` /
-``run_flow_on_design`` are the classic one-call wrappers.
+The flow is a :class:`FlowPipeline`, an ordered tuple of named
+:class:`Stage` objects threading an immutable :class:`FlowContext`;
+``run_flow`` / ``run_flow_on_design`` run all eight stages and return
+the completed context.
 """
 
 from repro.flow.pipeline import (
@@ -11,17 +12,14 @@ from repro.flow.pipeline import (
     FlowOptions,
     FlowPipeline,
     Stage,
-    StageRecord,
     default_stages,
 )
 from repro.flow.c_to_fpga import (
-    FlowResult,
     run_flow,
     run_flow_on_design,
 )
 
 __all__ = [
     "STAGE_ORDER", "FlowContext", "FlowOptions", "FlowPipeline",
-    "Stage", "StageRecord", "default_stages",
-    "FlowResult", "run_flow", "run_flow_on_design",
+    "Stage", "default_stages", "run_flow", "run_flow_on_design",
 ]

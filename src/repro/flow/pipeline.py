@@ -1,20 +1,16 @@
-"""Composable stage pipeline for the C-to-FPGA flow.
+"""The C-to-FPGA flow as a pipeline of stages.
 
 The flow is eight named stages (``hls -> rtl -> pack -> place -> route ->
-sta -> graph -> backtrace``), each a :class:`Stage` object that consumes
+sta -> graph -> backtrace``), each a :class:`Stage` object that reads
 artifacts from an immutable :class:`FlowContext` and produces exactly one
-new artifact.  :class:`FlowPipeline` threads the context through the
-stages and supports:
-
-* **partial runs** — ``pipeline.run(design, until="place")`` stops after
-  placement; ``pipeline.subset(["graph"])`` keeps only the stages a
-  target transitively requires (the HLS-prefix used by the serving
-  layer never touches place-and-route);
-* **substitution / injection** — ``with_stage`` swaps a stage
-  implementation, ``insert_after`` injects an extra one, both returning
-  a new pipeline (experiments never mutate the default flow);
-* **per-stage timing** — every executed stage appends a
-  :class:`StageRecord` (name, seconds) to the context.
+new artifact.  :class:`FlowPipeline` is an ordered tuple of stages with
+one :meth:`~FlowPipeline.run`, which threads a fresh context through
+them, records each stage's wall clock in ``stage_seconds`` and returns
+the completed context.  The flow runs in two shapes: all eight stages
+label the training samples, and the serving tier runs
+``(HLSStage(), GraphStage())``, which is all prediction needs.
+``run(..., until=...)`` stops after a named stage (the CLI's partial
+runs).
 
 The pipeline caches nothing: every run executes its stages.  Whole flow
 results are memoized (and persisted under ``REPRO_CACHE_DIR``) by
@@ -26,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.backtrace.trace import BacktraceResult, Backtracer
 from repro.errors import DeadlineExceededError, FlowError
@@ -36,9 +32,14 @@ from repro.graph.snapshot import GraphStructure, compile_snapshot
 from repro.hls.scheduling import ClockConstraint
 from repro.hls.synthesis import HLSResult, synthesize
 from repro.impl.packing import Packing, pack_netlist
-from repro.impl.placement import Placement, PlacementOptions, place_netlist
+from repro.impl.placement import (
+    Placement,
+    PlacementOptions,
+    check_effort,
+    place_netlist,
+)
 from repro.impl.routing import CongestionMap, RoutingOptions, route_design
-from repro.impl.timing import TimingAnalyzer, TimingParams, TimingReport
+from repro.impl.timing import TimingAnalyzer, TimingReport
 from repro.kernels.common import KernelDesign
 from repro.rtl.generate import generate_netlist
 from repro.rtl.netlist import Netlist
@@ -49,6 +50,9 @@ STAGE_ORDER = (
     "hls", "rtl", "pack", "place", "route", "sta", "graph", "backtrace",
 )
 
+#: the clock every flow synthesizes and times against
+FLOW_CLOCK = ClockConstraint(period_ns=10.0, uncertainty_ns=1.25)
+
 
 @dataclass
 class FlowOptions:
@@ -57,41 +61,45 @@ class FlowOptions:
     Stage-level option objects (currently :class:`RoutingOptions`) are
     part of the cache key: any knob that changes a stage's output must
     change the key, or a later run would silently serve stale results.
+    An unknown ``placement_effort`` is a
+    :class:`~repro.errors.PlacementError` here, not at placement.
     """
 
     scale: float = 1.0
     seed: int = 0
     placement_effort: str = "fast"
-    clock_period_ns: float = 10.0
-    clock_uncertainty_ns: float = 1.25
-    merge_shared: bool = True
-    allow_sharing: bool = True
     routing: RoutingOptions = field(default_factory=RoutingOptions)
 
+    def __post_init__(self) -> None:
+        check_effort(self.placement_effort)
+
     def cache_key(self, name: str, variant: str) -> tuple:
+        # The fixed clock and the always-on resource sharing and Fig.-4
+        # merge keep their places: the key names the disk entries and
+        # the dataset fingerprint published models are found by.
         return (
             name, variant, self.scale, self.seed, self.placement_effort,
-            self.clock_period_ns, self.clock_uncertainty_ns,
-            self.merge_shared, self.allow_sharing,
+            FLOW_CLOCK.period_ns, FLOW_CLOCK.uncertainty_ns, True, True,
             *self.routing.cache_key(),
         )
 
 
 @dataclass(frozen=True)
-class StageRecord:
-    """Telemetry for one executed stage."""
-
-    stage: str
-    seconds: float
-
-
-@dataclass(frozen=True)
 class FlowContext:
-    """Immutable state threaded through the pipeline.
+    """Immutable state threaded through the pipeline, and the result of
+    a run.
 
     Every stage receives the context and returns one artifact; the
     pipeline attaches it via :meth:`with_output`, producing a *new*
     context.  Artifacts of stages that have not run are ``None``.
+    ``stage_seconds`` maps each completed stage to its wall clock, in
+    execution order.
+
+    ``design.module`` is the pre-HLS source; the synthesized design that
+    labels, graph and netlist refer to is ``hls``, whose ``hls.module``
+    builds its IR objects from the synthesized table on first read (RTL
+    elaboration already did, and a context unpickled from the disk cache
+    does it again when read).
     """
 
     design: KernelDesign
@@ -105,18 +113,9 @@ class FlowContext:
     timing: TimingReport | None = None
     graph: GraphStructure | None = None
     labels: BacktraceResult | None = None
-    records: tuple[StageRecord, ...] = ()
+    stage_seconds: dict[str, float] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
-    @property
-    def stage_seconds(self) -> dict[str, float]:
-        """Per-stage wall clock (insertion order == execution order)."""
-        return {r.stage: r.seconds for r in self.records}
-
-    @property
-    def completed_stages(self) -> tuple[str, ...]:
-        return tuple(r.stage for r in self.records)
-
     def require(self, artifact: str):
         """The named artifact, or :class:`FlowError` if its stage has
         not run."""
@@ -124,25 +123,53 @@ class FlowContext:
         if value is None:
             raise FlowError(
                 f"artifact {artifact!r} not available; completed stages: "
-                f"{list(self.completed_stages)}"
+                f"{list(self.stage_seconds)}"
             )
         return value
 
-    def with_output(self, record: StageRecord, **artifacts) -> "FlowContext":
-        return replace(self, records=(*self.records, record), **artifacts)
+    def with_output(self, stage: str, seconds: float,
+                    **artifacts) -> "FlowContext":
+        return replace(self, stage_seconds={**self.stage_seconds,
+                                            stage: seconds}, **artifacts)
+
+    @property
+    def backtracer(self) -> Backtracer:
+        return Backtracer(
+            self.require("hls").module, self.require("netlist"),
+            self.require("packing"), self.require("placement"),
+            self.require("congestion"),
+        )
+
+    def summary(self) -> dict:
+        """One-line metrics of a complete run (the benchmark tables)."""
+        hls = self.require("hls")
+        timing = self.require("timing")
+        congestion = self.require("congestion")
+        return {
+            "name": self.design.name,
+            "variant": self.design.variant,
+            "ops": hls.module.n_ops(),
+            "latency_cycles": hls.latency_cycles,
+            "lut": hls.top_report.hierarchical_resources["LUT"],
+            "wns_ns": timing.wns_ns,
+            "fmax_mhz": timing.max_frequency_mhz,
+            "max_v_congestion": congestion.max_vertical(),
+            "max_h_congestion": congestion.max_horizontal(),
+            "n_congested": congestion.n_congested(),
+            "n_samples": self.require("labels").n_samples(),
+            "flow_seconds": sum(self.stage_seconds.values()),
+        }
 
 
 class Stage:
     """One named flow stage.
 
-    Subclasses set ``name`` (stage identity), ``requires`` (names of
-    stages whose artifacts must already be in the context), ``provides``
-    (the :class:`FlowContext` field written; empty for observer-only
-    stages) and implement :meth:`run`.
+    Subclasses set ``name`` (stage identity) and ``provides`` (the
+    :class:`FlowContext` field written) and implement :meth:`run`, which
+    reads earlier artifacts through :meth:`FlowContext.require`.
     """
 
     name: str = ""
-    requires: tuple[str, ...] = ()
     provides: str = ""
 
     def run(self, ctx: FlowContext):
@@ -154,17 +181,12 @@ class HLSStage(Stage):
     provides = "hls"
 
     def run(self, ctx: FlowContext) -> HLSResult:
-        clock = ClockConstraint(ctx.options.clock_period_ns,
-                                ctx.options.clock_uncertainty_ns)
-        return synthesize(
-            ctx.design.module, ctx.design.directives, clock=clock,
-            allow_sharing=ctx.options.allow_sharing,
-        )
+        return synthesize(ctx.design.module, ctx.design.directives,
+                          clock=FLOW_CLOCK)
 
 
 class RTLStage(Stage):
     name = "rtl"
-    requires = ("hls",)
     provides = "netlist"
 
     def run(self, ctx: FlowContext) -> Netlist:
@@ -173,7 +195,6 @@ class RTLStage(Stage):
 
 class PackStage(Stage):
     name = "pack"
-    requires = ("rtl",)
     provides = "packing"
 
     def run(self, ctx: FlowContext) -> Packing:
@@ -182,7 +203,6 @@ class PackStage(Stage):
 
 class PlaceStage(Stage):
     name = "place"
-    requires = ("rtl", "pack")
     provides = "placement"
 
     def run(self, ctx: FlowContext) -> Placement:
@@ -195,7 +215,6 @@ class PlaceStage(Stage):
 
 class RouteStage(Stage):
     name = "route"
-    requires = ("rtl", "pack", "place")
     provides = "congestion"
 
     def run(self, ctx: FlowContext) -> CongestionMap:
@@ -207,7 +226,6 @@ class RouteStage(Stage):
 
 class StaStage(Stage):
     name = "sta"
-    requires = ("hls", "rtl", "pack", "place", "route")
     provides = "timing"
 
     def run(self, ctx: FlowContext) -> TimingReport:
@@ -215,25 +233,22 @@ class StaStage(Stage):
         logic_delay = max(
             s.critical_delay_ns for s in hls.schedule.functions.values()
         )
-        return TimingAnalyzer(ctx.device, TimingParams()).analyze(
+        return TimingAnalyzer().analyze(
             ctx.require("netlist"), ctx.require("packing"),
             ctx.require("placement"), ctx.require("congestion"),
             logic_delay_ns=logic_delay,
-            target_period_ns=ctx.options.clock_period_ns,
-            uncertainty_ns=ctx.options.clock_uncertainty_ns,
+            target_period_ns=FLOW_CLOCK.period_ns,
+            uncertainty_ns=FLOW_CLOCK.uncertainty_ns,
         )
 
 
 class GraphStage(Stage):
     name = "graph"
-    requires = ("hls",)
     provides = "graph"
 
     def run(self, ctx: FlowContext) -> GraphStructure:
         hls = ctx.require("hls")
-        graph = build_dependency_graph(
-            hls, merge_shared=ctx.options.merge_shared,
-        )
+        graph = build_dependency_graph(hls)
         # Compile the feature snapshot against this HLS result here, so
         # every downstream extraction (dataset assembly, prediction,
         # serving) finds it memoized on the result.
@@ -243,15 +258,10 @@ class GraphStage(Stage):
 
 class BacktraceStage(Stage):
     name = "backtrace"
-    requires = ("hls", "rtl", "pack", "place", "route")
     provides = "labels"
 
     def run(self, ctx: FlowContext) -> BacktraceResult:
-        return Backtracer(
-            ctx.require("hls").module, ctx.require("netlist"),
-            ctx.require("packing"), ctx.require("placement"),
-            ctx.require("congestion"),
-        ).label_operations()
+        return ctx.backtracer.label_operations()
 
 
 def default_stages() -> tuple[Stage, ...]:
@@ -261,96 +271,14 @@ def default_stages() -> tuple[Stage, ...]:
 
 
 class FlowPipeline:
-    """An ordered, validated sequence of :class:`Stage` objects."""
+    """An ordered tuple of :class:`Stage` objects (by default the eight
+    of the complete flow)."""
 
     def __init__(self, stages: Sequence[Stage] | None = None) -> None:
         self.stages: tuple[Stage, ...] = (
             tuple(stages) if stages is not None else default_stages()
         )
-        self._by_name: dict[str, Stage] = {}
-        provided: set[str] = set()
-        for stage in self.stages:
-            if not stage.name:
-                raise FlowError(f"stage {stage!r} has no name")
-            if stage.name in self._by_name:
-                raise FlowError(f"duplicate stage name {stage.name!r}")
-            for req in stage.requires:
-                if req not in self._by_name:
-                    raise FlowError(
-                        f"stage {stage.name!r} requires {req!r}, which is "
-                        f"not an earlier stage"
-                    )
-            if stage.provides:
-                if stage.provides in provided:
-                    raise FlowError(
-                        f"artifact {stage.provides!r} provided twice"
-                    )
-                if stage.provides not in FlowContext.__dataclass_fields__:
-                    raise FlowError(
-                        f"stage {stage.name!r} provides unknown artifact "
-                        f"{stage.provides!r}"
-                    )
-                provided.add(stage.provides)
-            self._by_name[stage.name] = stage
 
-    # ------------------------------------------------------------------
-    # composition
-    # ------------------------------------------------------------------
-    @classmethod
-    def default(cls) -> "FlowPipeline":
-        return cls()
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.stages)
-
-    def stage(self, name: str) -> Stage:
-        if name not in self._by_name:
-            raise FlowError(
-                f"unknown stage {name!r}; pipeline has {list(self.names)}"
-            )
-        return self._by_name[name]
-
-    def until(self, name: str) -> "FlowPipeline":
-        """The prefix pipeline ending at (and including) ``name``."""
-        self.stage(name)
-        cut = self.names.index(name) + 1
-        return FlowPipeline(self.stages[:cut])
-
-    def subset(self, targets: Iterable[str]) -> "FlowPipeline":
-        """Only ``targets`` plus the stages they transitively require.
-
-        ``FlowPipeline.default().subset(["graph"])`` is the HLS-prefix
-        pipeline (``hls`` -> ``graph``) — no place-and-route.
-        """
-        needed: set[str] = set()
-
-        def visit(name: str) -> None:
-            if name in needed:
-                return
-            needed.add(name)
-            for req in self.stage(name).requires:
-                visit(req)
-
-        for target in targets:
-            visit(target)
-        return FlowPipeline([s for s in self.stages if s.name in needed])
-
-    def with_stage(self, stage: Stage) -> "FlowPipeline":
-        """Substitute the same-named stage with ``stage``."""
-        self.stage(stage.name)
-        return FlowPipeline([
-            stage if s.name == stage.name else s for s in self.stages
-        ])
-
-    def insert_after(self, anchor: str, stage: Stage) -> "FlowPipeline":
-        """Inject ``stage`` right after stage ``anchor``."""
-        idx = self.names.index(self.stage(anchor).name) + 1
-        return FlowPipeline([*self.stages[:idx], stage, *self.stages[idx:]])
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
     def run(
         self,
         design: KernelDesign,
@@ -360,10 +288,12 @@ class FlowPipeline:
         until: str | None = None,
         deadline: float | None = None,
     ) -> FlowContext:
-        """Thread a fresh :class:`FlowContext` through the stages.
+        """Thread a fresh :class:`FlowContext` through the stages and
+        return the completed context.
 
         Every stage runs: the pipeline keeps no cache of its own.
-        ``until`` truncates the run after the named stage.
+        ``until`` truncates the run after the named stage; a name no
+        stage has is a :class:`~repro.errors.FlowError`.
 
         ``design`` is never modified: the HLS stage only reads its
         module, so ``ctx.design.module`` stays the pre-HLS source.  The
@@ -380,23 +310,28 @@ class FlowPipeline:
         """
         options = options or FlowOptions()
         device = device or xc7z020()
-        pipe = self.until(until) if until is not None else self
+        stages = self.stages
+        if until is not None:
+            names = [stage.name for stage in stages]
+            if until not in names:
+                raise FlowError(
+                    f"unknown stage {until!r}; pipeline has {names}")
+            stages = stages[:names.index(until) + 1]
 
         ctx = FlowContext(design=design, device=device, options=options)
-        for stage in pipe.stages:
+        for stage in stages:
             if deadline is not None:
                 late = time.monotonic() - deadline
                 if late >= 0:
                     raise DeadlineExceededError(
                         f"deadline exceeded {late * 1e3:.1f}ms before "
                         f"stage {stage.name!r} (completed: "
-                        f"{list(ctx.completed_stages)})"
+                        f"{list(ctx.stage_seconds)})"
                     )
             # chaos seam: slow-stage latency / stage failure injection
             fault_point(f"stage.{stage.name}")
             start = time.perf_counter()
             value = stage.run(ctx)
-            record = StageRecord(stage.name, time.perf_counter() - start)
-            artifacts = {stage.provides: value} if stage.provides else {}
-            ctx = ctx.with_output(record, **artifacts)
+            ctx = ctx.with_output(stage.name, time.perf_counter() - start,
+                                  **{stage.provides: value})
         return ctx

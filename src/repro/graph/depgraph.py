@@ -15,77 +15,44 @@ the paper are implemented:
 Cross-function (call) connectivity is wired through the call node, so a
 non-inlined design still exposes its interconnection structure.
 
-:func:`build_dependency_graph` reads each function's
-:class:`~repro.hls.optable.OpTable` (the one its binding was made
-from), lists every connection as arrays in the order the paper's
-walk makes them — def-use, then calls, then ports — sums parallel
-connections into one edge placed where it was first made, merges
-shared units over the few nodes they touch, and returns the frozen
-:class:`~repro.graph.snapshot.GraphStructure`.
+:func:`build_dependency_graph` reads the
+:class:`~repro.hls.optable.OpTable` of each function of an HLS result
+(the one its binding was made from), lists every connection as arrays
+in the order the paper's walk makes them — def-use, then calls, then
+ports — sums parallel connections into one edge placed where it was
+first made, merges shared units over the few nodes they touch, and
+returns the frozen :class:`~repro.graph.snapshot.GraphStructure`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import IRError
 from repro.graph.snapshot import GraphStructure, dedup_sorted_keys
-from repro.hls.binding import FunctionBinding
-from repro.hls.opchar import DEFAULT_LIBRARY
-from repro.hls.optable import (
-    READ_PORT,
-    WRITE_PORT,
-    OpTable,
-    connection_wires,
-    op_tables,
-)
-from repro.hls.tableir import lower_module, ranges
-from repro.ir.module import Module
+from repro.hls.optable import READ_PORT, WRITE_PORT, connection_wires
+from repro.hls.tableir import ranges
 
 if TYPE_CHECKING:
     from repro.hls.synthesis import HLSResult
 
-#: ``bindings`` not passed (an HLS result brings its own)
-_UNSET: Any = object()
-
 
 def build_dependency_graph(
-    module: HLSResult | Module,
-    bindings: dict[str, FunctionBinding] | None = _UNSET,
-    *,
-    merge_shared: bool = True,
+    hls: HLSResult, *, merge_shared: bool = True,
 ) -> GraphStructure:
-    """Build the design-level dependency graph.
+    """Build the design-level dependency graph of a synthesized design.
 
     Node ids number the operations in module order, then one port node
-    per function argument.
-
-    ``module`` is an :class:`~repro.hls.synthesis.HLSResult` or IR
-    objects.  A result brings its op tables and, for Fig.-4 merging of
-    operations that share an RTL module, its bindings, so no IR object
-    is built; ``merge_shared=False`` is the switch to the unmerged
-    graph, and passing ``bindings`` as well (``None`` included) is a
-    :class:`TypeError`.  For IR objects, ``bindings`` enables merging;
-    pass ``None`` (or ``merge_shared=False``) for the unmerged graph
-    used by the sharing ablation.  Bindings must be those of exactly the
-    functions of ``module``, which holds for ``hls.module`` with
-    ``hls.bindings``; anything else (typically the pre-HLS
-    ``design.module``) raises :class:`~repro.errors.IRError`.
+    per function argument.  The result brings its op tables and, for
+    the Fig.-4 merge of operations that share an RTL module, its
+    bindings, so no IR object is built; ``merge_shared=False`` gives the
+    unmerged graph of the sharing ablation.
     """
-    if isinstance(module, Module):
-        if bindings is _UNSET:
-            bindings = None
-        tables = _tables(module, bindings)
-    else:  # an HLS result
-        if bindings is not _UNSET:
-            raise TypeError("an HLS result brings its own bindings; pass "
-                            "merge_shared=False for the unmerged graph")
-        bindings = module.bindings
-        tables = [module.schedule.for_function(name).table
-                  for name in module.ir.functions]
-        module = module.ir
+    tables = [hls.schedule.for_function(name).table
+              for name in hls.ir.functions]
+
     def joined(column: str) -> np.ndarray:
         """A per-op (or per-argument) column over the whole module."""
         return np.concatenate([getattr(t, column) for t in tables] + [_EMPTY])
@@ -96,7 +63,7 @@ def build_dependency_graph(
     uid = joined("uid")
     node_of_op = dict(zip(uid.tolist(), range(n_ops)))
     if len(node_of_op) != n_ops:
-        raise IRError(f"module {module.name!r} repeats operation uids "
+        raise IRError(f"module {hls.ir.name!r} repeats operation uids "
                       "across functions")
     # argument ``a`` (functions in module order, then argument order) is
     # port node ``n_ops + a``
@@ -166,8 +133,8 @@ def build_dependency_graph(
     bitwidth = np.concatenate(
         [t.width for t in tables] + [np.zeros(n_ports, dtype=np.int64)])
     removed = _EMPTY
-    if merge_shared and bindings:
-        groups = _shared_groups(tables, offset, bindings)
+    if merge_shared:
+        groups = _shared_groups(tables, offset, hls.bindings)
         if groups:
             e_src, e_dst, e_w, removed = _merge_shared_units(
                 e_src, e_dst, e_w, groups, bitwidth, n_nodes)
@@ -190,27 +157,6 @@ def build_dependency_graph(
 
 
 _EMPTY = np.zeros(0, dtype=np.int64)
-
-
-def _tables(module: Module, bindings) -> list[OpTable]:
-    """The op table of every function of ``module``, in module order:
-    the ones ``bindings`` were made from, else freshly lowered."""
-    functions = list(module.functions.values())
-    if bindings is None:
-        return list(op_tables(lower_module(module), DEFAULT_LIBRARY).values())
-    tables = [getattr(bindings.get(f.name), "table", None)
-              for f in functions]
-    stale = [f.name for f, t in zip(functions, tables)
-             if t is None or not t.is_table_of(f)]
-    extra = set(bindings) - set(module.functions)
-    if stale or extra:
-        raise IRError(
-            f"bindings do not match module {module.name!r}: functions "
-            f"{sorted(stale)} were not bound from it and bindings name "
-            f"{sorted(extra)} it does not hold; pass the synthesized "
-            "module (hls.module) with its bindings"
-        )
-    return tables
 
 
 def _joined_csr(tables, offset, indptr: str | None, pos: str):

@@ -19,7 +19,7 @@ from repro.errors import BindingError
 from repro.hls.opchar import OperatorLibrary, OperatorSpec, DEFAULT_LIBRARY
 from repro.hls.optable import CALL, LOAD, OPCODE_NAMES, STORE, OpTable
 from repro.hls.scheduling import FunctionSchedule
-from repro.hls.tableir import freeze_arrays
+from repro.hls.tableir import FuncRec, ModuleTable, freeze_arrays
 
 #: Widths are bucketed so e.g. a 13-bit and a 16-bit multiply can share.
 _WIDTH_BUCKET = 8
@@ -154,13 +154,13 @@ class Binder:
 
     def bind_function(
         self,
-        func,
+        func: FuncRec,
         schedule: FunctionSchedule,
         *,
         allow_sharing: bool = True,
     ) -> FunctionBinding:
-        """Bind every operation of ``func`` (a table-IR function record
-        or IR objects) to a functional unit.
+        """Bind every operation of ``func`` (a table-IR function record)
+        to a functional unit.
 
         Reads the function's :class:`OpTable` and schedule arrays only.
         """
@@ -289,7 +289,7 @@ class Binder:
 
 
 def bind_module(
-    module,
+    module: ModuleTable,
     schedules,
     library: OperatorLibrary = DEFAULT_LIBRARY,
     *,

@@ -147,18 +147,10 @@ class OpTable:
     def n(self) -> int:
         return len(self.uid)
 
-    @property
-    def function(self):
-        """The function's IR objects (materializes the module)."""
-        return self.ir.module().functions[self.name]
-
-    def is_table_of(self, func) -> bool:
-        """True when this table describes ``func``: its record in the
-        table IR, or IR objects with exactly these operations."""
-        if isinstance(func, FuncRec):
-            return func is self.ir.functions.get(self.name)
-        return (func.name == self.name
-                and [op.uid for op in func.operations] == self.uid.tolist())
+    def is_table_of(self, func: FuncRec) -> bool:
+        """True when this table describes ``func``, a function record of
+        the table IR."""
+        return func is self.ir.functions.get(self.name)
 
     def opcode(self, pos: int) -> str:
         return OPCODE_NAMES[self.opcode_id[pos]]

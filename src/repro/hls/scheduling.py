@@ -23,8 +23,7 @@ import numpy as np
 from repro.errors import IRError, SchedulingError
 from repro.hls.opchar import OperatorLibrary, DEFAULT_LIBRARY
 from repro.hls.optable import LOAD, STORE, OpTable, op_tables
-from repro.hls.tableir import ModuleTable, freeze_arrays, lower_module
-from repro.ir.module import Module
+from repro.hls.tableir import ModuleTable, freeze_arrays
 
 #: Registered-output arrival offset inside a state (clock-to-out, ns).
 _CLK_TO_OUT_NS = 0.4
@@ -185,16 +184,12 @@ class Scheduler:
         self.dsp_limit = dsp_limit
 
     # ------------------------------------------------------------------
-    def schedule_module(self, module: Module | ModuleTable
-                        ) -> ModuleSchedule:
+    def schedule_module(self, module: ModuleTable) -> ModuleSchedule:
         """Schedule every function (callee-first) and roll up latency.
 
-        ``module`` is IR objects (lowered here) or a verified
-        :class:`~repro.hls.tableir.ModuleTable`; its op tables are
-        derived here with the scheduler's library.
+        ``module`` is a verified :class:`~repro.hls.tableir.ModuleTable`;
+        its op tables are derived here with the scheduler's library.
         """
-        if isinstance(module, Module):
-            module = lower_module(module)
         tables = op_tables(module, self.library)
         result = ModuleSchedule(clock=self.clock)
         callee_latency: dict[str, int] = {}
@@ -215,10 +210,9 @@ class Scheduler:
         table: OpTable,
         callee_latency: dict[str, int] | None = None,
     ) -> FunctionSchedule:
-        """Schedule ``func``'s dataflow DAG over its op table.  ``func``
-        supplies the array declarations and loops (a
-        :class:`~repro.hls.tableir.FuncRec` or a
-        :class:`~repro.ir.function.Function`)."""
+        """Schedule ``func``'s dataflow DAG over its op table.  ``func``,
+        a :class:`~repro.hls.tableir.FuncRec`, supplies the array
+        declarations and loops."""
         callee_latency = callee_latency or {}
         clock_budget = self.clock.budget_ns
         dsp_limit = self.dsp_limit

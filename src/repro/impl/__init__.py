@@ -19,11 +19,11 @@ from repro.impl.routing import (
     GlobalRouter,
     route_design,
 )
-from repro.impl.timing import TimingParams, TimingReport, TimingAnalyzer
+from repro.impl.timing import TimingReport, TimingAnalyzer
 
 __all__ = [
     "CLUSTER_KINDS", "Cluster", "Packing", "Packer", "pack_netlist",
     "PlacementOptions", "Placement", "Annealer", "place_netlist",
     "RoutingOptions", "CongestionMap", "GlobalRouter", "route_design",
-    "TimingParams", "TimingReport", "TimingAnalyzer",
+    "TimingReport", "TimingAnalyzer",
 ]

@@ -28,8 +28,19 @@ import numpy as np
 
 from repro.fpga.device import Device
 from repro.impl.packing import Packing
-from repro.impl.placement import Annealer, Placement
-from repro.impl.routing import CongestionMap, GlobalRouter, RoutingOptions
+from repro.impl.placement import (
+    COOLING,
+    INITIAL_ACCEPT_PROB,
+    MOVES_PER_CLUSTER,
+    Annealer,
+    Placement,
+)
+from repro.impl.routing import (
+    PIN_BREAKOUT,
+    CongestionMap,
+    GlobalRouter,
+    RoutingOptions,
+)
 from repro.impl.timing import TimingAnalyzer, TimingReport
 from repro.rtl.netlist import Netlist
 
@@ -99,10 +110,10 @@ class ReferenceAnnealer(Annealer):
         mean_delta = (sum(deltas) / len(deltas)) if deltas else 1.0
         temp = max(
             1e-6,
-            -mean_delta / math.log(max(1e-9, options.initial_accept_prob)),
+            -mean_delta / math.log(max(1e-9, INITIAL_ACCEPT_PROB)),
         )
 
-        n_moves = max(1, int(options.moves_per_cluster * len(movable)))
+        n_moves = max(1, int(MOVES_PER_CLUSTER * len(movable)))
         for _ in range(options.n_sweeps):
             accepted = 0
             for _ in range(n_moves):
@@ -116,7 +127,7 @@ class ReferenceAnnealer(Annealer):
                     placement.cost += delta
                     placement.n_accepted += 1
                     accepted += 1
-            temp *= options.cooling
+            temp *= COOLING
             if accepted == 0 and temp < 1e-3:
                 break
         # Re-sync accumulated float error.
@@ -239,9 +250,8 @@ def reference_route(
                 v_demand, h_demand, x1, y1, x2, y2, width
             )
 
-    k = options.pin_breakout
-    v_demand += k * pin_wires
-    h_demand += k * pin_wires
+    v_demand += PIN_BREAKOUT * pin_wires
+    h_demand += PIN_BREAKOUT * pin_wires
 
     if options.smear > 0:
         v_demand = _reference_box_smear(v_demand, options.smear)

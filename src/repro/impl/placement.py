@@ -39,21 +39,40 @@ from repro.util.rng import ensure_rng
 #: Nets with more pins than this are sampled down for cost evaluation.
 _MAX_COST_PINS = 48
 
+#: temperature steps (sweeps) of each placement effort
+EFFORT_SWEEPS = {"fast": 18, "normal": 36, "high": 72}
+
+#: moves per cluster per temperature step
+MOVES_PER_CLUSTER = 1.0
+#: acceptance probability of a mean uphill move at the first temperature
+INITIAL_ACCEPT_PROB = 0.8
+#: temperature factor per sweep
+COOLING = 0.92
+
+
+def check_effort(effort: str) -> None:
+    """:class:`PlacementError` unless ``effort`` names a schedule of
+    :data:`EFFORT_SWEEPS`."""
+    if effort not in EFFORT_SWEEPS:
+        raise PlacementError(
+            f"unknown placement effort {effort!r}; expected one of "
+            f"{list(EFFORT_SWEEPS)}"
+        )
+
 
 @dataclass
 class PlacementOptions:
     """Effort/seed knobs for the annealer."""
 
-    effort: str = "normal"            # "fast" | "normal" | "high"
+    effort: str = "normal"            # a key of EFFORT_SWEEPS
     seed: int = 0
-    #: moves per cluster per temperature step
-    moves_per_cluster: float = 1.0
-    initial_accept_prob: float = 0.8
-    cooling: float = 0.92
+
+    def __post_init__(self) -> None:
+        check_effort(self.effort)
 
     @property
     def n_sweeps(self) -> int:
-        return {"fast": 18, "normal": 36, "high": 72}.get(self.effort, 36)
+        return EFFORT_SWEEPS[self.effort]
 
 
 @dataclass
@@ -429,7 +448,7 @@ class Annealer:
         mean_delta = float(d0.mean()) if d0.size else 1.0
         temp = max(
             1e-6,
-            -mean_delta / math.log(max(1e-9, options.initial_accept_prob)),
+            -mean_delta / math.log(max(1e-9, INITIAL_ACCEPT_PROB)),
         )
 
         best_cost = float(net_cost.sum())
@@ -508,7 +527,7 @@ class Annealer:
                 net_cost[shared] = self._net_costs_subset(shared, xs, ys)
             return idx.size, consumed
 
-        n_moves = max(1, int(options.moves_per_cluster * len(movable)))
+        n_moves = max(1, int(MOVES_PER_CLUSTER * len(movable)))
         chunk = max(32, -(-n_moves // self.sweep_chunks))
         for _ in range(options.n_sweeps):
             applied = 0
@@ -529,7 +548,7 @@ class Annealer:
             if cost < best_cost:
                 best_cost = cost
                 best_xs, best_ys = xs.copy(), ys.copy()
-            temp *= options.cooling
+            temp *= COOLING
             if applied == 0 and temp < 1e-3:
                 break
 

@@ -32,7 +32,7 @@ from repro.impl.placement import Placement
 from repro.rtl.netlist import Netlist
 
 #: Fraction of a tile's pin wires added as local routing demand.
-_PIN_BREAKOUT = 0.55
+PIN_BREAKOUT = 0.55
 
 #: Multi-pin nets with more pins than this are spanning-tree'd on a sample.
 _MAX_TREE_PINS = 40
@@ -45,15 +45,14 @@ _SMALL_NET_PINS = 8
 class RoutingOptions:
     """Router knobs (kept stable across the reproduction)."""
 
-    pin_breakout: float = _PIN_BREAKOUT
     #: extra smear radius (tiles) emulating detour diversity
     smear: int = 1
 
     def cache_key(self) -> tuple:
-        """Every knob the routed congestion depends on — flow caches
+        """Every value the routed congestion depends on — flow caches
         must include this or a future routing change would silently
         serve stale results."""
-        return (self.pin_breakout, self.smear)
+        return (PIN_BREAKOUT, self.smear)
 
 
 class CongestionMap:
@@ -223,9 +222,8 @@ class GlobalRouter:
                 (np.asarray(pin_y), np.asarray(pin_x)),
                 np.asarray(pin_w),
             )
-        k = self.options.pin_breakout
-        v_demand += k * pin_wires
-        h_demand += k * pin_wires
+        v_demand += PIN_BREAKOUT * pin_wires
+        h_demand += PIN_BREAKOUT * pin_wires
 
         if self.options.smear > 0:
             v_demand = _box_smear(v_demand, self.options.smear)

@@ -20,26 +20,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fpga.device import Device
 from repro.impl.packing import Packing
 from repro.impl.placement import Placement
 from repro.impl.routing import CongestionMap
 from repro.rtl.netlist import Netlist
 
 
-@dataclass
-class TimingParams:
-    """Calibrated constants of the wire-delay model."""
-
-    #: ns per tile of Manhattan distance on an uncongested route
-    ns_per_tile: float = 0.042
-    #: congestion level (%) where detour penalties start
-    penalty_onset: float = 70.0
-    #: linear penalty slope per 100% utilization above onset
-    penalty_linear: float = 1.1
-    #: superlinear penalty once utilization exceeds 100%
-    penalty_super: float = 3.0
-    super_exponent: float = 1.6
+# Calibrated constants of the wire-delay model.  The penalties must not
+# be negative: scoring only the nets that can set the worst delay relies
+# on :meth:`TimingAnalyzer.wire_delay` never falling as congestion rises.
+#: ns per tile of Manhattan distance on an uncongested route
+_NS_PER_TILE = 0.042
+#: congestion level (%) where detour penalties start
+_PENALTY_ONSET = 70.0
+#: linear penalty slope per 100% utilization above onset
+_PENALTY_LINEAR = 1.1
+#: superlinear penalty once utilization exceeds 100%
+_PENALTY_SUPER = 3.0
+_SUPER_EXPONENT = 1.6
 
 
 @dataclass
@@ -67,29 +65,18 @@ class TimingReport:
 
 
 class TimingAnalyzer:
-    """Computes achieved period from placement + congestion.
+    """Computes achieved period from placement + congestion."""
 
-    Scoring only the nets that can set the worst delay relies on
-    :meth:`wire_delay` never falling as congestion rises, so the penalty
-    constants of :class:`TimingParams` must not be negative.
-    """
-
-    def __init__(self, device: Device, params: TimingParams | None = None) -> None:
-        self.device = device
-        self.params = params or TimingParams()
-
-    # ------------------------------------------------------------------
     def wire_delay(self, dist: float, congestion: float) -> float:
         """Delay (ns) of a route of ``dist`` tiles under ``congestion`` %."""
-        p = self.params
         factor = 1.0
-        if congestion > p.penalty_onset:
-            factor += p.penalty_linear * (congestion - p.penalty_onset) / 100.0
+        if congestion > _PENALTY_ONSET:
+            factor += _PENALTY_LINEAR * (congestion - _PENALTY_ONSET) / 100.0
         if congestion > 100.0:
-            factor += p.penalty_super * (
+            factor += _PENALTY_SUPER * (
                 (congestion - 100.0) / 100.0
-            ) ** p.super_exponent
-        return dist * p.ns_per_tile * factor
+            ) ** _SUPER_EXPONENT
+        return dist * _NS_PER_TILE * factor
 
     # ------------------------------------------------------------------
     def analyze(

@@ -10,9 +10,9 @@
 * whichever way it came, the model is one flat NumPy kernel per
   direction: a registry load decodes the persisted arrays and serves
   them as they are, with no unpickling and no first-use compile;
-* requests run only the **HLS prefix** of the flow pipeline
-  (``FlowPipeline.default().subset(["graph"])`` — no packing, placement
-  or routing ever executes on the serving path).  The graph stage
+* requests run only the **HLS prefix** of the flow, a pipeline of
+  ``(HLSStage(), GraphStage())`` — no packing, placement or routing
+  ever executes on the serving path.  The graph stage
   returns the dependency graph as read-only NumPy arrays, and feature
   extraction is batched NumPy over them: serving needs no networkx;
 * the service keeps **one bounded cache**: a least-recently-used map of
@@ -56,7 +56,7 @@ from repro.errors import (
 )
 from repro.features.extract import FeatureExtractor
 from repro.hls.directives import DirectiveSet
-from repro.flow.pipeline import FlowOptions, FlowPipeline
+from repro.flow.pipeline import FlowOptions, FlowPipeline, GraphStage, HLSStage
 from repro.fpga.device import Device, xc7z020
 from repro.kernels.combos import (
     KERNEL_BUILDERS,
@@ -236,7 +236,7 @@ class CongestionService:
         else:
             self.registry = registry
         #: the HLS prefix — hls + dependency graph, nothing physical
-        self.pipeline = FlowPipeline.default().subset(["graph"])
+        self.pipeline = FlowPipeline((HLSStage(), GraphStage()))
         self._predictor: CongestionPredictor | None = None
         self._model_source = ""
         self._model_generation = 0

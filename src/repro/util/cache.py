@@ -50,8 +50,9 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: flow result's graph is the frozen array GraphStructure; v5: an HLS
 #: result's schedules and bindings hold op tables and position arrays;
 #: v6: an HLS result holds its synthesized design as a table IR, not
-#: IR objects)
-_DISK_FORMAT_VERSION = 6
+#: IR objects; v7: a flow result is the pipeline's completed
+#: FlowContext, with per-stage seconds in ``stage_seconds``)
+_DISK_FORMAT_VERSION = 7
 
 
 class KeyedCache:
@@ -141,8 +142,9 @@ _PICKLE_LOCK = threading.Lock()
 def _run_with_deep_stack(fn: Callable[[], object]):
     """Run ``fn`` on a thread with a large stack and recursion limit.
 
-    Full-scale :class:`FlowResult` graphs nest thousands of objects
-    deep, beyond both the default recursion limit and the default
+    Full-scale flow results (completed
+    :class:`~repro.flow.pipeline.FlowContext` objects) nest thousands of
+    objects deep, beyond both the default recursion limit and the default
     thread stack — pickling them inline raises ``RecursionError`` (or
     worse, overflows the C stack).
     """

@@ -15,7 +15,7 @@ from tests.conftest import build_tiny_module
 def extracted():
     hls = synthesize(build_tiny_module())
     module = hls.module
-    graph = build_dependency_graph(module, hls.bindings)
+    graph = build_dependency_graph(hls)
     device = small_test_device()
     extractor = FeatureExtractor(hls, graph, device)
     nodes, X = extractor.extract_all()
@@ -128,7 +128,7 @@ def test_merged_node_counts_shared_unit_once():
         v = b.mul(v, x, width=16)
     b.write_port(x, v)
     hls = synthesize(m)
-    graph = build_dependency_graph(hls.module, hls.bindings)
+    graph = build_dependency_graph(hls)
     extractor = FeatureExtractor(hls, graph, small_test_device())
     nodes, X = extractor.extract_all()
     mul_nodes = [

@@ -48,7 +48,7 @@ def _assert_equivalent(hls, graph, device):
 def test_combo_equivalence(name, variant):
     design = build_combined(name, scale=0.3, variant=variant)
     hls = synthesize(design.module, design.directives)
-    graph = build_dependency_graph(hls.module, hls.bindings)
+    graph = build_dependency_graph(hls)
     _assert_equivalent(hls, graph, xc7z020())
 
 
@@ -56,7 +56,7 @@ def test_tiny_module_equivalence():
     """Loop + memory + call + reduction, on the small test device."""
     module = build_tiny_module()
     hls = synthesize(module)
-    graph = build_dependency_graph(hls.module, hls.bindings)
+    graph = build_dependency_graph(hls)
     _assert_equivalent(hls, graph, small_test_device())
 
 
@@ -81,7 +81,7 @@ def _shared_unit_module() -> Module:
 def test_merged_nodes_and_ports_equivalence():
     module = _shared_unit_module()
     hls = synthesize(module)
-    graph = build_dependency_graph(hls.module, hls.bindings)
+    graph = build_dependency_graph(hls)
     members = list(graph.node_of_op.values())
     assert len(set(members)) < len(members), "expected a merged node"
     assert graph.is_port.any(), "expected port nodes"
@@ -92,14 +92,14 @@ def test_unmerged_ablation_equivalence():
     """The sharing-ablation graph (merge_shared=False) must agree too."""
     module = _shared_unit_module()
     hls = synthesize(module)
-    graph = build_dependency_graph(hls.module, None, merge_shared=False)
+    graph = build_dependency_graph(hls, merge_shared=False)
     _assert_equivalent(hls, graph, small_test_device())
 
 
 def test_single_node_extract_matches_reference():
     module = build_tiny_module()
     hls = synthesize(module)
-    graph = build_dependency_graph(hls.module, hls.bindings)
+    graph = build_dependency_graph(hls)
     device = small_test_device()
     reference = ReferenceFeatureExtractor(hls, graph, device)
     vectorized = FeatureExtractor(hls, graph, device)
@@ -115,7 +115,7 @@ def test_matrix_is_memoized_per_device():
     matrix object — the serving steady state costs one dict hit."""
     module = build_tiny_module()
     hls = synthesize(module)
-    graph = build_dependency_graph(hls.module, hls.bindings)
+    graph = build_dependency_graph(hls)
     device = small_test_device()
     first = FeatureExtractor(hls, graph, device)
     second = FeatureExtractor(hls, graph, device)
@@ -135,7 +135,7 @@ def test_extractor_tracks_post_construction_mutation():
     arrays raises and the extractor's answer stays the reference's."""
     module = build_tiny_module()
     hls = synthesize(module)
-    graph = build_dependency_graph(hls.module, hls.bindings)
+    graph = build_dependency_graph(hls)
     device = small_test_device()
     extractor = FeatureExtractor(hls, graph, device)
     nodes_before, X_before = extractor.extract_all()

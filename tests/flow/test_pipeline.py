@@ -1,24 +1,23 @@
-"""The stage-pipeline API: partial runs, substitution, cache keys."""
+"""The stage pipeline: partial runs, the serving prefix, cache keys."""
 
 import dataclasses
 
 import pytest
 
-from repro.errors import FlowError
+from repro.errors import FlowError, PlacementError
 from repro.flow import (
     STAGE_ORDER,
     FlowContext,
     FlowOptions,
     FlowPipeline,
-    FlowResult,
-    Stage,
-    StageRecord,
     run_flow,
     run_flow_on_design,
 )
-from repro.flow.pipeline import RouteStage
-from repro.impl.routing import RoutingOptions, route_design
+from repro.impl.placement import PlacementOptions
+from repro.impl.routing import RoutingOptions
 from repro.kernels.combos import build_kernel
+from repro.serve.registry import dataset_spec_fingerprint
+from repro.serve.service import CongestionService
 
 SCALE = 0.18
 
@@ -28,13 +27,13 @@ def _options() -> FlowOptions:
 
 
 def test_default_pipeline_order():
-    assert FlowPipeline.default().names == STAGE_ORDER
+    assert tuple(s.name for s in FlowPipeline().stages) == STAGE_ORDER
 
 
 def test_until_hls_runs_no_physical_stage():
     design = build_kernel("face_detection", scale=SCALE)
-    ctx = FlowPipeline.default().run(design, options=_options(), until="hls")
-    assert ctx.completed_stages == ("hls",)
+    ctx = FlowPipeline().run(design, options=_options(), until="hls")
+    assert tuple(ctx.stage_seconds) == ("hls",)
     assert ctx.hls is not None
     for artifact in ("netlist", "packing", "placement", "congestion",
                      "timing", "graph", "labels"):
@@ -43,19 +42,26 @@ def test_until_hls_runs_no_physical_stage():
 
 def test_until_place_skips_routing():
     design = build_kernel("face_detection", scale=SCALE)
-    ctx = FlowPipeline.default().run(design, options=_options(),
-                                     until="place")
-    assert ctx.completed_stages == ("hls", "rtl", "pack", "place")
+    ctx = FlowPipeline().run(design, options=_options(), until="place")
+    assert tuple(ctx.stage_seconds) == ("hls", "rtl", "pack", "place")
     assert ctx.placement is not None
     assert ctx.congestion is None
+    # a partial run has no summary: the missing artifact is named
+    with pytest.raises(FlowError, match="timing"):
+        ctx.summary()
 
 
-def test_subset_graph_is_hls_prefix():
-    pipe = FlowPipeline.default().subset(["graph"])
-    assert pipe.names == ("hls", "graph")
+def test_service_pipeline_runs_hls_and_graph_only():
+    service = CongestionService("linear", options=_options(),
+                                registry=None)
+    assert [s.name for s in service.pipeline.stages] == ["hls", "graph"]
     design = build_kernel("face_detection", scale=SCALE)
-    ctx = pipe.run(design, options=_options())
-    assert ctx.graph is not None and ctx.placement is None
+    ctx = service.pipeline.run(design, options=_options())
+    assert tuple(ctx.stage_seconds) == ("hls", "graph")
+    assert ctx.graph is not None
+    for artifact in ("netlist", "packing", "placement", "congestion",
+                     "timing", "labels"):
+        assert getattr(ctx, artifact) is None
 
 
 def test_context_is_immutable():
@@ -63,10 +69,10 @@ def test_context_is_immutable():
     ctx = FlowContext(design=design, device=None, options=_options())
     with pytest.raises(dataclasses.FrozenInstanceError):
         ctx.hls = "nope"
-    record = StageRecord("hls", 0.0)
-    new = ctx.with_output(record)
-    assert new is not ctx and new.records == (record,)
-    assert ctx.records == ()
+    new = ctx.with_output("hls", 0.0, hls="synthesized")
+    assert new is not ctx
+    assert new.stage_seconds == {"hls": 0.0} and new.hls == "synthesized"
+    assert ctx.stage_seconds == {} and ctx.hls is None
 
 
 def test_context_require_raises_on_missing_artifact():
@@ -79,71 +85,41 @@ def test_context_require_raises_on_missing_artifact():
 def test_wrapper_equivalent_to_pipeline():
     wrapped = run_flow_on_design(build_kernel("face_detection", scale=SCALE),
                                  options=_options())
-    ctx = FlowPipeline.default().run(
+    direct = FlowPipeline().run(
         build_kernel("face_detection", scale=SCALE), options=_options()
     )
-    direct = FlowResult.from_context(ctx)
+    assert isinstance(wrapped, FlowContext)
     a, b = wrapped.summary(), direct.summary()
     a.pop("flow_seconds"), b.pop("flow_seconds")
     assert a == b
 
 
-class _MarkedRoute(RouteStage):
-    """Route with zero smear — distinguishable from the stock stage."""
-
-    def run(self, ctx):
-        return route_design(
-            ctx.require("netlist"), ctx.require("packing"),
-            ctx.require("placement"), ctx.device, RoutingOptions(smear=0),
-        )
-
-
-def test_stage_substitution():
-    design = build_kernel("face_detection", scale=SCALE)
-    stock = FlowPipeline.default().run(design, options=_options(),
-                                       until="route")
-    design2 = build_kernel("face_detection", scale=SCALE)
-    swapped = FlowPipeline.default().with_stage(_MarkedRoute()).run(
-        design2, options=_options(), until="route"
-    )
-    import numpy as np
-
-    assert not np.array_equal(swapped.congestion.v_demand,
-                              stock.congestion.v_demand)
-
-
-def test_stage_injection_observer():
-    seen = []
-
-    class Probe(Stage):
-        name = "probe"
-        requires = ("place",)
-        provides = ""
-
-        def run(self, ctx):
-            seen.append(ctx.require("placement"))
-
-    pipe = FlowPipeline.default().insert_after("place", Probe())
-    assert pipe.names.index("probe") == pipe.names.index("place") + 1
-    design = build_kernel("face_detection", scale=SCALE)
-    pipe.run(design, options=_options(), until="probe")
-    assert len(seen) == 1
-
-
 def test_pipeline_validation():
-    from repro.flow.pipeline import HLSStage
+    """``until`` comes from the user (the CLI's ``--until``): a stage
+    the pipeline does not have is a typed error, not a full run."""
+    design = build_kernel("face_detection", scale=SCALE)
+    with pytest.raises(FlowError, match="unknown stage 'nonsense'"):
+        FlowPipeline().run(design, options=_options(), until="nonsense")
 
-    with pytest.raises(FlowError, match="duplicate"):
-        FlowPipeline([HLSStage(), HLSStage()])
 
-    class Orphan(Stage):
-        name = "orphan"
-        requires = ("place",)
+def test_unknown_placement_effort_is_a_typed_error():
+    """A misspelt effort would otherwise run another schedule under a
+    cache key of its own: both option types refuse it when built."""
+    with pytest.raises(PlacementError, match="'fats'"):
+        FlowOptions(placement_effort="fats")
+    with pytest.raises(PlacementError, match="'fats'"):
+        PlacementOptions(effort="fats")
+    assert PlacementOptions(effort="high").n_sweeps == 72
 
-    with pytest.raises(FlowError, match="requires"):
-        FlowPipeline([Orphan()])
-    with pytest.raises(FlowError, match="unknown stage"):
-        FlowPipeline.default().until("nonsense")
+
+def test_flow_cache_key_and_dataset_fingerprint_are_pinned():
+    """The key names the disk entries, and the fingerprint is how a
+    service finds a model published earlier: neither may drift."""
+    assert FlowOptions().cache_key("*", "baseline") == (
+        "*", "baseline", 1.0, 0, "fast", 10.0, 1.25, True, True, 0.55, 1)
+    assert dataset_spec_fingerprint(
+        ("face_detection", "digit_spam", "bnn_render_flow"), FlowOptions()
+    ) == "fe999b23bf07b657406bdeaedd41926ff7284a9f4ca89ce405aeef00345826ab"
 
 
 def test_routing_options_in_flow_cache_keys():
@@ -168,7 +144,7 @@ def test_expired_deadline_fails_before_first_stage():
     from repro.errors import DeadlineExceededError
 
     design = build_kernel("face_detection", scale=SCALE)
-    pipe = FlowPipeline.default().subset(["graph"])
+    pipe = CongestionService("linear", registry=None).pipeline
     with pytest.raises(DeadlineExceededError, match="before stage 'hls'"):
         pipe.run(design, options=_options(),
                  deadline=time.monotonic() - 1.0)
@@ -183,7 +159,7 @@ def test_slow_stage_under_deadline_raises_typed():
     from repro.util.faults import FaultSpec, injected_faults
 
     design = build_kernel("face_detection", scale=SCALE)
-    pipe = FlowPipeline.default().subset(["graph"])
+    pipe = CongestionService("linear", registry=None).pipeline
     with injected_faults(
         [FaultSpec("stage.hls", "delay", delay_seconds=0.15)]
     ):
@@ -198,7 +174,7 @@ def test_generous_deadline_does_not_interfere():
     import time
 
     design = build_kernel("face_detection", scale=SCALE)
-    pipe = FlowPipeline.default().subset(["graph"])
+    pipe = CongestionService("linear", registry=None).pipeline
     ctx = pipe.run(design, options=_options(),
                    deadline=time.monotonic() + 300.0)
     assert ctx.graph is not None

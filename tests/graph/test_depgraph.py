@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import FeatureError, IRError
+from repro.errors import FeatureError
 from repro.features._reference import ReferenceGraph
 from repro.graph import build_dependency_graph, compile_snapshot
 from repro.hls import DirectiveSet, synthesize
@@ -57,7 +57,7 @@ def successors(g, node: int) -> list[int]:
 
 def test_nodes_and_edges_with_wire_weights():
     m, f, (s, t, p) = simple_graph()
-    g = build_dependency_graph(m)
+    g = build_dependency_graph(synthesize(m))
     n_s = g.node_for(s.producer.uid)
     n_t = g.node_for(t.producer.uid)
     n_p = g.node_for(p.producer.uid)
@@ -70,7 +70,7 @@ def test_nodes_and_edges_with_wire_weights():
 
 def test_port_nodes_connect_argument_users():
     m, f, (s, t, p) = simple_graph()
-    g = build_dependency_graph(m)
+    g = build_dependency_graph(synthesize(m))
     ports = g.node_ids[g.is_port].tolist()
     assert len(ports) == 1
     port = ports[0]
@@ -80,7 +80,7 @@ def test_port_nodes_connect_argument_users():
 
 def test_two_hop_neighborhood():
     m, f, (s, t, p) = simple_graph()
-    g = build_dependency_graph(m)
+    g = build_dependency_graph(synthesize(m))
     n_s = g.node_for(s.producer.uid)
     two_hop = ReferenceGraph(g).two_hop_neighborhood(n_s)
     assert g.node_for(p.producer.uid) in two_hop
@@ -90,8 +90,8 @@ def test_two_hop_neighborhood():
 def test_shared_binding_merges_in_build():
     m, muls = shared_mul_chain()
     hls = synthesize(m)
-    g_merged = build_dependency_graph(hls.module, hls.bindings)
-    g_plain = build_dependency_graph(hls.module, None)
+    g_merged = build_dependency_graph(hls)
+    g_plain = build_dependency_graph(hls, merge_shared=False)
     assert g_merged.n_nodes() < g_plain.n_nodes()
     nodes = {g_merged.node_for(op.uid) for op in muls}
     assert len(nodes) == 1  # all four muls merged (Fig. 4)
@@ -114,24 +114,25 @@ def test_shared_binding_merges_in_build():
 
 
 def test_hls_result_graph_reads_the_results_bindings():
-    """Given the HLS result, the graph merges with the result's own
-    bindings and ``merge_shared=False`` is the switch to the unmerged
-    graph; bindings passed as well (``None`` included) are refused, not
-    ignored."""
+    """Given the HLS result, the graph merges exactly the operations the
+    result's own bindings share, and ``merge_shared=False`` is the
+    switch to the unmerged graph."""
     m, _ = shared_mul_chain()
     hls = synthesize(m)
-    assert edges(build_dependency_graph(hls)) == edges(
-        build_dependency_graph(hls.module, hls.bindings))
-    assert edges(build_dependency_graph(hls, merge_shared=False)) == edges(
-        build_dependency_graph(hls.module, None))
-    for bindings in (None, hls.bindings):
-        with pytest.raises(TypeError, match="its own bindings"):
-            build_dependency_graph(hls, bindings)
+    merged = build_dependency_graph(hls)
+    plain = build_dependency_graph(hls, merge_shared=False)
+    groups = hls.bindings["top"].shared_groups()
+    assert groups
+    for uids in groups:
+        assert len({merged.node_for(uid) for uid in uids}) == 1
+        assert len({plain.node_for(uid) for uid in uids}) == len(uids)
+    assert plain.n_nodes() - merged.n_nodes() == sum(
+        len(uids) - 1 for uids in groups)
 
 
 def test_call_edges_cross_functions(tiny_module):
     m = tiny_module
-    g = build_dependency_graph(m)
+    g = build_dependency_graph(synthesize(m))
     top = m.functions["top"]
     square = m.functions["square"]
     call = top.ops_of("call")[0]
@@ -141,7 +142,7 @@ def test_call_edges_cross_functions(tiny_module):
 
 
 def test_graph_counts(tiny_module):
-    g = build_dependency_graph(tiny_module)
+    g = build_dependency_graph(synthesize(tiny_module))
     assert g.n_nodes() == len(g.op_rows) + int(g.is_port.sum())
     assert g.n_edges() > 0
     with pytest.raises(FeatureError):
@@ -160,15 +161,16 @@ def test_chain_graph_structure(n):
     v = b.add(x, x)
     for _ in range(n - 1):
         v = b.add(v, v)
-    g = build_dependency_graph(m)
+    b.write_port(x, v)  # keeps the chain live through synthesis
+    g = build_dependency_graph(synthesize(m))
     assert np.all(g.in_counts()[g.op_rows] <= 2)
-    # chain length preserved
-    assert len(g.op_rows) == n
+    # chain length preserved, plus the port write
+    assert len(g.op_rows) == n + 1
 
 
 def test_build_dependency_graph_returns_frozen_graph(tiny_module):
     hls = synthesize(tiny_module)
-    graph = build_dependency_graph(hls.module, hls.bindings)
+    graph = build_dependency_graph(hls)
     assert graph.n_nodes() == len(graph.node_ids) == graph.n
     assert graph.n_edges() == len(graph.e_w)
     for name in ("node_ids", "e_src", "e_dst", "e_w", "rep_uid",
@@ -183,7 +185,7 @@ def test_build_dependency_graph_returns_frozen_graph(tiny_module):
 
 def test_structure_matches_graph_queries(tiny_module):
     hls = synthesize(tiny_module)
-    graph = build_dependency_graph(hls.module, hls.bindings)
+    graph = build_dependency_graph(hls)
     view = ReferenceGraph(graph)
     assert [int(n) for n in graph.node_ids] == list(view.g.nodes)
     for row, node_id in enumerate(graph.node_ids.tolist()):
@@ -202,7 +204,7 @@ def test_pickled_graph_carries_no_snapshot(tiny_module):
     identity, and neither a pickled graph nor a pickled result carries
     it."""
     hls = synthesize(tiny_module)
-    graph = build_dependency_graph(hls.module, hls.bindings)
+    graph = build_dependency_graph(hls)
     snapshot = compile_snapshot(graph, hls)
     assert compile_snapshot(graph, hls) is snapshot
     assert hls.snapshot_memo == (graph, snapshot)
@@ -215,10 +217,16 @@ def test_pickled_graph_carries_no_snapshot(tiny_module):
     assert compile_snapshot(clone, hls) is not snapshot
 
 
-def test_pre_hls_module_with_hls_bindings_is_rejected(tiny_module):
-    """Bindings name the synthesized module's uids; pairing them with
-    the pre-HLS source must fail instead of building another graph."""
+def test_graph_holds_the_synthesized_operations(tiny_module):
+    """The graph reads only the HLS result, whose bindings name the
+    synthesized module's uids: after an unroll its operations are the
+    synthesized ones, replicas included, never the pre-HLS source's."""
     hls = synthesize(tiny_module, DirectiveSet("u").unroll("top", "L", 3))
-    with pytest.raises(IRError, match="bindings do not match"):
-        build_dependency_graph(tiny_module, hls.bindings)
-    assert build_dependency_graph(hls.module, hls.bindings).n_nodes() > 0
+    graph = build_dependency_graph(hls)
+
+    def uids(module):
+        return {op.uid for func in module.functions.values()
+                for op in func.operations}
+
+    assert set(graph.node_of_op) == uids(hls.module)
+    assert set(graph.node_of_op) - uids(tiny_module)

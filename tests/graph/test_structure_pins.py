@@ -198,24 +198,22 @@ STRUCTURE_PINS = {
 def _combo(name, variant, merge=True):
     design = build_combined(name, scale=0.3, variant=variant)
     hls = synthesize(design.module, design.directives)
-    if merge:
-        return build_dependency_graph(hls.module, hls.bindings)
-    return build_dependency_graph(hls.module, None, merge_shared=False)
+    return build_dependency_graph(hls, merge_shared=merge)
 
 
 def _hand_built(case):
     reset_op_uids()
     if case == "simple":
-        return build_dependency_graph(simple_graph()[0])
-    if case == "tiny":
-        return build_dependency_graph(build_tiny_module())
-    if case == "tiny_hls":
-        hls = synthesize(build_tiny_module())
+        module = simple_graph()[0]
+    elif case in ("tiny", "tiny_hls"):
+        module = build_tiny_module()
     else:
-        hls = synthesize(shared_mul_chain()[0])
-    if case == "shared_muls/unmerged":
-        return build_dependency_graph(hls.module, None)
-    return build_dependency_graph(hls.module, hls.bindings)
+        module = shared_mul_chain()[0]
+    # ``tiny`` is the unmerged build, ``tiny_hls`` the merged one: the
+    # module shares no operator, so the two must agree
+    return build_dependency_graph(
+        synthesize(module),
+        merge_shared=case not in ("tiny", "shared_muls/unmerged"))
 
 
 def _build(case):

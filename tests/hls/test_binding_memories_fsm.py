@@ -12,6 +12,7 @@ from repro.hls import (
     map_function_memories,
     DEFAULT_LIBRARY,
 )
+from repro.hls.tableir import lower_module
 from repro.ir import ArrayDecl, ArrayType, Function, I16, I32, IRBuilder, Module
 
 
@@ -29,10 +30,17 @@ def sequential_muls_module(n=6):
     return m, f
 
 
+def scheduled(m):
+    """The top function's record in ``m``'s table IR, and the module
+    schedule."""
+    t = lower_module(m)
+    return t.functions["top"], Scheduler().schedule_module(t)
+
+
 def test_sequential_muls_share_one_unit():
     m, f = sequential_muls_module()
-    sched = Scheduler().schedule_module(m)
-    binding = Binder().bind_function(f, sched.for_function("top"))
+    top, sched = scheduled(m)
+    binding = Binder().bind_function(top, sched.for_function("top"))
     mul_units = [u for u in binding.units if u.opcode == "mul"]
     assert len(mul_units) == 1
     assert mul_units[0].n_ops == 6
@@ -41,8 +49,9 @@ def test_sequential_muls_share_one_unit():
 
 def test_shared_units_never_overlap_in_time():
     m, f = sequential_muls_module(8)
-    sched = Scheduler().schedule_module(m).for_function("top")
-    binding = Binder().bind_function(f, sched)
+    top, sched = scheduled(m)
+    sched = sched.for_function("top")
+    binding = Binder().bind_function(top, sched)
     for unit in binding.units:
         intervals = sorted(
             (sched.start_of(u),
@@ -55,9 +64,9 @@ def test_shared_units_never_overlap_in_time():
 
 def test_sharing_disabled_gives_unit_per_op():
     m, f = sequential_muls_module()
-    sched = Scheduler().schedule_module(m)
+    top, sched = scheduled(m)
     binding = Binder().bind_function(
-        f, sched.for_function("top"), allow_sharing=False
+        top, sched.for_function("top"), allow_sharing=False
     )
     mul_units = [u for u in binding.units if u.opcode == "mul"]
     assert len(mul_units) == 6
@@ -65,8 +74,8 @@ def test_sharing_disabled_gives_unit_per_op():
 
 def test_shared_unit_gets_input_muxes():
     m, f = sequential_muls_module()
-    sched = Scheduler().schedule_module(m)
-    binding = Binder().bind_function(f, sched.for_function("top"))
+    top, sched = scheduled(m)
+    binding = Binder().bind_function(top, sched.for_function("top"))
     fu_muxes = [mx for mx in binding.muxes if mx.reason == "fu_input"]
     assert len(fu_muxes) == 2  # one per operand port
     assert all(mx.n_inputs == 6 for mx in fu_muxes)
@@ -83,16 +92,16 @@ def test_pipelined_ops_not_shared():
         v = b.mul(x, x, width=16)
         b.mul(v, x, width=16)
     f.loops["L"].pipelined = True
-    sched = Scheduler().schedule_module(m)
-    binding = Binder().bind_function(f, sched.for_function("top"))
+    top, sched = scheduled(m)
+    binding = Binder().bind_function(top, sched.for_function("top"))
     mul_units = [u for u in binding.units if u.opcode == "mul"]
     assert all(u.n_ops == 1 for u in mul_units)
 
 
 def test_unit_of_unknown_op_raises():
     m, f = sequential_muls_module()
-    sched = Scheduler().schedule_module(m)
-    binding = Binder().bind_function(f, sched.for_function("top"))
+    top, sched = scheduled(m)
+    binding = Binder().bind_function(top, sched.for_function("top"))
     with pytest.raises(BindingError):
         binding.unit_of(10**9)
 
@@ -107,8 +116,8 @@ def test_is_shareable_policy():
 
 def test_every_op_is_bound():
     m, f = sequential_muls_module()
-    sched = Scheduler().schedule_module(m)
-    bindings = bind_module(m, sched)
+    t = lower_module(m)
+    bindings = bind_module(t, Scheduler().schedule_module(t))
     for op in f.operations:
         assert bindings["top"].unit_of(op.uid) is not None
 

@@ -8,8 +8,9 @@ import pytest
 
 from repro.errors import IRError
 from repro.graph import build_dependency_graph, compile_snapshot
-from repro.hls import OperatorLibrary, synthesize
-from repro.hls.optable import OPCODE_NAMES
+from repro.hls import DEFAULT_LIBRARY, OperatorLibrary, synthesize
+from repro.hls.optable import OPCODE_NAMES, op_tables
+from repro.hls.tableir import lower_module
 from repro.ir import Function, I16, IRBuilder, Module
 from repro.kernels.combos import build_combined
 
@@ -59,7 +60,9 @@ def test_tables_and_schedule_arrays_are_read_only(hls):
         sched = hls.schedule.for_function(name)
         binding = hls.bindings[name]
         table = sched.table
-        assert binding.table is table and table.function is func
+        assert binding.table is table and table.is_table_of(
+            hls.ir.functions[name])
+        assert table.uid.tolist() == [op.uid for op in func.operations]
         arrays = {**_arrays(table), **_arrays(sched), **_arrays(binding)}
         arrays.update({f"loop {k}": v for k, v in table.loops.items()})
         assert {"uid", "start", "end", "arrival", "fu_of_pos"} <= set(arrays)
@@ -107,8 +110,8 @@ def test_table_matches_the_ir_it_was_lowered_from(hls):
 
 
 def test_a_value_read_across_functions_is_a_typed_error():
-    """Op tables of unverified IR objects (a plain module handed to the
-    graph) refuse an operand produced in another function."""
+    """Op tables of an unverified table IR refuse an operand produced in
+    another function."""
     m = Module("m")
     leaf = Function("leaf")
     m.add_function(leaf)
@@ -118,7 +121,7 @@ def test_a_value_read_across_functions_is_a_typed_error():
     m.add_function(top)
     IRBuilder(top).add(made, made, width=16)
     with pytest.raises(IRError, match="produced outside its function"):
-        build_dependency_graph(m)
+        op_tables(lower_module(m), DEFAULT_LIBRARY)
 
 
 def test_a_module_without_operand_uses_synthesizes():
@@ -132,5 +135,4 @@ def test_a_module_without_operand_uses_synthesizes():
     table = result.schedule.for_function("top").table
     assert table.n == 1 and table.n_operands.tolist() == [0]
     assert [op.opcode for op in result.module.top.operations] == ["ret"]
-    assert build_dependency_graph(m) is not None
     assert build_dependency_graph(result) is not None

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SchedulingError
 from repro.hls import ClockConstraint, Scheduler
+from repro.hls.tableir import lower_module
 from repro.ir import Function, I16, I32, IRBuilder, Module
 
 
@@ -28,7 +29,7 @@ def test_dependences_respected():
     s = b.add(x, x)
     p = b.mul(s, s)       # multi-cycle at width 16
     q = b.add(p, s)
-    sched = Scheduler().schedule_module(m).for_function("top")
+    sched = Scheduler().schedule_module(lower_module(m)).for_function("top")
     for op in f.operations:
         for producer in op.predecessors():
             assert sched.start_of(op.uid) >= sched.end_of(producer.uid)
@@ -40,7 +41,7 @@ def test_chaining_packs_small_ops_into_one_state():
     a = b.add(x, x)
     c = b.add(a, x)
     d = b.add(c, x)
-    sched = Scheduler().schedule_module(m).for_function("top")
+    sched = Scheduler().schedule_module(lower_module(m)).for_function("top")
     # three small adds chain into the same control state
     assert sched.start_of(a.producer.uid) == sched.start_of(d.producer.uid)
 
@@ -51,7 +52,7 @@ def test_chain_breaks_when_budget_exceeded():
     value = x
     for _ in range(12):  # 12 x ~2ns adds cannot fit one 8.75ns state
         value = b.add(value, x)
-    sched = Scheduler().schedule_module(m).for_function("top")
+    sched = Scheduler().schedule_module(lower_module(m)).for_function("top")
     assert sched.n_states > 1
 
 
@@ -60,7 +61,7 @@ def test_memory_port_contention_serializes():
     x = b.arg("x", I16)
     b.array("a", I16, (64,))  # one bank, two ports
     loads = [b.load("a", [b.const(i)]) for i in range(6)]
-    sched = Scheduler().schedule_module(m).for_function("top")
+    sched = Scheduler().schedule_module(lower_module(m)).for_function("top")
     starts = sorted(sched.start_of(v.producer.uid) for v in loads)
     # at most 2 loads per state
     from collections import Counter
@@ -72,7 +73,7 @@ def test_partitioned_memory_allows_parallel_access():
     x = b.arg("x", I16)
     b.array("a", I16, (64,), partition=8)
     loads = [b.load("a", [b.const(i)]) for i in range(6)]
-    sched = Scheduler().schedule_module(m).for_function("top")
+    sched = Scheduler().schedule_module(lower_module(m)).for_function("top")
     starts = {sched.start_of(v.producer.uid) for v in loads}
     assert len(starts) == 1  # all in the same state
 
@@ -83,7 +84,7 @@ def test_loop_latency_multiplies_by_trip_count():
     with b.loop("L", trip_count=10):
         v = b.add(x, x)
         b.mul(v, v)
-    sched = Scheduler().schedule_module(m).for_function("top")
+    sched = Scheduler().schedule_module(lower_module(m)).for_function("top")
     assert sched.latency_cycles >= 10
 
 
@@ -100,8 +101,9 @@ def test_pipelined_loop_latency_uses_ii():
         b2.mul(v, v)
     f2.loops["L"].pipelined = True
     f2.loops["L"].initiation_interval = 1
-    lat_plain = Scheduler().schedule_module(m1).for_function("top").latency_cycles
-    lat_piped = Scheduler().schedule_module(m2).for_function("top").latency_cycles
+    lat_plain, lat_piped = (
+        Scheduler().schedule_module(lower_module(m)).for_function("top")
+        .latency_cycles for m in (m1, m2))
     assert lat_piped < lat_plain
 
 
@@ -119,7 +121,7 @@ def test_call_latency_includes_callee():
     b = IRBuilder(f)
     x = b.arg("x", I16)
     c = b.call("leaf", [x], I16)
-    sched = Scheduler().schedule_module(m)
+    sched = Scheduler().schedule_module(lower_module(m))
     leaf_latency = sched.for_function("leaf").latency_cycles
     top = sched.for_function("top")
     assert top.end_of(c.uid) - top.start_of(c.uid) >= leaf_latency
@@ -130,7 +132,7 @@ def test_delta_tcs_positive():
     x = b.arg("x", I16)
     s = b.add(x, x)
     p = b.mul(s, s)
-    sched = Scheduler().schedule_module(m).for_function("top")
+    sched = Scheduler().schedule_module(lower_module(m)).for_function("top")
     assert sched.delta_tcs(s.producer.uid, p.producer.uid) >= 1
 
 
@@ -149,7 +151,7 @@ def test_random_dags_schedule_legally(data):
         c = values[data.draw(st.integers(0, len(values) - 1))]
         fn = getattr(b, op)
         values.append(fn(a, c))
-    sched = Scheduler().schedule_module(m).for_function("top")
+    sched = Scheduler().schedule_module(lower_module(m)).for_function("top")
     for op in f.operations:
         assert sched.end_of(op.uid) >= sched.start_of(op.uid)
         for producer in op.predecessors():

@@ -114,7 +114,7 @@ def _snapshot_view(snap):
 
 
 def digests(hls) -> dict[str, str]:
-    graph = build_dependency_graph(hls.module, hls.bindings)
+    graph = build_dependency_graph(hls)
     snap = compile_snapshot(graph, hls)
     nodes, X = FeatureExtractor(hls, graph, xc7z020()).extract_all()
     return {

@@ -62,7 +62,7 @@ def ir_objects(module) -> set[int]:
 
 
 def _features(hls):
-    graph = build_dependency_graph(hls.module, hls.bindings)
+    graph = build_dependency_graph(hls)
     return FeatureExtractor(hls, graph, xc7z020()).extract_all()
 
 

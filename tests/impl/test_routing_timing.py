@@ -138,8 +138,7 @@ def test_margin_center_stats_empty_center_is_finite():
 # timing
 # ---------------------------------------------------------------------------
 def test_wire_delay_monotone_in_congestion_and_distance():
-    dev = small_test_device()
-    ta = TimingAnalyzer(dev)
+    ta = TimingAnalyzer()
     assert ta.wire_delay(10, 50) < ta.wire_delay(10, 120)
     assert ta.wire_delay(5, 80) < ta.wire_delay(15, 80)
     assert ta.wire_delay(0, 200) == 0.0
@@ -148,7 +147,7 @@ def test_wire_delay_monotone_in_congestion_and_distance():
 def test_timing_report_fields():
     dev, nl, packing, placement = placed_toy()
     cm = route_design(nl, packing, placement, dev)
-    report = TimingAnalyzer(dev).analyze(
+    report = TimingAnalyzer().analyze(
         nl, packing, placement, cm,
         logic_delay_ns=6.0, target_period_ns=10.0, uncertainty_ns=1.25,
     )
@@ -167,7 +166,7 @@ def test_congestion_raises_achieved_period():
     cm_low = route_design(nl, packing, placement, dev)
     hot_v = cm_low.v_demand + dev.v_tracks * 1.5
     hot = CongestionMap(dev, hot_v, cm_low.h_demand + dev.h_tracks * 1.5)
-    ta = TimingAnalyzer(dev)
+    ta = TimingAnalyzer()
     rep_low = ta.analyze(nl, packing, placement, cm_low,
                          logic_delay_ns=5, target_period_ns=10,
                          uncertainty_ns=1)

@@ -134,8 +134,8 @@ def test_timing_matches_reference(implemented):
     args = (netlist, packing, placement, congestion)
     kwargs = dict(logic_delay_ns=5.0, target_period_ns=10.0,
                   uncertainty_ns=1.25)
-    assert TimingAnalyzer(device).analyze(*args, **kwargs) == \
-        ReferenceTimingAnalyzer(device).analyze(*args, **kwargs)
+    assert TimingAnalyzer().analyze(*args, **kwargs) == \
+        ReferenceTimingAnalyzer().analyze(*args, **kwargs)
 
 
 @pytest.mark.parametrize("heat", [1.0, 1.5])
@@ -152,5 +152,5 @@ def test_timing_matches_reference_on_a_paper_design(heat):
     args = (result.netlist, result.packing, result.placement, congestion)
     kwargs = dict(logic_delay_ns=5.0, target_period_ns=10.0,
                   uncertainty_ns=1.25)
-    assert TimingAnalyzer(result.device).analyze(*args, **kwargs) == \
-        ReferenceTimingAnalyzer(result.device).analyze(*args, **kwargs)
+    assert TimingAnalyzer().analyze(*args, **kwargs) == \
+        ReferenceTimingAnalyzer().analyze(*args, **kwargs)

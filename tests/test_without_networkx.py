@@ -21,17 +21,19 @@ sys.modules["networkx"] = None  # every `import networkx` now raises
 import repro.serve
 from repro.dataset.build import dataset_from_flow
 from repro.features import FeatureExtractor
-from repro.flow import FlowOptions, FlowPipeline, run_flow
+from repro.flow import FlowContext, FlowOptions, FlowPipeline, run_flow
+from repro.flow.pipeline import GraphStage, HLSStage
 from repro.fpga import xc7z020
 from repro.kernels.combos import build_kernel
 
 options = FlowOptions(scale=0.18, placement_effort="fast", seed=0)
 device = xc7z020()
 design = build_kernel("spam_filter", scale=options.scale)
-ctx = FlowPipeline.default().subset(["graph"]).run(design, device, options)
+ctx = FlowPipeline((HLSStage(), GraphStage())).run(design, device, options)
 nodes, X = FeatureExtractor(ctx.hls, ctx.graph, device).extract_all()
 assert X.shape == (len(nodes), 302) and nodes
 result = run_flow("spam_filter", options=options, combined=False)
+assert isinstance(result, FlowContext)
 assert dataset_from_flow(result).n_samples > 0
 print("ran without networkx")
 """

@@ -166,8 +166,9 @@ def test_disk_cache_atomic_write_leaves_no_temp_files(tmp_path):
 
 
 def test_disk_cache_handles_deeply_nested_payloads(tmp_path):
-    """Full-scale FlowResults nest far past the default recursion
-    limit; pickling them must neither crash nor skip persistence."""
+    """Full-scale flow results (completed FlowContexts) nest far past
+    the default recursion limit; pickling them must neither crash nor
+    skip persistence."""
     node = None
     for i in range(50_000):
         node = (i, node)
