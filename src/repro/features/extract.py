@@ -11,8 +11,14 @@ once per node — O(n · d²) Python.  This module computes the identical
 * one- and two-hop neighbourhood sums as segmented reductions;
 * two-hop *set* semantics (the reference unions Python sets before
   summing) via pair expansion: enumerate (node, neighbour-of-neighbour)
-  pairs with CSR gathers, dedup with one ``np.unique`` over packed keys,
-  then segment-sum — no per-node work at any size;
+  pairs with CSR gathers, dedup with one sort over packed keys, then
+  segment-sum — no per-node work at any size;
+* except through hubs for the two-hop pred/succ/neighbour *counts*: a
+  node whose list is longer than both 64 and the bitset row width is
+  one bitset row, ORed into every row that reaches it, so a load read
+  by d unrolled replicas costs d bitset ORs instead of d² pairs.  Only
+  these integer counts take that path; every float statistic keeps the
+  pair expansion and its summation order;
 * two-hop *path* semantics (the #Resource/ΔTcs category accumulates per
   path, not per unique node) via the same expansion without the dedup;
 * opcode one-hots and neighbour opcode counts as index scatters;
@@ -23,7 +29,7 @@ once per node — O(n · d²) Python.  This module computes the identical
 Equivalence with the reference is pinned to <= 1e-9 by
 ``tests/features/test_vectorized_equivalence.py`` across all paper
 combinations, directive variants, merged shared-unit nodes and port
-nodes.
+nodes, and by ``tests/features/test_hub_counts.py`` on hand-built hubs.
 """
 
 from __future__ import annotations
@@ -66,10 +72,14 @@ def _segment_max(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     shape = (n,) if values.ndim == 1 else (n, values.shape[1])
     out = np.zeros(shape, dtype=np.float64)
     if len(rows):
-        starts = np.flatnonzero(np.concatenate(([True],
-                                                rows[1:] != rows[:-1])))
+        starts = _run_starts(rows)
         out[rows[starts]] = np.maximum.reduceat(values, starts, axis=0)
     return out
+
+
+def _run_starts(rows: np.ndarray) -> np.ndarray:
+    """Start of each run of equal values in the non-empty ``rows``."""
+    return np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
 
 
 def _expand(g_rows: np.ndarray, g_vals: np.ndarray,
@@ -110,6 +120,79 @@ def _unique_pairs(rows: np.ndarray, vals: np.ndarray, n: int):
     urows, uvals = key // n, key % n
     diag = urows != uvals
     return urows[diag], uvals[diag]
+
+
+#: A two-hop count expands a node's list once for every neighbour that
+#: reaches it, so a broadcast node (one load read by every replica of an
+#: unrolled loop) costs the square of its degree in pairs.  A node whose
+#: list is longer than both this floor and the bitset row width
+#: ``(n + 63) // 64`` is a hub: ORing its bitset row into a row touches
+#: fewer words than the pairs it replaces.  The floor keeps graphs with
+#: no list longer than 64 entries on the pair path alone.
+_HUB_MIN_DEGREE = 64
+
+
+def _bit(k: np.ndarray) -> np.ndarray:
+    """Each node's bit within its 64-bit word of a bitset row."""
+    return np.left_shift(np.uint64(1), (k & 63).astype(np.uint64))
+
+
+def _two_hop_counts(h_rows: np.ndarray, h_indptr: np.ndarray,
+                    h_vals: np.ndarray, und_rows: np.ndarray,
+                    und_nbr: np.ndarray, n: int) -> np.ndarray:
+    """Per row ``r``, the size of ``h(r) ∪ h(u) for u ∈ N(r)``, minus
+    ``r`` itself: the two-hop ``n_pred``/``n_succ``/``n_neigh`` counts,
+    with ``h`` the predecessor, successor or undirected CSR flattened to
+    ``(h_rows, h_vals)`` and ``N`` the undirected one.
+
+    Pairs through non-hub neighbours are expanded and deduplicated as
+    every other two-hop set is.  A hub's list is one bitset row instead:
+    each row ORs the rows of the hubs it reaches and clears its own bit,
+    and its count is the bitset's popcount plus its pairs the bitset
+    does not already hold.  Counts are integers, so they are exactly the
+    all-pairs counts.
+    """
+    width = (n + 63) // 64
+    hub = h_indptr[1:] - h_indptr[:-1] > max(_HUB_MIN_DEGREE, width)
+    via_hub = hub[und_nbr]
+    any_hub = bool(via_hub.any())
+    g_rows, g_vals = und_rows, und_nbr
+    if any_hub:
+        g_rows, g_vals = und_rows[~via_hub], und_nbr[~via_hub]
+    two_rows, two_vals = _expand(g_rows, g_vals, h_indptr, h_vals)
+    pair_rows, pair_vals = _unique_pairs(
+        np.concatenate([h_rows, two_rows]),
+        np.concatenate([h_vals, two_vals]), n,
+    )
+    if not any_hub:
+        return np.bincount(pair_rows, minlength=n)
+
+    # one bitset row per hub: bit k is set when k is on the hub's list
+    n_hubs = int(hub.sum())
+    hub_slot = np.full(n, -1)
+    hub_slot[hub] = np.arange(n_hubs)
+    on_hub = hub[h_rows]
+    members = h_vals[on_hub]
+    hub_bits = np.zeros((n_hubs, width), dtype=np.uint64)
+    np.bitwise_or.at(hub_bits, (hub_slot[h_rows[on_hub]], members >> 6),
+                     _bit(members))
+    # every row that reaches a hub ORs its bitset (und_rows is sorted)
+    hub_rows = und_rows[via_hub]
+    starts = _run_starts(hub_rows)
+    reach = hub_rows[starts]
+    bits = np.bitwise_or.reduceat(hub_bits[hub_slot[und_nbr[via_hub]]],
+                                  starts, axis=0)
+    bits[np.arange(len(reach)), reach >> 6] &= ~_bit(reach)
+
+    # a pair counts unless its row's bitset already holds it
+    row_slot = np.full(n, -1)
+    row_slot[reach] = np.arange(len(reach))
+    held = row_slot[pair_rows] >= 0
+    k = pair_vals[held]
+    held[held] = (bits[row_slot[pair_rows[held]], k >> 6] & _bit(k)) != 0
+    counts = np.bincount(pair_rows[~held], minlength=n)
+    counts[reach] += np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
+    return counts
 
 
 # ----------------------------------------------------------------------
@@ -167,28 +250,19 @@ def _compute_matrix(snap: GraphSnapshot, device_vec: np.ndarray):
     max_in2 = np.maximum(max_in, _segment_max(und_rows, max_in[und_nbr], n))
     max_out2 = np.maximum(max_out, _segment_max(und_rows, max_out[und_nbr], n))
 
-    ball_pred = _expand(und_rows, und_nbr, in_indptr, in_nbr)
-    pred2_rows, pred2_vals = _unique_pairs(
-        np.concatenate([in_rows, ball_pred[0]]),
-        np.concatenate([in_nbr, ball_pred[1]]), n,
-    )
-    ball_succ = _expand(und_rows, und_nbr, out_indptr, out_nbr)
-    succ2_rows, succ2_vals = _unique_pairs(
-        np.concatenate([out_rows, ball_succ[0]]),
-        np.concatenate([out_nbr, ball_succ[1]]), n,
-    )
-    hop2 = _expand(und_rows, und_nbr, und_indptr, s.und_nbr)
-    neigh2_rows, _neigh2_vals = _unique_pairs(
-        np.concatenate([und_rows, hop2[0]]),
-        np.concatenate([und_nbr, hop2[1]]), n,
-    )
+    n_pred2 = _two_hop_counts(in_rows, in_indptr, in_nbr,
+                              und_rows, und_nbr, n)
+    n_succ2 = _two_hop_counts(out_rows, out_indptr, out_nbr,
+                              und_rows, und_nbr, n)
+    n_neigh2 = _two_hop_counts(und_rows, und_indptr, und_nbr,
+                               und_rows, und_nbr, n)
     ic2 = T.ic["2hop"]
     M[:, ic2["fan_in"]] = fan_in2
     M[:, ic2["fan_out"]] = fan_out2
     M[:, ic2["fan_total"]] = fan_in2 + fan_out2
-    M[:, ic2["n_pred"]] = np.bincount(pred2_rows, minlength=n)
-    M[:, ic2["n_succ"]] = np.bincount(succ2_rows, minlength=n)
-    M[:, ic2["n_neigh"]] = np.bincount(neigh2_rows, minlength=n)
+    M[:, ic2["n_pred"]] = n_pred2
+    M[:, ic2["n_succ"]] = n_succ2
+    M[:, ic2["n_neigh"]] = n_neigh2
     M[:, ic2["max_edge_wires"]] = np.maximum(max_in2, max_out2)
     M[:, ic2["max_in_edge_pct_fan_in"]] = max_in2 / (fan_in2 + _EPS)
     M[:, ic2["max_out_edge_pct_fan_out"]] = max_out2 / (fan_out2 + _EPS)

@@ -23,6 +23,7 @@ import numpy as np
 from repro.dataset.build import CongestionDataset
 from repro.errors import MLError
 from repro.features.extract import FeatureExtractor
+from repro.flow import pipeline as flow_pipeline
 from repro.fpga.device import Device, xc7z020
 from repro.graph.depgraph import build_dependency_graph
 from repro.hls.synthesis import HLSResult, synthesize
@@ -244,13 +245,15 @@ class CongestionPredictor:
         """Predict per-operation congestion from HLS artifacts only.
 
         ``hls`` is the design's synthesis result, computed here when not
-        given; every structural read goes to its op tables, and no IR
-        object of the synthesized module is built.
+        given under the flow's clock, as the flow's HLS stage does; every
+        structural read goes to its op tables, and no IR object of the
+        synthesized module is built.
         """
         self._check_fitted()
         start = time.perf_counter()
         if hls is None:
-            hls = synthesize(design.module, design.directives)
+            hls = synthesize(design.module, design.directives,
+                             clock=flow_pipeline.FLOW_CLOCK)
         graph = build_dependency_graph(hls)
         extractor = FeatureExtractor(hls, graph, self.device)
         nodes, X = extractor.extract_all()

@@ -138,6 +138,14 @@ def _row_multipliers(n_columns: int) -> np.ndarray:
     return rng.integers(0, 2**64, n_columns, dtype=np.uint64) | np.uint64(1)
 
 
+#: rows :func:`_distinct_rows` hashes and verifies per step.  A block of
+#: 302-column feature rows keeps each step's temporaries (the folded
+#: words, the gathered first rows) near 0.6 MB instead of two copies of
+#: the whole matrix, and is still large enough that the few NumPy calls
+#: per block cost little against the work in them.
+_DISTINCT_BLOCK_ROWS = 256
+
+
 def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(rows, inverse)`` with ``rows[inverse]`` equal to ``X``: the
     distinct rows of ``X`` (read-only) and each row's index among them.
@@ -149,18 +157,24 @@ def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``X`` word for word; a collision falls back to sorting the rows'
     bytes.  Either way rows are compared by their bytes, so the split is
     exact: equal bytes are equal values.  (A ``-0.0``/``0.0`` pair stays
-    two rows.)
+    two rows.)  Hashing and the check both run over blocks of
+    :data:`_DISTINCT_BLOCK_ROWS` rows, so neither copies the matrix.
     """
     X = np.ascontiguousarray(X)
     if X.dtype.itemsize == 8 and X.ndim == 2 and X.shape[1]:
         words = X.view(np.uint64)
-        folded = words >> np.uint64(32)
-        folded ^= words
-        keys = folded @ _row_multipliers(X.shape[1])
-        del folded  # as large as X: free it before the check's gather
+        multipliers = _row_multipliers(X.shape[1])
+        blocks = [slice(start, start + _DISTINCT_BLOCK_ROWS)
+                  for start in range(0, len(X), _DISTINCT_BLOCK_ROWS)]
+        keys = np.empty(len(X), dtype=np.uint64)
+        for block in blocks:
+            folded = words[block] >> np.uint64(32)
+            folded ^= words[block]
+            np.matmul(folded, multipliers, out=keys[block])
         _, first, inverse = np.unique(keys, return_index=True,
                                       return_inverse=True)
-        if np.array_equal(words[first[inverse]], words):
+        if all(np.array_equal(words[first[inverse[block]]], words[block])
+               for block in blocks):
             rows = X[first]
             rows.setflags(write=False)
             return rows, inverse

@@ -25,6 +25,7 @@ from repro.features import FeatureExtractor
 from repro.features.registry import registry_hash
 from repro.flow import FlowOptions
 from repro.fpga.device import device_fingerprint, small_test_device, xc7z020
+from repro.hls.scheduling import ClockConstraint
 from repro.impl.routing import RoutingOptions
 from repro.kernels.combos import PAPER_COMBINATIONS, build_kernel
 from repro.predict import CongestionPredictor
@@ -444,6 +445,28 @@ def test_service_scores_distinct_rows_bit_identically(monkeypatch,
         assert batched.regions == prediction.hottest_regions(request.top)
 
 
+def test_service_and_predict_design_share_the_flow_clock(monkeypatch,
+                                                        trained_gbrt):
+    """The service synthesizes in the flow's HLS stage, predict_design
+    on its own; both read the flow clock, so with it at 8 ns they still
+    give the same answer, and one the 10 ns design does not."""
+    request = PredictRequest("face_detection")
+    design = build_design_for(request.design, request.variant, SCALE,
+                              request.directives)
+    at_10ns = trained_gbrt.predict_design(design)
+    monkeypatch.setattr(pipeline_mod, "FLOW_CLOCK",
+                        ClockConstraint(period_ns=8.0, uncertainty_ns=1.25))
+    served = _service_serving(trained_gbrt).predict(request)
+    prediction = trained_gbrt.predict_design(design)
+    assert served.latency_cycles \
+        == prediction.hls.top_report.latency_cycles \
+        != at_10ns.hls.top_report.latency_cycles
+    assert served.n_operations == len(prediction.node_ids)
+    assert served.predicted_max_vertical == prediction.vertical.max()
+    assert served.predicted_max_horizontal == prediction.horizontal.max()
+    assert served.regions == prediction.hottest_regions(request.top)
+
+
 def test_service_second_instance_loads_from_registry(tmp_path):
     registry = ModelRegistry(str(tmp_path))
     first = CongestionService(
@@ -683,23 +706,72 @@ def _assert_exact_split(X, rows, inverse):
     assert len(rows) == len(_byte_rows(rows)) == len(_byte_rows(X))
 
 
+def _split_cases(block: int):
+    """Matrices around the split's block size, with the row pairs each
+    must map to one distinct row: fewer rows than one block, a partial
+    last block, duplicates in different blocks, and no rows at all.
+    Every non-empty one holds a -0.0/0.0 pair at rows 10 and 11."""
+    rng = np.random.default_rng(3)
+    for n_rows in (block // 2 + 3, 2 * block + 17, 0):
+        yield rng.integers(0, 4, size=(n_rows, 7)) * 0.25, []
+    # distinct rows, then one row repeated in every block and a pair on
+    # each side of the first block boundary
+    X = rng.normal(size=(3 * block, 7))
+    X[block + 40] = X[2 * block + 40] = X[40]
+    X[block] = X[block - 1]
+    yield X, [(40, block + 40), (40, 2 * block + 40), (block - 1, block)]
+
+
 @pytest.mark.parametrize("collide", [False, True])
 def test_distinct_rows_split_is_exact(monkeypatch, collide):
     """The hash split is kept only when it reproduces the matrix byte
     for byte; a forced collision (every multiplier zero, so every row
     hashes alike) falls back to the byte sort and is just as exact,
-    and a -0.0/0.0 pair stays two rows either way."""
+    and a -0.0/0.0 pair stays two rows either way.  Hashing and the
+    check run in blocks of rows, so the matrices straddle the block
+    size."""
     from repro.serve import service as service_mod
 
     if collide:
         monkeypatch.setattr(service_mod, "_row_multipliers",
                             lambda n: np.zeros(n, dtype=np.uint64))
-    rng = np.random.default_rng(3)
-    X = rng.integers(0, 4, size=(200, 7)).astype(np.float64) * 0.25
-    X[10] = 0.0
-    X[11] = 0.0
-    X[11, 3] = -0.0
+    for X, copies in _split_cases(service_mod._DISTINCT_BLOCK_ROWS):
+        if len(X):
+            X[10] = 0.0
+            X[11] = 0.0
+            X[11, 3] = -0.0
+        rows, inverse = service_mod._distinct_rows(X)
+        _assert_exact_split(X, rows, inverse)
+        assert rows.shape == (len(_byte_rows(X)), 7)
+        assert inverse.shape == (len(X),)
+        assert not rows.flags.writeable
+        if len(X):
+            assert inverse[10] != inverse[11]
+        for a, b in copies:
+            assert inverse[a] == inverse[b]
+        if copies:
+            assert len(rows) == len(X) - len(copies)
+
+
+def test_distinct_rows_checks_every_block(monkeypatch):
+    """A collision that only the last block holds still falls back to
+    the byte sort: the hash reads column 0 alone, which is distinct in
+    every row but one in the partial last block."""
+    from repro.serve import service as service_mod
+
+    def first_column_only(n):
+        multipliers = np.zeros(n, dtype=np.uint64)
+        multipliers[0] = 1
+        return multipliers
+
+    monkeypatch.setattr(service_mod, "_row_multipliers", first_column_only)
+    block = service_mod._DISTINCT_BLOCK_ROWS
+    n_rows = 2 * block + 17
+    X = np.zeros((n_rows, 5))
+    X[:, 0] = np.arange(n_rows)
+    X[-1, 0] = 3.0
+    X[-1, 4] = 1.0            # same hash as row 3, different row
     rows, inverse = service_mod._distinct_rows(X)
     _assert_exact_split(X, rows, inverse)
-    assert inverse[10] != inverse[11]
-    assert not rows.flags.writeable
+    assert len(rows) == n_rows
+    assert inverse[3] != inverse[-1]
