@@ -1,9 +1,5 @@
 """Back-tracing congestion metrics to IR operations (paper Fig. 3)."""
 
-from repro.backtrace.trace import (
-    OpCongestionLabel,
-    BacktraceResult,
-    Backtracer,
-)
+from repro.backtrace.trace import BacktraceResult, Backtracer
 
-__all__ = ["OpCongestionLabel", "BacktraceResult", "Backtracer"]
+__all__ = ["BacktraceResult", "Backtracer"]

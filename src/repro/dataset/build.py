@@ -13,7 +13,9 @@ for the Section III-C1 marginal-sample filter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -24,24 +26,43 @@ from repro.errors import DatasetError
 from repro.features.extract import FeatureExtractor
 from repro.features.registry import N_FEATURES
 from repro.flow import FlowContext, FlowOptions, run_flow
+from repro.hls.tableir import OPCODE_NAMES, ranges
 from repro.kernels.combos import PAPER_COMBINATIONS
 from repro.util.cache import cached_property_store, disk_cache_from_env
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleMeta:
-    """Provenance of one dataset sample."""
+    """Provenance of a dataset's samples: one array per field, one entry
+    per sample.  String fields are object arrays; ``unroll_group`` is
+    None for samples outside unrolled loops.  ``eq=False``: compare the
+    fields with :func:`numpy.array_equal`."""
 
-    design: str
-    op_uid: int
-    instance: str
-    function: str
-    opcode: str
-    source_file: str
-    source_line: int
-    unroll_group: str | None
-    replica_index: int
-    at_margin: bool
+    design: np.ndarray
+    op_uid: np.ndarray
+    instance: np.ndarray
+    function: np.ndarray
+    opcode: np.ndarray
+    source_file: np.ndarray
+    source_line: np.ndarray
+    unroll_group: np.ndarray
+    replica_index: np.ndarray
+    at_margin: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.op_uid)
+
+    def take(self, indices) -> "SampleMeta":
+        """The samples at ``indices``, in that order."""
+        return SampleMeta(**{f.name: getattr(self, f.name)[indices]
+                             for f in fields(self)})
+
+    def concat(self, other: "SampleMeta") -> "SampleMeta":
+        return SampleMeta(**{
+            f.name: np.concatenate([getattr(self, f.name),
+                                    getattr(other, f.name)])
+            for f in fields(self)
+        })
 
 
 @dataclass
@@ -51,7 +72,7 @@ class CongestionDataset:
     X: np.ndarray
     y_vertical: np.ndarray
     y_horizontal: np.ndarray
-    meta: list[SampleMeta] = field(default_factory=list)
+    meta: SampleMeta
 
     def __post_init__(self) -> None:
         n = self.X.shape[0]
@@ -89,7 +110,7 @@ class CongestionDataset:
             X=self.X[indices],
             y_vertical=self.y_vertical[indices],
             y_horizontal=self.y_horizontal[indices],
-            meta=[self.meta[int(i)] for i in indices],
+            meta=self.meta.take(indices),
         )
 
     def concat(self, other: "CongestionDataset") -> "CongestionDataset":
@@ -99,7 +120,7 @@ class CongestionDataset:
             y_horizontal=np.concatenate(
                 [self.y_horizontal, other.y_horizontal]
             ),
-            meta=[*self.meta, *other.meta],
+            meta=self.meta.concat(other.meta),
         )
 
     # ------------------------------------------------------------------
@@ -114,25 +135,22 @@ class CongestionDataset:
         at the device margin, and its label falls well below its replica
         group's typical label.
         """
+        meta = self.meta
+        samples = list(zip(meta.design.tolist(), meta.unroll_group.tolist(),
+                           meta.at_margin.tolist(), self.y_vertical.tolist()))
         group_values: dict[tuple[str, str], list[float]] = {}
-        for i, meta in enumerate(self.meta):
-            if meta.unroll_group is not None:
-                key = (meta.design, meta.unroll_group)
-                group_values.setdefault(key, []).append(
-                    float(self.y_vertical[i])
-                )
+        for design, group, _, y in samples:
+            if group is not None:
+                group_values.setdefault((design, group), []).append(y)
         medians = {
             key: float(np.median(values))
             for key, values in group_values.items()
         }
-        mask = np.zeros(self.n_samples, dtype=bool)
-        for i, meta in enumerate(self.meta):
-            if meta.unroll_group is None or not meta.at_margin:
-                continue
-            median = medians[(meta.design, meta.unroll_group)]
-            if self.y_vertical[i] < 0.75 * median:
-                mask[i] = True
-        return mask
+        return np.array([
+            group is not None and at_margin
+            and y < 0.75 * medians[(design, group)]
+            for design, group, at_margin, y in samples
+        ], dtype=bool)
 
     def filter_marginal(self) -> tuple["CongestionDataset", dict]:
         """Remove marginal samples; returns (filtered dataset, stats)."""
@@ -155,51 +173,85 @@ class CongestionDataset:
 
 
 def dataset_from_flow(result: FlowContext) -> CongestionDataset:
-    """Extract the labelled samples of one implemented design."""
-    graph = result.graph
-    extractor = FeatureExtractor(result.hls, graph, result.device)
-    nodes, matrix = extractor.extract_all()
+    """Extract the labelled samples of one implemented design.
 
-    rows: list[np.ndarray] = []
-    y_v: list[float] = []
-    y_h: list[float] = []
-    meta: list[SampleMeta] = []
-    module = result.hls.module
+    One sample per (graph node, label of its representative op): the
+    node's row of the memoized feature matrix, the label's congestion,
+    and provenance read from the synthesized table IR.
+    """
+    hls = result.require("hls")
+    graph = result.require("graph")
+    labels = result.require("labels")
+    nodes, matrix = FeatureExtractor(hls, graph, result.device).extract_all()
 
-    for row, rep_uid in zip(matrix, graph.rep_uids(nodes)):
-        labels = result.labels.by_op.get(rep_uid, [])
-        if not labels:
-            continue
-        op = module.op_by_uid(rep_uid)
-        for label in labels:
-            rows.append(row)
-            y_v.append(label.vertical)
-            y_h.append(label.horizontal)
-            meta.append(
-                SampleMeta(
-                    design=result.design.name,
-                    op_uid=rep_uid,
-                    instance=label.instance,
-                    function=op.parent.name,
-                    opcode=op.opcode,
-                    source_file=op.loc.file,
-                    source_line=op.loc.line,
-                    unroll_group=op.attrs.get("unroll_group"),
-                    replica_index=int(op.attrs.get("replica_index", 0)),
-                    at_margin=label.at_margin,
-                )
-            )
-
-    if not rows:
+    # each node's labels, in label order
+    rep = np.asarray(graph.rep_uids(nodes), dtype=np.int64)
+    by_uid = np.argsort(labels.op_uid, kind="stable")
+    uids = labels.op_uid[by_uid]
+    lo = np.searchsorted(uids, rep, side="left")
+    n_labels = np.searchsorted(uids, rep, side="right") - lo
+    label = by_uid[ranges(lo, n_labels)]
+    if not len(label):
         raise DatasetError(
             f"flow for {result.design.name} produced no labelled samples"
         )
+    node = np.repeat(np.arange(len(rep)), n_labels)
     return CongestionDataset(
-        X=np.asarray(rows, dtype=np.float64),
-        y_vertical=np.asarray(y_v, dtype=np.float64),
-        y_horizontal=np.asarray(y_h, dtype=np.float64),
-        meta=meta,
+        X=matrix[node],
+        y_vertical=labels.vertical[label],
+        y_horizontal=labels.horizontal[label],
+        meta=_sample_meta(result, rep[node], labels.cell[label],
+                          labels.at_margin[label]),
     )
+
+
+def _sample_meta(result: FlowContext, op_uid, cell, at_margin) -> SampleMeta:
+    """Provenance of samples of ops ``op_uid`` implemented by ``cell``,
+    read from the table IR's columns; where an unrolling column is unset
+    it falls back to the op's source attributes."""
+    t = result.hls.ir
+    rows = t.op_rows(op_uid)
+    n = len(rows)
+    unroll_group = _source_attr(t, rows, "unroll_group", None)
+    grp = t.op_grp[rows]
+    unrolled = grp >= 0
+    if unrolled.any():
+        # one name per distinct (group, group uid) pair
+        grp_uid = t.op_grp_uid[rows[unrolled]]
+        span = int(grp_uid.max()) + 2
+        keys, at = np.unique(grp[unrolled] * span + grp_uid + 1,
+                             return_inverse=True)
+        names = np.fromiter(
+            (f"{t.group_names[k // span]}{k % span - 1}"
+             for k in keys.tolist()), dtype=object, count=len(keys))
+        unroll_group[unrolled] = names[at.reshape(-1)]
+    replica = t.op_replica[rows]
+    replica = np.where(replica >= 0, replica,
+                       _source_attr(t, rows, "replica_index", 0)
+                       .astype(np.int64))
+    cells = result.require("netlist").cells
+    return SampleMeta(
+        design=np.full(n, result.design.name, dtype=object),
+        op_uid=op_uid,
+        instance=np.fromiter(map(attrgetter("instance"),
+                                 map(cells.__getitem__, cell.tolist())),
+                             dtype=object, count=n),
+        function=np.array(t.fnames, dtype=object)[t.op_func[rows]],
+        opcode=np.array(OPCODE_NAMES, dtype=object)[t.op_opcode[rows]],
+        source_file=np.array(t.file_names, dtype=object)[t.op_file[rows]],
+        source_line=t.op_line[rows],
+        unroll_group=unroll_group,
+        replica_index=replica,
+        at_margin=at_margin,
+    )
+
+
+def _source_attr(t, rows, key: str, default) -> np.ndarray:
+    """The source attribute ``key`` of each op in ``rows``, as an
+    object array."""
+    attrs = map(t.base_attrs.__getitem__, t.op_base[rows].tolist())
+    return np.fromiter(map(dict.get, attrs, repeat(key), repeat(default)),
+                       dtype=object, count=len(rows))
 
 
 def _combo_dataset_part(

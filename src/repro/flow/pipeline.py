@@ -96,10 +96,10 @@ class FlowContext:
     execution order.
 
     ``design.module`` is the pre-HLS source; the synthesized design that
-    labels, graph and netlist refer to is ``hls``, whose ``hls.module``
-    builds its IR objects from the synthesized table on first read (RTL
-    elaboration already did, and a context unpickled from the disk cache
-    does it again when read).
+    labels, graph and netlist refer to is ``hls``.  Every stage, the
+    dataset assembly and :meth:`summary` read it as tables (``hls.ir``
+    and its op tables); ``hls.module`` builds its IR objects only for a
+    reader that asks, such as :meth:`Backtracer.ops_in_tile`.
     """
 
     design: KernelDesign
@@ -135,7 +135,7 @@ class FlowContext:
     @property
     def backtracer(self) -> Backtracer:
         return Backtracer(
-            self.require("hls").module, self.require("netlist"),
+            self.require("hls"), self.require("netlist"),
             self.require("packing"), self.require("placement"),
             self.require("congestion"),
         )
@@ -148,7 +148,7 @@ class FlowContext:
         return {
             "name": self.design.name,
             "variant": self.design.variant,
-            "ops": hls.module.n_ops(),
+            "ops": hls.ir.n_ops(),
             "latency_cycles": hls.latency_cycles,
             "lut": hls.top_report.hierarchical_resources["LUT"],
             "wns_ns": timing.wns_ns,
@@ -297,9 +297,9 @@ class FlowPipeline:
 
         ``design`` is never modified: the HLS stage only reads its
         module, so ``ctx.design.module`` stays the pre-HLS source.  The
-        synthesized design is ``ctx.hls``: the graph stage reads its op
-        tables, and ``ctx.hls.module`` builds its IR objects for the
-        stages that walk them (RTL elaboration, back-tracing).
+        synthesized design is ``ctx.hls``: RTL elaboration, the graph and
+        back-tracing read its table IR, op tables and binding arrays, so
+        no stage builds its IR objects.
 
         ``deadline`` (a ``time.monotonic()`` timestamp, as produced by
         :class:`repro.serve.resilience.Deadline`) is checked before each

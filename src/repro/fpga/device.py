@@ -180,11 +180,24 @@ class Device:
         filter uses this predicate to identify marginal replicas.
         """
         self.check_coords(x, y)
-        mx = max(1, int(round(self.n_cols * fraction)))
-        my = max(1, int(round(self.n_rows * fraction)))
+        mx, my = self._margin_widths(fraction)
         return (
             x < mx or x >= self.n_cols - mx or y < my or y >= self.n_rows - my
         )
+
+    def margin_mask(self, fraction: float = 0.12) -> np.ndarray:
+        """:meth:`is_margin` of every tile, as a bool array indexed
+        ``[y, x]``."""
+        mx, my = self._margin_widths(fraction)
+        cols = np.arange(self.n_cols)
+        rows = np.arange(self.n_rows)
+        return (((rows < my) | (rows >= self.n_rows - my))[:, None]
+                | ((cols < mx) | (cols >= self.n_cols - mx))[None, :])
+
+    def _margin_widths(self, fraction: float) -> tuple[int, int]:
+        """Columns and rows of the margin ring at ``fraction``."""
+        return (max(1, int(round(self.n_cols * fraction))),
+                max(1, int(round(self.n_rows * fraction))))
 
 
 def device_fingerprint(device: Device) -> tuple:

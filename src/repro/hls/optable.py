@@ -12,9 +12,9 @@ once, so no reader downstream touches an
 does not.
 
 The paper's wire-count rule (edge weights, Section III-A2) is stated
-once here, at the width level (:func:`wire_cap`): RTL elaboration
-applies it to objects, the lowering stores it per operation for the
-graph's array build.
+once here, at the width level (:func:`wire_cap`): the lowering stores
+it per operation, and the graph's array build and RTL elaboration apply
+it elementwise (:func:`connection_wires`).
 """
 
 from __future__ import annotations

@@ -12,10 +12,12 @@ the directives, the front-end passes and verification are functions
 from one table to the next (:mod:`repro.hls.frontend`), so one design
 can be synthesized under many directive sets.  The final table yields
 the op tables scheduling, binding, reports, the dependency graph and the
-feature snapshot read.  ``HLSResult.module`` is the synthesized IR as
-objects, built from the final table the first time a reader asks for it
-(RTL elaboration, back-tracing, dataset metadata, tests); prediction
-never does.
+feature snapshot read; RTL elaboration, back-tracing, dataset metadata
+and the flow summary read the table, its op tables and the binding
+arrays too.  ``HLSResult.module`` is the synthesized IR as objects,
+built from the final table the first time a reader asks for it (the
+reference oracles, ``Backtracer.ops_in_tile``, tests); neither a
+prediction nor a label flow does.
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ from repro.ir.module import Module
 class HLSResult:
     """Everything HLS produces for one design.
 
-    ``ir`` is the synthesized design as a table; :attr:`module` builds
-    its IR objects on first read.  The feature snapshot compiled against
+    ``ir`` is the synthesized design as a table, which every stage of
+    the flow reads; :attr:`module` builds its IR objects on first read,
+    for readers outside the flow.  The feature snapshot compiled against
     this result is memoized here (see
     :func:`repro.graph.snapshot.compile_snapshot`): the result holds the
     graph, and the graph holds nothing back, so a request's artifacts

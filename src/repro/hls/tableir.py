@@ -212,6 +212,27 @@ class ModuleTable:
         order = self.module_order()
         return int(self.op_uid[order].max()) + 1 if len(order) else 0
 
+    def n_ops(self) -> int:
+        """Number of live ops."""
+        return sum(len(f.order) for f in self.functions.values())
+
+    def op_rows(self, uids) -> np.ndarray:
+        """The row of the live op with each uid in ``uids``, as
+        :meth:`~repro.ir.module.Module.op_by_uid` finds it (the last in
+        module order when a uid repeats); :class:`IRError` for a uid no
+        live op has."""
+        order = self.module_order()
+        ids = self.op_uid[order]
+        by_uid = np.argsort(ids, kind="stable")
+        uids = np.asarray(uids, dtype=np.int64)
+        at = np.searchsorted(ids, uids, side="right", sorter=by_uid) - 1
+        found = at >= 0
+        found[found] = ids[by_uid[at[found]]] == uids[found]
+        if not found.all():
+            raise IRError(f"no operation with uid {int(uids[~found][0])} "
+                          f"in module {self.name}")
+        return order[by_uid[at]]
+
     def attr(self, op: int, key: str, default=None):
         """An attribute no transform writes (e.g. ``callee``, ``port``,
         ``reduce``), read from the op's source attributes."""

@@ -1,7 +1,7 @@
 """RTL netlist model and elaboration from HLS results."""
 
 from repro.rtl.netlist import CELL_KINDS, Cell, Net, Netlist
-from repro.rtl.generate import RTLGenerator, generate_netlist, consumed_bits
+from repro.rtl.generate import RTLGenerator, generate_netlist
 
 __all__ = [
     "CELL_KINDS",
@@ -10,5 +10,4 @@ __all__ = [
     "Netlist",
     "RTLGenerator",
     "generate_netlist",
-    "consumed_bits",
 ]

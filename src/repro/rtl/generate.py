@@ -16,22 +16,38 @@ Connectivity rules:
 * each instance's FSM cell fans out a control net to all of its units;
 * top-level arguments become I/O port cells, connected to the
   ``read_port``/``write_port`` operations that reference them.
+
+Elaboration reads the synthesized design as tables: the table IR
+(``hls.ir``), each function's op table and schedule, and the binding's
+arrays (``fu_of_pos``, ``unit_first``, ``pooled``).  What the op tables
+do not hold — each value's users in the order the IR lists them, call
+operands, constant memory indices — is read from the table IR's use
+rows here.  A function's own cells and nets are planned once, with cell
+ids relative to the instance's first cell, and every instance copies the
+plan under its own path.  The object walk this replaces is kept as the
+oracle in :mod:`repro.rtl._reference`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from repro.errors import RTLError
-from repro.hls.optable import wire_cap
+from repro.hls.optable import (
+    LOAD,
+    OPCODE_NAMES,
+    READ_PORT,
+    RET,
+    WRITE_PORT,
+    connection_wires,
+)
 from repro.hls.synthesis import HLSResult
-from repro.ir.function import Function
-from repro.ir.operation import Operation
-from repro.ir.value import Value
-from repro.rtl.netlist import Netlist
+from repro.hls.tableir import RESULT, ranges
+from repro.rtl.netlist import Cell, Net, Netlist
 
 #: Completely-partitioned register banks are packed into cells of at most
 #: this many flip-flops (mirrors slice register packing).
@@ -40,35 +56,49 @@ _REG_BANK_FF_LIMIT = 64
 #: Control handshake width (start/done) between FSMs and datapath cells.
 _CTRL_WIDTH = 2
 
-
-def consumed_bits(value: Value, consumer: Operation) -> int:
-    """Wires actually consumed from ``value`` by ``consumer``: the
-    paper's edge-weight rule (:func:`repro.hls.optable.wire_cap`)."""
-    result = consumer.result
-    cap = wire_cap(consumer.opcode,
-                   result.bitwidth() if result is not None else None)
-    return min(max(1, value.bitwidth()), cap)
+#: accessors per bank above which the port-mux tree is materialized
+_PORT_MUX_THRESHOLD = 6
 
 
 @dataclass(frozen=True)
 class _ArgRef:
-    """Marks a value that is an argument of the enclosing caller."""
+    """Marks a call operand that is an argument of the caller."""
 
     index: int
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """One function's own cells and nets, as columns, with cell ids
+    relative to an instance's first cell (unit ``k``'s cell is ``k``).
+
+    ``cells`` is (name suffix, kind, lut, ff, dsp, bram18, op uids) and
+    ``nets`` is (name suffix, driver, sinks, width, source op uid); each
+    net's sinks are distinct and exclude its driver.
+    """
+
+    cells: tuple
+    nets: tuple
+    fsm_cell: int
+    #: per argument: (cell, wires) of each of its uses in the function
+    arg_sinks: list
+    ret_cell: int | None
+    ret_width: int
+    #: per call op: (callee, op name, call cell, drivers, result sinks,
+    #: op uid); a driver is (operand index, cell or :class:`_ArgRef`)
+    calls: list
+
+
 @dataclass
 class _Instance:
-    """Bookkeeping for one elaborated function instance."""
+    """One elaborated function instance, in absolute cell ids."""
 
-    path: str
-    function: str
-    op_cell: dict[int, int] = field(default_factory=dict)
-    #: per argument index: (sink cell id, width) pairs
-    arg_sinks: list[list[tuple[int, int]]] = field(default_factory=list)
-    ret_cell: int | None = None
-    ret_width: int = 1
-    fsm_cell: int = -1
+    base: int
+    fsm_cell: int
+    #: per argument: (sink cell, wires), forwarded uses included
+    arg_sinks: list
+    ret_cell: int | None
+    ret_width: int
 
 
 class RTLGenerator:
@@ -76,187 +106,220 @@ class RTLGenerator:
 
     def __init__(self, hls: HLSResult) -> None:
         self.hls = hls
-        self.netlist = Netlist(hls.module.name)
+        t = hls.ir
+        self.netlist = Netlist(t.name)
+        self._plans: dict[str, _Plan] = {}
         self._call_counter: dict[str, int] = {}
+        # each live op's position in its function
+        self._pos = np.full(len(t.op_uid), -1, dtype=np.int64)
+        for rec in t.functions.values():
+            self._pos[rec.order] = np.arange(len(rec.order))
+        self._use_val = t.use_val.tolist()
 
     # ------------------------------------------------------------------
     def generate(self) -> Netlist:
-        top = self.hls.module.top
-        instance = self._elaborate(top, "top")
+        top = self.hls.ir.top
+        instance = self._instantiate(top, "top")
         self._connect_top_ports(top, instance)
         return self.netlist
 
     # ------------------------------------------------------------------
-    def _elaborate(self, func: Function, path: str) -> _Instance:
-        hls = self.hls
-        binding = hls.bindings[func.name]
-        schedule = hls.schedule.for_function(func.name)
-        memory_map = hls.memory_maps[func.name]
-        fsm = hls.fsms[func.name]
+    def _instantiate(self, name: str, path: str) -> _Instance:
+        plan = self._plans.get(name)
+        if plan is None:
+            plan = self._plans[name] = self._plan(name)
         nl = self.netlist
+        base = len(nl.cells)
+        prefix = path + "/"
 
-        inst = _Instance(path=path, function=func.name)
-        inst.arg_sinks = [[] for _ in func.arguments]
-        arg_index = {id(a): i for i, a in enumerate(func.arguments)}
+        suffixes, kinds, lut, ff, dsp, bram, uids = plan.cells
+        m = len(suffixes)
+        nl.cells.extend(map(
+            Cell, range(base, base + m), map(prefix.__add__, suffixes),
+            kinds, lut, ff, dsp, bram, uids, repeat(path, m),
+            repeat(name, m)))
+        of_op = nl.cells_of_op
+        for cell, ops in zip(range(base, base + m), uids):
+            for uid in ops:
+                of_op.setdefault(uid, []).append(cell)
 
-        # --- functional-unit cells -----------------------------------
-        fu_cell: dict[int, int] = {}
-        for unit in binding.units:
-            cell = nl.add_cell(
-                f"{path}/{unit.opcode}_{unit.fu_id}",
-                "fu",
-                lut=unit.spec.lut,
-                ff=unit.spec.ff,
-                dsp=unit.spec.dsp,
-                bram18=unit.spec.bram,
-                op_uids=tuple(unit.op_uids),
-                instance=path,
-                function=func.name,
-            )
-            fu_cell[unit.fu_id] = cell.cell_id
-            for uid in unit.op_uids:
-                inst.op_cell[uid] = cell.cell_id
+        suffixes, net_drivers, sinks, widths, sources = plan.nets
+        first = len(nl.nets)
+        if base:
+            shift = base.__add__
+            net_drivers = list(map(shift, net_drivers))
+            sinks = [tuple(map(shift, s)) for s in sinks]
+        nl.nets.extend(map(
+            Net, range(first, first + len(suffixes)),
+            map(prefix.__add__, suffixes), net_drivers, sinks, widths,
+            sources))
 
-        # --- pipeline registers folded onto producer cells ------------
-        # (multi-cycle units already register their output in the spec)
-        table = schedule.table
-        for pos in np.flatnonzero(schedule.registered_results()).tolist():
-            cell = nl.cells[inst.op_cell[int(table.uid[pos])]]
-            cell.ff += int(table.result_width[pos])
-
-        # --- FSM cell and control fanout ------------------------------
-        fsm_cell = nl.add_cell(
-            f"{path}/fsm", "fsm", lut=fsm.lut, ff=fsm.ff,
-            instance=path, function=func.name,
+        inst = _Instance(
+            base=base,
+            fsm_cell=base + plan.fsm_cell,
+            arg_sinks=[[(c + base, w) for c, w in uses]
+                       for uses in plan.arg_sinks],
+            ret_cell=None if plan.ret_cell is None else base + plan.ret_cell,
+            ret_width=plan.ret_width,
         )
-        inst.fsm_cell = fsm_cell.cell_id
-        fu_cells = sorted(set(fu_cell.values()))
-        if fu_cells:
-            nl.add_net(
-                f"{path}/ctrl", fsm_cell.cell_id, fu_cells, _CTRL_WIDTH
-            )
-
-        # --- memory banks ----------------------------------------------
-        bank_cells = self._emit_memory_banks(func, memory_map, path)
-
-        # --- shared-unit input muxes -----------------------------------
-        mux_of_port: dict[tuple[int, int], int] = {}
-        for unit in binding.units:
-            if not unit.is_shared:
-                continue
-            first = func.op(unit.op_uids[0])
-            n_ports = max(1, len(first.operands))
-            mux_spec = hls.library.mux_spec(max(2, unit.n_ops), unit.width)
-            for port in range(n_ports):
-                mux = nl.add_cell(
-                    f"{path}/mux_fu{unit.fu_id}_p{port}", "mux",
-                    lut=mux_spec.lut, instance=path, function=func.name,
-                )
-                mux_of_port[(unit.fu_id, port)] = mux.cell_id
-                nl.add_net(
-                    f"{path}/mux_fu{unit.fu_id}_p{port}_out",
-                    mux.cell_id, [fu_cell[unit.fu_id]], unit.width,
-                )
-
-        # --- value nets -------------------------------------------------
-        self._emit_value_nets(
-            func, inst, binding, fu_cell, mux_of_port, arg_index, path
-        )
-
-        # --- memory access nets -----------------------------------------
-        self._emit_memory_nets(func, inst, bank_cells, path)
-
-        # --- ret --------------------------------------------------------
-        for op in func.ops_of("ret"):
-            inst.ret_cell = inst.op_cell[op.uid]
-            if op.operands:
-                inst.ret_width = max(1, op.operands[0].bitwidth())
-
-        # --- calls (recurse) ---------------------------------------------
-        self._emit_calls(func, inst, arg_index, path)
-
+        for callee, op_name, call_cell, drivers, ret_sinks, uid in plan.calls:
+            if callee not in self.hls.ir.functions:
+                raise RTLError(f"call {op_name} targets unknown {callee!r}")
+            k = self._call_counter.get(callee, 0)
+            self._call_counter[callee] = k + 1
+            child = self._instantiate(callee, f"{prefix}{callee}.{k}")
+            call_cell += base
+            # start/done handshake with the child's FSM
+            nl.add_net(f"{prefix}{op_name}_hs", call_cell, [child.fsm_cell],
+                       _CTRL_WIDTH)
+            # actual arguments
+            for i, driver in drivers:
+                uses = child.arg_sinks[i] if i < len(child.arg_sinks) else []
+                if not uses:
+                    continue
+                if isinstance(driver, _ArgRef):
+                    # operand is an argument of the caller itself: forward.
+                    inst.arg_sinks[driver.index].extend(uses)
+                else:
+                    nl.add_net(f"{prefix}{op_name}_arg{i}", driver + base,
+                               [s for s, _ in uses], max(w for _, w in uses))
+            # return value to the call's consumers
+            if ret_sinks and child.ret_cell is not None:
+                nl.add_net(f"{prefix}{op_name}_ret", child.ret_cell,
+                           [c + base for c in ret_sinks], child.ret_width,
+                           source_op=uid)
         return inst
 
     # ------------------------------------------------------------------
-    def _emit_memory_banks(self, func, memory_map, path):
-        """Create bank cells; completely-partitioned banks are packed."""
-        nl = self.netlist
-        bank_cells: dict[str, list[int]] = {}
-        reg_accum: dict[str, tuple[int, int]] = {}
-        for bank in memory_map.banks:
-            if bank.kind == "reg":
-                count, ff = reg_accum.get(bank.array, (0, 0))
-                ff += bank.ff
-                count += 1
-                if ff >= _REG_BANK_FF_LIMIT:
-                    cell = nl.add_cell(
-                        f"{path}/{bank.array}_regs{len(bank_cells.get(bank.array, []))}",
-                        "mem", ff=ff, instance=path, function=func.name,
-                    )
-                    bank_cells.setdefault(bank.array, []).append(cell.cell_id)
-                    ff, count = 0, 0
-                reg_accum[bank.array] = (count, ff)
-            else:
-                cell = nl.add_cell(
-                    f"{path}/{bank.array}_b{bank.index}", "mem",
-                    lut=bank.lut, ff=bank.ff, bram18=bank.bram18,
-                    instance=path, function=func.name,
-                )
-                bank_cells.setdefault(bank.array, []).append(cell.cell_id)
-        for array, (count, ff) in reg_accum.items():
-            if ff > 0:
-                cell = nl.add_cell(
-                    f"{path}/{array}_regs{len(bank_cells.get(array, []))}",
-                    "mem", ff=ff, instance=path, function=func.name,
-                )
-                bank_cells.setdefault(array, []).append(cell.cell_id)
-        return bank_cells
+    def _plan(self, name: str) -> _Plan:
+        hls = self.hls
+        t = hls.ir
+        rec = t.functions[name]
+        schedule = hls.schedule.for_function(name)
+        table = schedule.table
+        binding = hls.bindings[name]
+        fu = binding.fu_of_pos
+        fu_cell = fu.tolist()
+        op_name = list(map(t.op_name.__getitem__, rec.order.tolist()))
+        uid = table.uid.tolist()
+        cells: list[tuple] = []
+        nets: list[tuple] = []
 
-    # ------------------------------------------------------------------
-    def _emit_value_nets(self, func, inst, binding, fu_cell, mux_of_port,
-                         arg_index, path):
-        """One net per produced value; shared-unit inputs go via muxes."""
-        nl = self.netlist
-        for op in func.operations:
-            if op.result is None or not op.result.users:
+        # --- functional-unit cells, with the registers of results that
+        # cross a state folded onto their producers' cells (multi-cycle
+        # units already register their output in the spec)
+        first = binding.unit_first
+        n_units = len(first)
+        resources = binding.unit_resources.copy()
+        registered = np.flatnonzero(schedule.registered_results())
+        np.add.at(resources[:, 1], fu[registered],
+                  table.result_width[registered])
+        unit_uids = [(u,) for u in table.uid[first].tolist()]
+        for k, unit in binding.pooled.items():
+            unit_uids[k] = tuple(unit.op_uids)
+        opcodes = table.opcode_id[first].tolist()
+        cells.extend(zip(
+            [f"{OPCODE_NAMES[o]}_{k}" for k, o in enumerate(opcodes)],
+            repeat("fu"), *resources.T.tolist(), unit_uids))
+
+        # --- FSM cell and control fanout ------------------------------
+        fsm = hls.fsms[name]
+        fsm_cell = len(cells)
+        cells.append(("fsm", "fsm", fsm.lut, fsm.ff, 0, 0, ()))
+        if n_units:
+            nets.append(("ctrl", fsm_cell, tuple(range(n_units)),
+                         _CTRL_WIDTH, None))
+
+        bank_cells = _plan_memory_banks(hls.memory_maps[name], cells)
+
+        # --- shared-unit input muxes -----------------------------------
+        mux_of_unit = np.full(n_units, -1, dtype=np.int64)
+        n_ports = np.zeros(n_units, dtype=np.int64)
+        for k, unit in sorted(binding.pooled.items()):
+            if not unit.is_shared:
                 continue
-            driver = inst.op_cell[op.uid]
-            sinks: list[int] = []
-            width = 1
-            for user in op.result.users:
-                if user.parent is not func:
-                    continue
-                width = max(width, consumed_bits(op.result, user))
-                unit = binding.unit_of(user.uid)
-                if unit.is_shared:
-                    # Route into the mux of the operand port being fed.
-                    for port, operand in enumerate(user.operands):
-                        if operand is op.result:
-                            mux = mux_of_port.get((unit.fu_id, port))
-                            sinks.append(mux if mux is not None
-                                         else inst.op_cell[user.uid])
-                else:
-                    sinks.append(inst.op_cell[user.uid])
-            if sinks:
-                nl.add_net(
-                    f"{path}/{op.name}", driver, sinks, width,
-                    source_op=op.uid,
-                )
+            mux_of_unit[k] = len(cells)
+            n_ports[k] = max(1, int(table.n_operands[first[k]]))
+            spec = hls.library.mux_spec(max(2, unit.n_ops), unit.width)
+            for port in range(n_ports[k]):
+                cells.append((f"mux_fu{k}_p{port}", "mux", spec.lut, 0, 0, 0,
+                              ()))
+                nets.append((f"mux_fu{k}_p{port}_out", len(cells) - 1, (k,),
+                             max(1, unit.width), None))
+
+        # --- every use in the function, and the uses of results by
+        # producer in the order the IR lists each value's users
+        ptr = t.op_use_ptr
+        starts = ptr[rec.order]
+        counts = table.n_operands
+        uses = ranges(starts, counts)
+        user = np.repeat(np.arange(table.n), counts)
+        port = uses - np.repeat(starts, counts)
+        read = t.use_val[uses]
+        res = np.flatnonzero(t.val_kind[read] == RESULT)
+        prod = self._pos[t.val_producer[read[res]]]
+        by_use = np.lexsort((t.use_time[uses[res]], prod))
+        prod, user, port = prod[by_use], user[res][by_use], port[res][by_use]
+
+        # --- value nets -------------------------------------------------
+        nets.extend(_value_nets(prod, user, port, table, fu, mux_of_unit,
+                                n_ports, len(cells), op_name, uid))
 
         # Arguments consumed directly by ops of this function.
-        for i, arg in enumerate(func.arguments):
-            for user in arg.users:
-                if user.parent is not func:
+        indptr = table.arg_user_indptr.tolist()
+        arg_users = table.arg_user_pos
+        wires = connection_wires(
+            np.repeat(table.arg_width, np.diff(table.arg_user_indptr)),
+            table.wire_cap[arg_users])
+        pairs = list(zip(fu[arg_users].tolist(), wires.tolist()))
+        arg_sinks = [pairs[a:b] for a, b in zip(indptr[:-1], indptr[1:])]
+
+        # --- memory access nets -----------------------------------------
+        self._plan_memory_nets(rec, table, fu_cell, op_name, uid,
+                               starts.tolist(), bank_cells, cells, nets)
+
+        # --- ret --------------------------------------------------------
+        use_val = self._use_val
+        starts, counts = starts.tolist(), counts.tolist()
+        ret_cell, ret_width = None, 1
+        for q in np.flatnonzero(table.opcode_id == RET).tolist():
+            ret_cell = fu_cell[q]
+            if counts[q]:
+                ret_width = max(1, int(t.val_width[use_val[starts[q]]]))
+
+        # --- calls --------------------------------------------------------
+        arg_index = {v: i for i, v in enumerate(rec.args.tolist())}
+        consts, kind = t.val_const, t.val_kind
+        producer = t.val_producer
+        calls = []
+        for q, callee in zip(table.call_pos.tolist(), table.call_callee):
+            drivers = []
+            operands = use_val[starts[q]:starts[q] + counts[q]]
+            for i, v in enumerate(operands):
+                if consts[v] is not None:
                     continue
-                inst.arg_sinks[i].append(
-                    (inst.op_cell[user.uid], consumed_bits(arg, user))
-                )
+                if v in arg_index:
+                    drivers.append((i, _ArgRef(arg_index[v])))
+                elif kind[v] == RESULT:
+                    drivers.append((i, fu_cell[self._pos[producer[v]]]))
+            lo, hi = np.searchsorted(prod, (q, q + 1)).tolist()
+            ret_sinks = fu[user[lo:hi]].tolist()
+            calls.append((callee, op_name[q], fu_cell[q], drivers, ret_sinks,
+                          uid[q]))
+
+        return _Plan(
+            cells=tuple(map(list, zip(*cells))),
+            nets=tuple(map(list, zip(*nets))) if nets else ([],) * 5,
+            fsm_cell=fsm_cell,
+            arg_sinks=arg_sinks,
+            ret_cell=ret_cell,
+            ret_width=ret_width,
+            calls=calls,
+        )
 
     # ------------------------------------------------------------------
-    #: accessors per bank above which the port-mux tree is materialized
-    _PORT_MUX_THRESHOLD = 6
-
-    def _emit_memory_nets(self, func, inst, bank_cells, path):
+    def _plan_memory_nets(self, rec, table, fu_cell, op_name, uid, starts,
+                          bank_cells, cells, nets):
         """Wire memory accesses, aggregating contended banks via muxes.
 
         Lightly-used banks connect point to point.  Heavily-shared banks
@@ -265,177 +328,184 @@ class RTLGenerator:
         several tiles, which spreads the wiring demand the way a real
         placed mux tree does, and the read data becomes one broadcast net.
         """
-        nl = self.netlist
-        accesses: dict[str, list] = {}
-        for op in func.operations:
-            if op.opcode in ("load", "store") and op.attrs.get("array"):
-                accesses.setdefault(op.attrs["array"], []).append(op)
+        mem = np.flatnonzero(table.array_id >= 0)
+        if not len(mem):
+            return
+        consts = self.hls.ir.val_const
+        use_val = self._use_val
+        counts = table.n_operands[mem].tolist()
+        loads = (table.opcode_id[mem] == LOAD).tolist()
+        accesses: list[list] = [[] for _ in table.arrays]
+        for q, a, n, load in zip(mem.tolist(), table.array_id[mem].tolist(),
+                                 counts, loads):
+            # A constant index pins the access to its bank (so every
+            # reader of element k hits the same bank — the shared-input
+            # fan-out of the paper's case study); dynamic indices
+            # spread by op identity.
+            bank_key = uid[q]
+            for v in use_val[starts[q] + (0 if load else 1):starts[q] + n]:
+                if isinstance(consts[v], int):
+                    bank_key = consts[v]
+                    break
+            accesses[a].append((fu_cell[q], op_name[q], load, bank_key))
 
-        for array, ops in accesses.items():
+        for array, ops in zip(table.arrays, accesses):
             banks = bank_cells.get(array)
             if not banks:
                 continue
-            decl = func.arrays.get(array)
+            decl = rec.arrays.get(array)
             addr_bits = max(1, math.ceil(math.log2(max(2, decl.words))))
             data_bits = max(1, decl.bits)
 
             by_bank: dict[int, list] = {}
-            for op in ops:
-                index_operands = (
-                    op.operands if op.opcode == "load" else op.operands[1:]
-                )
-                # A constant index pins the access to its bank (so every
-                # reader of element k hits the same bank — the shared-input
-                # fan-out of the paper's case study); dynamic indices
-                # spread by op identity.
-                bank_key = op.uid
-                for operand in index_operands:
-                    if operand.is_constant and isinstance(operand.constant, int):
-                        bank_key = operand.constant
-                        break
-                by_bank.setdefault(bank_key % len(banks), []).append(op)
+            for access in ops:
+                by_bank.setdefault(access[3] % len(banks), []).append(access)
 
             for bank_idx, bank_ops in by_bank.items():
                 bank = banks[bank_idx]
-                if len(bank_ops) <= self._PORT_MUX_THRESHOLD:
-                    for op in bank_ops:
-                        op_cell = inst.op_cell[op.uid]
-                        if op.opcode == "load":
-                            nl.add_net(f"{path}/{op.name}_addr", op_cell,
-                                       [bank], addr_bits)
-                            nl.add_net(f"{path}/{op.name}_data", bank,
-                                       [op_cell], data_bits)
+                if len(bank_ops) <= _PORT_MUX_THRESHOLD:
+                    for cell, name, load, _ in bank_ops:
+                        if load:
+                            nets.append((f"{name}_addr", cell, (bank,),
+                                         addr_bits, None))
+                            nets.append((f"{name}_data", bank, (cell,),
+                                         data_bits, None))
                         else:
-                            nl.add_net(f"{path}/{op.name}_wr", op_cell,
-                                       [bank], addr_bits + data_bits)
+                            nets.append((f"{name}_wr", cell, (bank,),
+                                         addr_bits + data_bits, None))
                     continue
 
                 # contended bank: explicit port-mux aggregation
-                mux_spec = self.hls.library.mux_spec(
+                spec = self.hls.library.mux_spec(
                     max(2, len(bank_ops)), addr_bits + data_bits
                 )
-                amux = nl.add_cell(
-                    f"{path}/{array}_b{bank_idx}_pmux", "mux",
-                    lut=mux_spec.lut, instance=inst.path,
-                    function=func.name,
-                )
-                nl.add_net(
-                    f"{path}/{array}_b{bank_idx}_pmux_out",
-                    amux.cell_id, [bank], addr_bits + data_bits,
-                )
+                amux = len(cells)
+                cells.append((f"{array}_b{bank_idx}_pmux", "mux", spec.lut,
+                              0, 0, 0, ()))
+                nets.append((f"{array}_b{bank_idx}_pmux_out", amux, (bank,),
+                             addr_bits + data_bits, None))
                 load_sinks = []
-                for op in bank_ops:
-                    op_cell = inst.op_cell[op.uid]
-                    width = addr_bits if op.opcode == "load" else (
-                        addr_bits + data_bits
-                    )
-                    nl.add_net(f"{path}/{op.name}_req", op_cell,
-                               [amux.cell_id], width)
-                    if op.opcode == "load":
-                        load_sinks.append(op_cell)
+                for cell, name, load, _ in bank_ops:
+                    width = addr_bits if load else addr_bits + data_bits
+                    nets.append((f"{name}_req", cell, (amux,), width, None))
+                    if load:
+                        load_sinks.append(cell)
                 if load_sinks:
-                    nl.add_net(
-                        f"{path}/{array}_b{bank_idx}_rdata", bank,
-                        load_sinks, data_bits,
-                    )
+                    nets.append((f"{array}_b{bank_idx}_rdata", bank,
+                                 tuple(dict.fromkeys(load_sinks)), data_bits,
+                                 None))
 
     # ------------------------------------------------------------------
-    def _emit_calls(self, func, inst, arg_index, path):
-        nl = self.netlist
-        for op in func.ops_of("call"):
-            callee_name = op.attrs.get("callee")
-            callee = self.hls.module.functions.get(callee_name)
-            if callee is None:
-                raise RTLError(f"call {op.name} targets unknown {callee_name!r}")
-            k = self._call_counter.get(callee_name, 0)
-            self._call_counter[callee_name] = k + 1
-            child = self._elaborate(callee, f"{path}/{callee_name}.{k}")
-
-            call_cell = inst.op_cell[op.uid]
-            # start/done handshake with the child's FSM
-            nl.add_net(
-                f"{path}/{op.name}_hs", call_cell, [child.fsm_cell], _CTRL_WIDTH
-            )
-            # actual arguments
-            for i, operand in enumerate(op.operands):
-                sinks = child.arg_sinks[i] if i < len(child.arg_sinks) else []
-                if not sinks:
-                    continue
-                sink_cells = [s for s, _ in sinks]
-                width = max(w for _, w in sinks)
-                driver = self._driver_of(func, inst, arg_index, operand)
-                if driver is None:
-                    continue
-                if isinstance(driver, _ArgRef):
-                    # operand is an argument of the caller itself: forward.
-                    inst.arg_sinks[driver.index].extend(sinks)
-                else:
-                    nl.add_net(
-                        f"{path}/{op.name}_arg{i}", driver, sink_cells, width
-                    )
-            # return value to the call's consumers
-            if op.result is not None and op.result.users and child.ret_cell is not None:
-                sinks = [
-                    inst.op_cell[u.uid] for u in op.result.users
-                    if u.parent is func
-                ]
-                if sinks:
-                    nl.add_net(
-                        f"{path}/{op.name}_ret", child.ret_cell, sinks,
-                        child.ret_width, source_op=op.uid,
-                    )
-
-    def _driver_of(self, func, inst, arg_index, value):
-        """Cell driving ``value`` inside this instance.
-
-        Returns a cell id, an :class:`_ArgRef` when the value is a caller
-        argument (to be forwarded another level up), or None for constants
-        and unresolvable values.
-        """
-        if value.is_constant:
-            return None
-        if id(value) in arg_index:
-            return _ArgRef(arg_index[id(value)])
-        producer = value.producer
-        if producer is None or producer.uid not in inst.op_cell:
-            return None
-        return inst.op_cell[producer.uid]
-
-    # ------------------------------------------------------------------
-    def _connect_top_ports(self, top: Function, inst: _Instance) -> None:
+    def _connect_top_ports(self, name: str, inst: _Instance) -> None:
         """I/O port cells for top arguments + read/write_port ops."""
+        t = self.hls.ir
         nl = self.netlist
+        rec = t.functions[name]
+        table = self.hls.schedule.for_function(name).table
+        fu = self.hls.bindings[name].fu_of_pos
+        arg_names = [t.value_name(a) for a in rec.args.tolist()]
         port_cell: dict[str, int] = {}
-        for arg in top.arguments:
+        for arg in arg_names:
             cell = nl.add_cell(
-                f"port/{arg.name}", "port", instance="top", function=top.name,
+                f"port/{arg}", "port", instance="top", function=name,
             )
-            port_cell[arg.name] = cell.cell_id
-        for op in top.operations:
-            if op.opcode not in ("read_port", "write_port"):
-                continue
-            port = op.attrs.get("port")
+            port_cell[arg] = cell.cell_id
+        io = np.flatnonzero((table.opcode_id == READ_PORT)
+                            | (table.opcode_id == WRITE_PORT))
+        for q in io.tolist():
+            op = int(rec.order[q])
+            port = t.attr(op, "port")
             if port not in port_cell:
                 continue
-            width = max(1, op.bitwidth())
-            if op.opcode == "read_port":
-                nl.add_net(
-                    f"top/{op.name}_io", port_cell[port],
-                    [inst.op_cell[op.uid]], width,
-                )
+            cell = inst.base + int(fu[q])
+            width = max(1, int(table.width[q]))
+            if table.opcode_id[q] == READ_PORT:
+                nl.add_net(f"top/{t.op_name[op]}_io", port_cell[port],
+                           [cell], width)
             else:
-                nl.add_net(
-                    f"top/{op.name}_io", inst.op_cell[op.uid],
-                    [port_cell[port]], width,
-                )
+                nl.add_net(f"top/{t.op_name[op]}_io", cell,
+                           [port_cell[port]], width)
         # Arguments used directly (as operands) connect from port cells too.
-        for i, arg in enumerate(top.arguments):
-            sinks = inst.arg_sinks[i]
+        for arg, sinks in zip(arg_names, inst.arg_sinks):
             if sinks:
                 nl.add_net(
-                    f"top/arg_{arg.name}", port_cell[arg.name],
+                    f"top/arg_{arg}", port_cell[arg],
                     [s for s, _ in sinks], max(w for _, w in sinks),
                 )
+
+
+def _plan_memory_banks(memory_map, cells: list) -> dict[str, list[int]]:
+    """Append the bank cells; completely-partitioned banks are packed.
+    Returns array name -> its bank cells."""
+    bank_cells: dict[str, list[int]] = {}
+    reg_accum: dict[str, tuple[int, int]] = {}
+    for bank in memory_map.banks:
+        if bank.kind == "reg":
+            count, ff = reg_accum.get(bank.array, (0, 0))
+            ff += bank.ff
+            count += 1
+            if ff >= _REG_BANK_FF_LIMIT:
+                ids = bank_cells.setdefault(bank.array, [])
+                cells.append((f"{bank.array}_regs{len(ids)}", "mem", 0, ff,
+                              0, 0, ()))
+                ids.append(len(cells) - 1)
+                ff, count = 0, 0
+            reg_accum[bank.array] = (count, ff)
+        else:
+            cells.append((f"{bank.array}_b{bank.index}", "mem", bank.lut,
+                          bank.ff, 0, bank.bram18, ()))
+            bank_cells.setdefault(bank.array, []).append(len(cells) - 1)
+    for array, (count, ff) in reg_accum.items():
+        if ff > 0:
+            ids = bank_cells.setdefault(array, [])
+            cells.append((f"{array}_regs{len(ids)}", "mem", 0, ff, 0, 0, ()))
+            ids.append(len(cells) - 1)
+    return bank_cells
+
+
+def _value_nets(prod, user, port, table, fu, mux_of_unit, n_ports, n_cells,
+                op_name, uid) -> list[tuple]:
+    """One net per produced value, as plan rows.
+
+    ``prod``, ``user`` and ``port`` are the uses of results, by producer
+    and then in the order the IR lists each value's users.  A user on a
+    shared unit is reached through the mux of every port reading the
+    value (in port order, where the value lists that user first); any
+    other user through its unit's cell.  Each cell is a sink once, where
+    it first appears, and never the driver's own cell.
+    """
+    if not len(prod):
+        return []
+    _, first, inverse = np.unique(prod * table.n + user, return_index=True,
+                                  return_inverse=True)
+    order = np.lexsort((port, first[inverse.reshape(-1)]))
+    prod, user, port = prod[order], user[order], port[order]
+    sink = fu[user]
+    mux = mux_of_unit[sink]
+    via = (mux >= 0) & (port < n_ports[sink])
+    sink = np.where(via, mux + port, sink)
+
+    # the widest connection sets the net's wires
+    group = np.flatnonzero(np.concatenate(([True], prod[1:] != prod[:-1])))
+    wires = connection_wires(table.result_width[prod], table.wire_cap[user])
+    width = np.maximum(1, np.maximum.reduceat(wires, group))
+
+    _, keep = np.unique(prod * n_cells + sink, return_index=True)
+    keep.sort()
+    keep = keep[sink[keep] != fu[prod[keep]]]
+    drivers, at = np.unique(prod[keep], return_index=True)
+    bounds = at.tolist() + [len(keep)]
+    cells = sink[keep].tolist()
+    drivers = drivers.tolist()
+    width = width[np.searchsorted(prod[group], drivers)].tolist()
+    fu_cell = fu[drivers].tolist()
+    return list(zip(
+        [op_name[q] for q in drivers],
+        fu_cell,
+        [tuple(cells[a:b]) for a, b in zip(bounds[:-1], bounds[1:])],
+        width,
+        [uid[q] for q in drivers],
+    ))
 
 
 def generate_netlist(hls: HLSResult) -> Netlist:

@@ -51,8 +51,9 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: result's schedules and bindings hold op tables and position arrays;
 #: v6: an HLS result holds its synthesized design as a table IR, not
 #: IR objects; v7: a flow result is the pipeline's completed
-#: FlowContext, with per-stage seconds in ``stage_seconds``)
-_DISK_FORMAT_VERSION = 7
+#: FlowContext, with per-stage seconds in ``stage_seconds``; v8: a flow
+#: result's labels and a dataset's sample metadata are columns)
+_DISK_FORMAT_VERSION = 8
 
 
 class KeyedCache:

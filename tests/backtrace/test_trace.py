@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from repro.backtrace import Backtracer
@@ -18,13 +19,13 @@ def traced():
     pk = pack_netlist(nl, dev)
     pl = place_netlist(nl, pk, dev, PlacementOptions(seed=0))
     cm = route_design(nl, pk, pl, dev)
-    tracer = Backtracer(module, nl, pk, pl, cm)
+    tracer = Backtracer(hls, nl, pk, pl, cm)
     return module, tracer, tracer.label_operations(), cm
 
 
 def test_every_op_gets_labeled(traced):
     module, tracer, result, cm = traced
-    labeled = set(result.by_op)
+    labeled = set(result.op_uid.tolist())
     all_uids = {op.uid for op in module.iter_all_ops()}
     assert labeled == all_uids
 
@@ -33,21 +34,20 @@ def test_labels_in_congestion_range(traced):
     module, tracer, result, cm = traced
     hi_v = cm.vertical.max() + 1
     hi_h = cm.horizontal.max() + 1
-    for label in result.labels:
-        assert 0 <= label.vertical <= hi_v
-        assert 0 <= label.horizontal <= hi_h
-        assert label.average == pytest.approx(
-            0.5 * (label.vertical + label.horizontal)
-        )
+    assert np.all((0 <= result.vertical) & (result.vertical <= hi_v))
+    assert np.all((0 <= result.horizontal) & (result.horizontal <= hi_h))
+    assert np.allclose(result.average,
+                       0.5 * (result.vertical + result.horizontal))
 
 
 def test_callee_ops_have_one_label_per_instance(traced):
     module, tracer, result, cm = traced
     square = module.functions["square"]
     mul = square.ops_of("mul")[0]
-    labels = result.by_op[mul.uid]
-    assert len(labels) == 1  # one call site -> one instance
-    assert labels[0].instance.startswith("top/square")
+    cells = result.cell[result.op_uid == mul.uid]
+    assert len(cells) == 1  # one call site -> one instance
+    assert tracer.netlist.cell(int(cells[0])).instance.startswith(
+        "top/square")
 
 
 def test_label_of_rejects_multi_instance():
@@ -61,20 +61,22 @@ def test_label_of_rejects_multi_instance():
     pk = pack_netlist(nl, dev)
     pl = place_netlist(nl, pk, dev, PlacementOptions(seed=0))
     cm = route_design(nl, pk, pl, dev)
-    result = Backtracer(module, nl, pk, pl, cm).label_operations()
+    result = Backtracer(hls, nl, pk, pl, cm).label_operations()
     square = module.functions["square"]
     mul = square.ops_of("mul")[0]
-    assert len(result.by_op[mul.uid]) == 3
+    assert np.count_nonzero(result.op_uid == mul.uid) == 3
     with pytest.raises(BacktraceError):
         result.label_of(mul.uid)
+    top_op = module.top.operations[0]
+    assert result.op_uid[result.label_of(top_op.uid)] == top_op.uid
 
 
 def test_forward_trace_tile_to_ops(traced):
     module, tracer, result, cm = traced
-    label = result.labels[0]
-    x, y = label.tiles[0]
+    x, y = tracer.placement.tiles_of_cell(tracer.packing,
+                                          int(result.cell[0]))[0]
     ops = tracer.ops_in_tile(x, y)
-    assert any(op.uid == label.op_uid for op in ops)
+    assert any(op.uid == result.op_uid[0] for op in ops)
 
 
 def test_hottest_tiles_sorted(traced):
@@ -102,6 +104,4 @@ def test_window_smoothing_reduces_extremes(traced):
     module, tracer, result, cm = traced
     sharp = tracer.label_operations(window_radius=0)
     smooth = tracer.label_operations(window_radius=3)
-    max_sharp = max(l.vertical for l in sharp.labels)
-    max_smooth = max(l.vertical for l in smooth.labels)
-    assert max_smooth <= max_sharp + 1e-9
+    assert smooth.vertical.max() <= sharp.vertical.max() + 1e-9

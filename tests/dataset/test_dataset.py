@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from repro.dataset import CongestionDataset, dataset_from_flow
-from repro.errors import DatasetError
+from repro.errors import DatasetError, FlowError
 from repro.features import N_FEATURES
+from repro.flow import FlowOptions, FlowPipeline
+from repro.kernels import build_kernel
 
 
 def test_dataset_from_flow_shapes(facedet_flow):
@@ -24,11 +26,11 @@ def test_dataset_average_target(facedet_flow):
 
 def test_dataset_meta_provenance(facedet_flow):
     ds = dataset_from_flow(facedet_flow)
-    for meta in ds.meta[:50]:
-        assert meta.design == "face_detection"
-        assert meta.source_line > 0
-        op = facedet_flow.hls.module.find_op(meta.op_uid)
-        assert op.opcode == meta.opcode
+    meta = ds.meta.take(np.arange(50))
+    assert set(meta.design) == {"face_detection"}
+    assert np.all(meta.source_line > 0)
+    for uid, opcode in zip(meta.op_uid.tolist(), meta.opcode):
+        assert facedet_flow.hls.module.find_op(uid).opcode == opcode
 
 
 def test_subset_and_concat(facedet_flow):
@@ -37,6 +39,8 @@ def test_subset_and_concat(facedet_flow):
     assert half.n_samples == ds.n_samples // 2
     double = half.concat(half)
     assert double.n_samples == 2 * half.n_samples
+    assert np.array_equal(double.meta.instance,
+                          np.concatenate([half.meta.instance] * 2))
 
 
 def test_misaligned_dataset_rejected():
@@ -58,16 +62,15 @@ def test_misaligned_dataset_rejected():
 
 def test_paper_dataset_builds(small_dataset):
     assert small_dataset.n_samples > 200
-    designs = {m.design for m in small_dataset.meta}
+    designs = set(small_dataset.meta.design)
     assert designs == {"face_detection", "digit_spam", "bnn_render_flow"}
 
 
 def test_marginal_filter_removes_replicas_only(small_dataset):
     mask = small_dataset.marginal_mask()
-    for i in np.flatnonzero(mask):
-        meta = small_dataset.meta[i]
-        assert meta.unroll_group is not None
-        assert meta.at_margin
+    assert all(group is not None
+               for group in small_dataset.meta.unroll_group[mask])
+    assert small_dataset.meta.at_margin[mask].all()
 
 
 def test_marginal_filter_removes_low_labels(small_dataset):
@@ -86,3 +89,12 @@ def test_label_stats_keys(small_dataset):
     stats = small_dataset.label_stats()
     assert set(stats) == {"v_mean", "v_max", "h_mean", "h_max"}
     assert stats["v_max"] >= stats["v_mean"]
+
+
+@pytest.mark.parametrize("until, missing", [("sta", "graph"),
+                                            ("graph", "labels")])
+def test_partial_flow_is_a_typed_error(until, missing):
+    ctx = FlowPipeline().run(build_kernel("spam_filter", scale=0.2),
+                             options=FlowOptions(scale=0.2), until=until)
+    with pytest.raises(FlowError, match=f"artifact '{missing}'"):
+        dataset_from_flow(ctx)

@@ -30,7 +30,7 @@ def test_parallel_build_matches_serial():
     assert parallel.label_stats() == serial.label_stats()
     np.testing.assert_array_equal(parallel.X, serial.X)
     np.testing.assert_array_equal(parallel.y_vertical, serial.y_vertical)
-    assert [m.design for m in parallel.meta] == [m.design for m in serial.meta]
+    np.testing.assert_array_equal(parallel.meta.design, serial.meta.design)
 
 
 def test_flow_disk_cache_survives_process_restart(

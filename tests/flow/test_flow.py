@@ -26,7 +26,8 @@ def test_flow_artifacts_consistent(facedet_flow):
     assert r.hls.module is not r.design.module
     assert r.congestion.device is r.device
     # labels are on synthesized ops, inlined clones included
-    labeled = [r.hls.module.find_op(uid) for uid in r.labels.by_op]
+    labeled = [r.hls.module.find_op(uid)
+               for uid in set(r.labels.op_uid.tolist())]
     assert any("inlined_from" in op.attrs for op in labeled)
 
 

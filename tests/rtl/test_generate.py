@@ -1,7 +1,8 @@
 from collections import Counter
 
 from repro.hls import DirectiveSet, synthesize
-from repro.rtl import consumed_bits, generate_netlist
+from repro.rtl import generate_netlist
+from repro.rtl._reference import consumed_bits
 from repro.ir import Function, I32, IRBuilder, Module
 from tests.conftest import build_tiny_module
 

@@ -47,8 +47,10 @@ from repro.dataset.build import CongestionDataset, SampleMeta
 from repro.predict import CongestionPredictor
 
 X = np.random.default_rng(0).uniform(size=(16, 302))
-meta = [SampleMeta("tiny", i, "top", "top", "add", "tiny.c", i, None, 0,
-                   False) for i in range(16)]
+text = lambda value: np.full(16, value, dtype=object)
+meta = SampleMeta(text("tiny"), np.arange(16), text("top"), text("top"),
+                  text("add"), text("tiny.c"), np.arange(16), text(None),
+                  np.zeros(16, dtype=np.int64), np.zeros(16, dtype=bool))
 predictor = CongestionPredictor("linear").fit(
     CongestionDataset(X, X[:, 0], X[:, 1], meta))
 """
